@@ -123,6 +123,8 @@ def merge_config(file_values: dict, flag_values: dict) -> RunConfig:
         value = getattr(config, key)
         if value is not None and value not in allowed:
             raise UsageError(f"{key} must be one of {'|'.join(allowed)}, got {value!r}")
+    if config.workers < 1:
+        raise UsageError(f"--workers must be at least 1, got {config.workers}")
     return config
 
 

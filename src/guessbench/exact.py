@@ -1,15 +1,18 @@
 """Exact engines: enumeration, backward induction, and verification sweeps.
 
-Values are Fractions throughout.  Two independent routes exist for the
-partial-feedback game: ``solve_partial`` runs backward induction on canonical
-tally states, while ``expectimax_value`` searches the raw tree of observable
-histories, merging nodes only when their sets of consistent deck suffixes are
-literally identical.  Agreement between the two is the core consistency check
-for the tally-state reduction.
+Values are Fractions throughout; the two value DPs reach them through
+integer weights (arrangement count times value) and divide once per state.
+Two independent routes exist for the partial-feedback game:
+``solve_partial`` runs backward induction on canonical tally states, while
+``expectimax_value`` searches the raw tree of observable histories, merging
+nodes only when their sets of consistent deck suffixes are literally
+identical.  Agreement between the two is the core consistency check for the
+tally-state reduction.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -109,45 +112,50 @@ def exact_value(
     return Fraction(total_score, size)
 
 
-# ===== complete feedback: backward induction on count multisets =====
+# ===== complete feedback: integer weights on count multisets =====
 
 
 def optimal_complete(spec: DeckSpec, sense: Sense = "max") -> Fraction:
     """Value of best (or worst) play under complete feedback.
 
     The drawn card is revealed either way, so a state is just the multiset of
-    remaining counts; the per-turn optimum is the largest (smallest) count
-    over the deck size, and the transition law is guess-independent.
+    remaining counts c, kept as a non-increasing tuple; the per-turn optimum
+    is the largest (smallest) count over the deck size, and the transition
+    law is guess-independent.  Each state carries two integers: N(c), the
+    number of arrangements of c, and W(c) = N(c) * V(c).  Writing c - e_j for
+    c with one card of type j drawn, N(c) = sum_j N(c - e_j) and
+    W(c) = N(c - e_best) + sum_j W(c - e_j).  The sweep runs up from the
+    empty deck one size at a time, each state adding its share to the states
+    one card larger, and keeps only two sizes.
     """
     _check_sense(sense)
     maximize = sense == "max"
-    memo: dict[tuple[int, ...], Fraction] = {}
+    top = spec.multiplicity
+    layer: dict[tuple[int, ...], list[int]] = {(0,) * spec.num_types: [1, 0]}
+    for _ in range(spec.total):
+        grown: dict[tuple[int, ...], list[int]] = {}
+        for counts, (arrangements, weight) in layer.items():
+            for v in set(counts):
+                if v == top:
+                    continue
+                # raising the first of a run of equal counts keeps the order
+                j = counts.index(v)
+                up = counts[:j] + (v + 1,) + counts[j + 1 :]
+                # drawing any of the types now holding v + 1 leads back here
+                mult = counts.count(v + 1) + 1
+                acc = grown.get(up)
+                if acc is None:
+                    acc = grown[up] = [0, 0]
+                acc[0] += mult * arrangements
+                acc[1] += mult * weight
+                if v + 1 == (up[0] if maximize else up[-1]):
+                    acc[1] += arrangements
+        layer = grown
+    ((arrangements, weight),) = layer.values()
+    return Fraction(weight, arrangements)
 
-    def value(counts: tuple[int, ...]) -> Fraction:
-        cached = memo.get(counts)
-        if cached is not None:
-            return cached
-        size = sum(counts)
-        if size == 0:
-            return Fraction(0)
-        best = Fraction(counts[0] if maximize else counts[-1], size)
-        acc = best
-        for v, mult in Counter(counts).items():
-            if v == 0:
-                continue
-            idx = counts.index(v)
-            succ = tuple(
-                sorted(counts[:idx] + (v - 1,) + counts[idx + 1 :], reverse=True)
-            )
-            acc += Fraction(mult * v, size) * value(succ)
-        memo[counts] = acc
-        return acc
 
-    start = tuple([spec.multiplicity] * spec.num_types)
-    return value(start)
-
-
-# ===== partial feedback: backward induction on (remaining, wrong) pairs =====
+# ===== partial feedback: integer weights on (remaining, wrong) pair multisets =====
 
 
 @dataclass(frozen=True)
@@ -160,12 +168,56 @@ class PartialSolution:
     policy: dict[PairState, tuple[tuple[int, int], ...]] | None
 
 
-def _replace_pair(state: PairState, idx: int, pair: tuple[int, int]) -> PairState:
-    return tuple(sorted(state[:idx] + (pair,) + state[idx + 1 :]))
+_Move = tuple[tuple[int, int], PairState | None, PairState | None]
 
 
-def _state_vectors(state: PairState) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    return tuple(p[0] for p in state), tuple(p[1] for p in state)
+def _partial_moves(state: PairState) -> list[_Move]:
+    """(pair, hit successor, miss successor) for each distinct pair of a state.
+
+    Guessing a type with pair (m_i, a_i) leaves (m_i - 1, a_i) on a hit and
+    (m_i, a_i + 1) on a miss.  A successor is None when no arrangement is
+    consistent with it, and a terminal state (as many banned positions as
+    remaining copies) has no moves.  ``state`` itself must have arrangements.
+    By Hall's condition (see ConstraintState) N(m, a) > 0 iff
+    sum(a) <= sum(m) and a_j + m_j <= sum(m) for every j.  With M = sum(m)
+    here, a miss therefore stays possible iff m_i + a_i < M, and a hit iff
+    m_i > 0 and no other type has m_j + a_j = M.  At most one type can be
+    that tight, since two would need sum(a) >= M.
+    """
+    total = sum([p[0] for p in state])
+    if sum([p[1] for p in state]) == total:
+        return []
+    tight = None
+    for p in state:
+        if p[0] + p[1] == total:
+            tight = p
+            break
+    moves: list[_Move] = []
+    prev = None
+    for idx, pair in enumerate(state):
+        if pair == prev:
+            continue
+        prev = pair
+        mi, ai = pair
+        rest = state[:idx] + state[idx + 1 :]
+        hit = None
+        if mi and (tight is None or tight == pair):
+            hit = tuple(sorted(rest + ((mi - 1, ai),)))
+        miss = tuple(sorted(rest + ((mi, ai + 1),))) if mi + ai < total else None
+        moves.append((pair, hit, miss))
+    return moves
+
+
+def _partial_state_floor(spec: DeckSpec) -> int:
+    """A lower bound on the states ``solve_partial`` visits: C(n + 2m, n) - m.
+
+    Every pair multiset built from (0, 0), (k, 0) and (k, 1) with
+    1 <= k <= m is reached (hits first, then one miss per type with a wrong
+    guess), except the m states where a single type (k, 1) holds all
+    remaining cards, which break Hall's condition.
+    """
+    m, n = spec.multiplicity, spec.num_types
+    return math.comb(n + 2 * m, n) - m
 
 
 def solve_partial(
@@ -181,57 +233,72 @@ def solve_partial(
     banned position for that type.  Terminal states have as many banned
     positions as remaining copies: no draws are left.  Guessing an exhausted
     type is legal with f = 0, which minimal play exploits.
+
+    Each state s carries integers N(s), its number of arrangements, and
+    W(s) = N(s) * V(s).  Since f = N(hit) / N(s) and N(s) = N(hit) + N(miss)
+    for every guess, W(s) = opt over guesses of N(hit) + W(hit) + W(miss),
+    and ``_count`` runs only on terminal states, where W = 0.  States are
+    walked depth first on an explicit stack, so deep decks need no
+    recursion.  Raises RuntimeError once more than ``state_limit`` states
+    turn up, or at once when ``_partial_state_floor`` already exceeds it.
     """
-    choose = _check_sense(sense)
+    _check_sense(sense)
+    maximize = sense == "max"
+    limit_error = RuntimeError(
+        f"more than {state_limit} partial states; raise state_limit if intended"
+    )
+    if _partial_state_floor(spec) > state_limit:
+        raise limit_error
+    weights: dict[PairState, tuple[int, int]] = {}
     values: dict[PairState, Fraction] = {}
     policy: dict[PairState, tuple[tuple[int, int], ...]] | None = (
         {} if track_policy else None
     )
-
-    def value(state: PairState) -> Fraction:
-        cached = values.get(state)
-        if cached is not None:
-            return cached
-        if len(values) >= state_limit:
-            raise RuntimeError(
-                f"more than {state_limit} partial states; raise state_limit if intended"
-            )
-        m_sum = sum(p[0] for p in state)
-        a_sum = sum(p[1] for p in state)
-        if a_sum == m_sum:
-            values[state] = Fraction(0)
-            return values[state]
-        denom = _count(*_state_vectors(state))
-        best: Fraction | None = None
-        best_actions: list[tuple[int, int]] = []
-        seen: set[tuple[int, int]] = set()
-        for idx, pair in enumerate(state):
-            if pair in seen:
-                continue
-            seen.add(pair)
-            mi, ai = pair
-            if mi == 0:
-                frac = Fraction(0)
-            else:
-                reduced = _replace_pair(state, idx, (mi - 1, ai))
-                frac = Fraction(_count(*_state_vectors(reduced)), denom)
-            act = Fraction(0)
-            if frac:
-                act += frac * (1 + value(_replace_pair(state, idx, (mi - 1, ai))))
-            if frac != 1:
-                act += (1 - frac) * value(_replace_pair(state, idx, (mi, ai + 1)))
-            if best is None or choose(best, act) != best:
-                best, best_actions = act, [pair]
-            elif act == best and pair not in best_actions:
-                best_actions.append(pair)
-        values[state] = best
-        if policy is not None:
-            policy[state] = tuple(best_actions)
-        return best
-
+    expanded: dict[PairState, list[_Move]] = {}
+    empty = (0, 0)  # (N, W) of a successor with no arrangements
     root: PairState = tuple((spec.multiplicity, 0) for _ in range(spec.num_types))
-    top = value(root)
-    return PartialSolution(spec, sense, top, root, values, policy)
+    stack = [root]
+    while stack:
+        state = stack[-1]
+        if state in weights:
+            stack.pop()
+            continue
+        moves = expanded.get(state)
+        if moves is None:
+            if len(weights) + len(expanded) >= state_limit:
+                raise limit_error
+            moves = _partial_moves(state)
+            if not moves:
+                remaining, forbidden = zip(*state)
+                weights[state] = (_count(remaining, forbidden), 0)
+                values[state] = Fraction(0)
+                stack.pop()
+                continue
+            expanded[state] = moves
+            # successors are solved before this state comes back to the top
+            for _, hit, miss in moves:
+                if hit is not None and hit not in weights:
+                    stack.append(hit)
+                if miss is not None and miss not in weights:
+                    stack.append(miss)
+            continue
+        del expanded[state]
+        stack.pop()
+        best = None
+        for pair, hit, miss in moves:
+            n_hit, w_hit = weights[hit] if hit is not None else empty
+            n_miss, w_miss = weights[miss] if miss is not None else empty
+            act = n_hit + w_hit + w_miss
+            if best is None or (act > best if maximize else act < best):
+                best, actions = act, [pair]
+            elif act == best:
+                actions.append(pair)
+        arrangements = n_hit + n_miss  # the same for every guess
+        weights[state] = (arrangements, best)
+        values[state] = Fraction(best, arrangements)
+        if policy is not None:
+            policy[state] = tuple(actions)
+    return PartialSolution(spec, sense, values[root], root, values, policy)
 
 
 def optimal_partial(
@@ -373,7 +440,8 @@ def probe_persistence(
     action set.  An empty list means persistence holds for this spec.
     """
     solution = solve_partial(spec, "max", track_policy=True, state_limit=state_limit)
-    assert solution.policy is not None
+    policy = solution.policy
+    assert policy is not None
     violations: list[PersistenceViolation] = []
     seen: set[PairState] = set()
     stack: list[PairState] = [solution.root]
@@ -382,29 +450,16 @@ def probe_persistence(
         if state in seen:
             continue
         seen.add(state)
-        if sum(p[1] for p in state) == sum(p[0] for p in state):
-            continue
-        denom = _count(*_state_vectors(state))
-        for pair in solution.policy[state]:
-            mi, ai = pair
-            idx = state.index(pair)
-            if mi == 0:
-                frac = Fraction(0)
-            else:
-                reduced = _replace_pair(state, idx, (mi - 1, ai))
-                frac = Fraction(_count(*_state_vectors(reduced)), denom)
-            if frac:
-                stack.append(_replace_pair(state, idx, (mi - 1, ai)))
-            if frac != 1:
-                successor = _replace_pair(state, idx, (mi, ai + 1))
-                terminal = sum(p[1] for p in successor) == sum(p[0] for p in successor)
-                if not terminal and (mi, ai + 1) not in solution.policy[successor]:
-                    violations.append(
-                        PersistenceViolation(
-                            state, pair, successor, solution.policy[successor]
-                        )
-                    )
-                stack.append(successor)
+        for pair, hit, miss in _partial_moves(state):
+            if pair not in policy[state]:
+                continue
+            if hit is not None:
+                stack.append(hit)
+            if miss is not None:
+                stack.append(miss)
+                after = policy.get(miss)  # None at terminal states
+                if after is not None and (pair[0], pair[1] + 1) not in after:
+                    violations.append(PersistenceViolation(state, pair, miss, after))
     return violations
 
 

@@ -1,7 +1,10 @@
 """Naive reference implementations the tests compare the library against.
 
-Everything here enumerates and filters; nothing shares code with the
-package.  Size guards keep inputs tiny on purpose.
+Most of this file enumerates and filters and shares no code with the
+package; size guards keep those inputs tiny on purpose.  The recursive
+value DPs at the end are the package's earlier Fraction-valued solvers,
+kept as references for the integer-weighted ones.  They import only the
+arrangement counter ``_count``, ``DeckSpec`` and two result records.
 """
 
 from __future__ import annotations
@@ -10,6 +13,11 @@ import itertools
 import math
 from collections import Counter
 from fractions import Fraction
+from typing import Callable
+
+from guessbench.combinatorics import _count
+from guessbench.core import DeckSpec
+from guessbench.exact import PartialSolution, PersistenceViolation
 
 ORACLE_CARD_LIMIT = 9
 
@@ -121,3 +129,170 @@ def small_constraint_states(max_total: int, max_types: int):
             for forbidden in itertools.product(range(total + 1), repeat=ntypes):
                 if sum(forbidden) <= total:
                     yield remaining, forbidden
+
+
+# ===== recursive Fraction-valued DPs (references for exact.py) =====
+
+PairState = tuple[tuple[int, int], ...]
+
+
+def _check_sense(sense: str) -> Callable:
+    if sense == "max":
+        return max
+    if sense == "min":
+        return min
+    raise ValueError(f"sense must be 'max' or 'min', got {sense!r}")
+
+
+def recursive_optimal_complete(spec: DeckSpec, sense: str = "max") -> Fraction:
+    """Value of best (or worst) play under complete feedback.
+
+    The drawn card is revealed either way, so a state is just the multiset of
+    remaining counts; the per-turn optimum is the largest (smallest) count
+    over the deck size, and the transition law is guess-independent.
+    """
+    _check_sense(sense)
+    maximize = sense == "max"
+    memo: dict[tuple[int, ...], Fraction] = {}
+
+    def value(counts: tuple[int, ...]) -> Fraction:
+        cached = memo.get(counts)
+        if cached is not None:
+            return cached
+        size = sum(counts)
+        if size == 0:
+            return Fraction(0)
+        best = Fraction(counts[0] if maximize else counts[-1], size)
+        acc = best
+        for v, mult in Counter(counts).items():
+            if v == 0:
+                continue
+            idx = counts.index(v)
+            succ = tuple(
+                sorted(counts[:idx] + (v - 1,) + counts[idx + 1 :], reverse=True)
+            )
+            acc += Fraction(mult * v, size) * value(succ)
+        memo[counts] = acc
+        return acc
+
+    start = tuple([spec.multiplicity] * spec.num_types)
+    return value(start)
+
+
+def _replace_pair(state: PairState, idx: int, pair: tuple[int, int]) -> PairState:
+    return tuple(sorted(state[:idx] + (pair,) + state[idx + 1 :]))
+
+
+def _state_vectors(state: PairState) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    return tuple(p[0] for p in state), tuple(p[1] for p in state)
+
+
+def recursive_solve_partial(
+    spec: DeckSpec,
+    sense: str = "max",
+    track_policy: bool = False,
+    state_limit: int = 400_000,
+) -> PartialSolution:
+    """Backward induction over canonical (remaining, wrong-guess) pair multisets.
+
+    A guess of a type with pair (m_i, a_i) is correct with the exact
+    last-card fraction f; correct play removes a copy, incorrect play adds a
+    banned position for that type.  Terminal states have as many banned
+    positions as remaining copies: no draws are left.  Guessing an exhausted
+    type is legal with f = 0, which minimal play exploits.
+    """
+    choose = _check_sense(sense)
+    values: dict[PairState, Fraction] = {}
+    policy: dict[PairState, tuple[tuple[int, int], ...]] | None = (
+        {} if track_policy else None
+    )
+
+    def value(state: PairState) -> Fraction:
+        cached = values.get(state)
+        if cached is not None:
+            return cached
+        if len(values) >= state_limit:
+            raise RuntimeError(
+                f"more than {state_limit} partial states; raise state_limit if intended"
+            )
+        m_sum = sum(p[0] for p in state)
+        a_sum = sum(p[1] for p in state)
+        if a_sum == m_sum:
+            values[state] = Fraction(0)
+            return values[state]
+        denom = _count(*_state_vectors(state))
+        best: Fraction | None = None
+        best_actions: list[tuple[int, int]] = []
+        seen: set[tuple[int, int]] = set()
+        for idx, pair in enumerate(state):
+            if pair in seen:
+                continue
+            seen.add(pair)
+            mi, ai = pair
+            if mi == 0:
+                frac = Fraction(0)
+            else:
+                reduced = _replace_pair(state, idx, (mi - 1, ai))
+                frac = Fraction(_count(*_state_vectors(reduced)), denom)
+            act = Fraction(0)
+            if frac:
+                act += frac * (1 + value(_replace_pair(state, idx, (mi - 1, ai))))
+            if frac != 1:
+                act += (1 - frac) * value(_replace_pair(state, idx, (mi, ai + 1)))
+            if best is None or choose(best, act) != best:
+                best, best_actions = act, [pair]
+            elif act == best and pair not in best_actions:
+                best_actions.append(pair)
+        values[state] = best
+        if policy is not None:
+            policy[state] = tuple(best_actions)
+        return best
+
+    root: PairState = tuple((spec.multiplicity, 0) for _ in range(spec.num_types))
+    top = value(root)
+    return PartialSolution(spec, sense, top, root, values, policy)
+
+
+def recursive_probe_persistence(
+    spec: DeckSpec, state_limit: int = 400_000
+) -> list[PersistenceViolation]:
+    """Search optimal max-sense play for non-persistent guesses.
+
+    Walks every state reachable under some optimal action and checks that
+    a type guessed optimally and incorrectly stays in the successor's optimal
+    action set.  An empty list means persistence holds for this spec.
+    """
+    solution = recursive_solve_partial(spec, "max", track_policy=True, state_limit=state_limit)
+    assert solution.policy is not None
+    violations: list[PersistenceViolation] = []
+    seen: set[PairState] = set()
+    stack: list[PairState] = [solution.root]
+    while stack:
+        state = stack.pop()
+        if state in seen:
+            continue
+        seen.add(state)
+        if sum(p[1] for p in state) == sum(p[0] for p in state):
+            continue
+        denom = _count(*_state_vectors(state))
+        for pair in solution.policy[state]:
+            mi, ai = pair
+            idx = state.index(pair)
+            if mi == 0:
+                frac = Fraction(0)
+            else:
+                reduced = _replace_pair(state, idx, (mi - 1, ai))
+                frac = Fraction(_count(*_state_vectors(reduced)), denom)
+            if frac:
+                stack.append(_replace_pair(state, idx, (mi - 1, ai)))
+            if frac != 1:
+                successor = _replace_pair(state, idx, (mi, ai + 1))
+                terminal = sum(p[1] for p in successor) == sum(p[0] for p in successor)
+                if not terminal and (mi, ai + 1) not in solution.policy[successor]:
+                    violations.append(
+                        PersistenceViolation(
+                            state, pair, successor, solution.policy[successor]
+                        )
+                    )
+                stack.append(successor)
+    return violations

@@ -6,6 +6,7 @@ import re
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -126,6 +127,30 @@ def test_optimal_outputs(capsys):
         capsys, "optimal", "-m", "1", "-n", "3", "--model", "complete", "--sense", "min"
     )
     assert dict(zip(*read_csv(out)))["value"] == "1/3"
+
+
+def test_optimal_fails_fast_past_state_limit(capsys):
+    # C(1502, 2) - 1 = 1,127,250 partial states at least, so no search starts
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "optimal", "-m", "1", "-n", "1500", "--model", "partial")
+    assert time.perf_counter() - start < 10
+    assert code == 2
+    assert out == ""
+    assert "more than 400000 partial states" in err
+    assert "state_limit" in err
+
+
+def test_workers_must_be_positive(capsys):
+    for workers in ("0", "-3"):
+        code, out, err = run_cli(
+            capsys, "simulate", "-m", "2", "-n", "3", "--strategy", "nofb-cyclic",
+            "--trials", "10", "--workers", workers,
+        )
+        assert code == 2
+        assert out == ""
+        assert f"--workers must be at least 1, got {workers}" in err
+    with pytest.raises(UsageError, match="--workers"):
+        merge_config({"workers": 0}, {})
 
 
 def test_exact_value_subcommand(capsys):

@@ -7,6 +7,7 @@ import pytest
 from guessbench.combinatorics import shuffle_count
 from guessbench.core import DeckSpec, FeedbackModel
 from guessbench.exact import (
+    _partial_state_floor,
     enumerable_specs,
     exact_chain_mean,
     exact_value,
@@ -23,7 +24,14 @@ from guessbench.exact import (
     verify_pointwise,
 )
 from guessbench.strategies import StrategyId, StrategySpec
-from oracles import all_shuffles, brute_chain, small_constraint_states
+from oracles import (
+    all_shuffles,
+    brute_chain,
+    recursive_optimal_complete,
+    recursive_probe_persistence,
+    recursive_solve_partial,
+    small_constraint_states,
+)
 
 GREEDY_MAX = StrategySpec(StrategyId.COMPLETE_GREEDY_MAX)
 GREEDY_MIN = StrategySpec(StrategyId.COMPLETE_GREEDY_MIN)
@@ -56,6 +64,37 @@ def test_complete_dp_equals_greedy_enumeration():
         assert optimal_complete(spec, "max") == exact_value(spec, GREEDY_MAX)
         assert optimal_complete(spec, "min") == exact_value(spec, GREEDY_MIN)
     assert optimal_complete(DeckSpec(2, 2), "max") == Fraction(17, 6)
+
+
+def test_integer_dps_match_recursive_references():
+    for m in range(1, 13):
+        for n in range(1, 12 // m + 1):
+            spec = DeckSpec(m, n)
+            for sense in ("max", "min"):
+                got = solve_partial(spec, sense, track_policy=True)
+                want = recursive_solve_partial(spec, sense, track_policy=True)
+                assert got.value == want.value
+                assert got.values == want.values
+                assert got.policy == want.policy
+                assert _partial_state_floor(spec) <= len(got.values)
+    for m in range(1, 7):
+        for n in range(1, 7):
+            for sense in ("max", "min"):
+                spec = DeckSpec(m, n)
+                assert optimal_complete(spec, sense) == recursive_optimal_complete(spec, sense)
+
+
+def test_deep_decks_need_no_recursion():
+    harmonic = sum(Fraction(1, k) for k in range(1, 1501))
+    assert optimal_complete(DeckSpec(1, 1500), "max") == harmonic
+    assert optimal_partial(DeckSpec(1200, 1), "max") == 1200
+    assert optimal_partial(DeckSpec(1200, 1), "min") == 1200
+
+
+def test_state_limits_fail_before_the_search():
+    with pytest.raises(RuntimeError, match="more than 400000 partial states"):
+        optimal_partial(DeckSpec(1, 1500))
+    assert _partial_state_floor(DeckSpec(1, 1500)) == 1_127_250
 
 
 def test_partial_pinned_values():
@@ -145,6 +184,12 @@ def test_policy_player_requires_policy():
 def test_persistence_holds_on_small_specs():
     for m, n in [(1, 2), (1, 3), (1, 4), (2, 2), (2, 3), (3, 2)]:
         assert probe_persistence(DeckSpec(m, n)) == []
+
+
+def test_persistence_probe_matches_reference():
+    for m, n in [(1, 2), (1, 3), (1, 4), (2, 2), (2, 3), (3, 2), (3, 3), (2, 4)]:
+        spec = DeckSpec(m, n)
+        assert probe_persistence(spec) == recursive_probe_persistence(spec)
 
 
 def test_export_value_table_round_trip(tmp_path):
