@@ -19,7 +19,7 @@ import numpy as np
 from .combinatorics import binomial_pmf, hypergeom_pmf
 from .core import DeckSpec
 from .exact import enumerable_specs, first_third_distribution
-from .montecarlo import classify_guesses, iter_game_records, rng_stream
+from .montecarlo import _blocks, deck_chunks, rng_stream
 from .strategies import StrategyId, StrategySpec
 
 PASS = "PASS"
@@ -28,7 +28,7 @@ INCONCLUSIVE = "INCONCLUSIVE"
 
 CONFIDENCE_MULTIPLIER = 4.0
 _BOUNDS_TAG = 2
-_SIM_CHUNK = 2048
+_SIM_BLOCK = 2048
 
 
 @dataclass(frozen=True)
@@ -119,16 +119,10 @@ def empirical_maximal(
     ks = np.arange(k0, k1 + 1, dtype=np.float64)
     cutoff = (1.0 + lam) * walk.p * ks
     hits = 0
-    done = 0
-    block = 0
-    while done < trials:
-        rows = min(_SIM_CHUNK, trials - done)
-        rng = rng_stream(seed, _BOUNDS_TAG, block)
-        draws = rng.random((rows, k1)) < walk.p
+    for block, rows in _blocks(trials, _SIM_BLOCK):
+        draws = rng_stream(seed, _BOUNDS_TAG, block).random((rows, k1)) < walk.p
         sums = draws.cumsum(axis=1)[:, k0 - 1 :]
         hits += int((sums > cutoff).any(axis=1).sum())
-        done += rows
-        block += 1
     lhs = hits / trials
     radius = _proportion_radius(lhs, trials)
     return BoundReport(
@@ -223,16 +217,9 @@ def hyp_tail_report(
     bs = np.arange(b0, b1 + 1, dtype=np.float64)
     cutoff = (1.0 + lam) * bs * good / population
     hits = 0
-    done = 0
-    block = 0
-    while done < trials:
-        rows = min(_SIM_CHUNK, trials - done)
-        rng = rng_stream(seed, _BOUNDS_TAG, block)
-        draws_mat = np.stack([rng.permutation(deck) for _ in range(rows)])
-        sums = draws_mat.cumsum(axis=1)[:, b0 - 1 : b1]
+    for decks in deck_chunks(deck, _blocks(trials, _SIM_BLOCK), seed, _BOUNDS_TAG):
+        sums = decks.cumsum(axis=1)[:, b0 - 1 : b1]
         hits += int((sums > cutoff).any(axis=1).sum())
-        done += rows
-        block += 1
     lhs = hits / trials
     radius = _proportion_radius(lhs, trials)
     verdict = _statistical_verdict(lhs, radius, rhs) if hypothesis_ok else INCONCLUSIVE
@@ -385,7 +372,7 @@ def first_third_dominance_reports(
     return out
 
 
-# ===== conditional tail and regime instrumentation =====
+# ===== conditional tail =====
 
 
 def conditional_tail_rhs(p: float) -> float:
@@ -394,66 +381,3 @@ def conditional_tail_rhs(p: float) -> float:
     if not 0.0 < p <= 1.0:
         raise ValueError("p must lie in (0, 1]")
     return -1000.0 * math.log(p) + 1.0
-
-
-def regime_bound_report(
-    spec: DeckSpec,
-    strategy: StrategySpec,
-    epsilon: float,
-    trials: int,
-    seed: int,
-) -> tuple[BoundReport, BoundReport]:
-    """Frequencies of the two regime exceedance events over simulated games.
-
-    Subcritical event: correct subcritical guesses exceed (1+4*eps)*b0/n.
-    Critical event: some type's critical corrects exceed (1+4*eps)*b_i/n
-    + eps^2*m.  The matching inequalities carry unspecified absolute
-    constants, so no RHS is asserted; both reports are INCONCLUSIVE by
-    construction and exist for trend analysis across m.
-    """
-    if not 0.0 < epsilon <= 0.125:
-        raise ValueError("epsilon must lie in (0, 1/8]")
-    if trials < 1:
-        raise ValueError("trials must be positive")
-    n = spec.num_types
-    m = spec.multiplicity
-    sub_hits = 0
-    crit_hits = 0
-    for record in iter_game_records(spec, None, strategy, trials, seed):
-        counts = classify_guesses(record, epsilon)
-        if counts.sub_correct > (1 + 4 * epsilon) * counts.sub_guesses / n:
-            sub_hits += 1
-        if any(
-            correct > (1 + 4 * epsilon) * guesses / n + epsilon**2 * m
-            for _, guesses, correct in counts.critical
-        ):
-            crit_hits += 1
-    base_params = (
-        ("m", m),
-        ("n", n),
-        ("strategy", strategy.label()),
-        ("epsilon", epsilon),
-        ("trials", trials),
-        ("seed", seed),
-    )
-    sub_freq = sub_hits / trials
-    crit_freq = crit_hits / trials
-    sub = BoundReport(
-        bound="regime-subcritical",
-        params=base_params,
-        rhs=None,
-        lhs=sub_freq,
-        lhs_radius=_proportion_radius(sub_freq, trials),
-        verdict=INCONCLUSIVE,
-        notes="event: subcritical corrects > (1+4*eps)*b0/n; frequency only",
-    )
-    crit = BoundReport(
-        bound="regime-critical",
-        params=base_params,
-        rhs=None,
-        lhs=crit_freq,
-        lhs_radius=_proportion_radius(crit_freq, trials),
-        verdict=INCONCLUSIVE,
-        notes="event: some critical type's corrects > (1+4*eps)*b_i/n + eps^2*m; frequency only",
-    )
-    return sub, crit

@@ -52,7 +52,6 @@ class RunConfig:
     trials: int = 10_000
     seed: int = 0
     workers: int = 1
-    epsilon: float | None = None
     sense: str = "max"
     max_total: int | None = None
     j: int = 2
@@ -65,7 +64,6 @@ class RunConfig:
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 _INT_KEYS = {"m", "n", "trials", "seed", "workers", "max_total", "j", "state_limit"}
-_FLOAT_KEYS = {"epsilon"}
 _CHOICES = {
     "sense": ("max", "min"),
     "format": ("csv", "json"),
@@ -77,8 +75,6 @@ def _convert(key: str, raw: str):
     try:
         if key in _INT_KEYS:
             return int(raw)
-        if key in _FLOAT_KEYS:
-            return float(raw)
     except ValueError:
         raise UsageError(f"config key {key} needs a number, got {raw!r}") from None
     return raw
@@ -137,7 +133,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--trials", dest="trials", type=int)
     common.add_argument("--seed", dest="seed", type=int)
     common.add_argument("--workers", dest="workers", type=int)
-    common.add_argument("--epsilon", dest="epsilon", type=float)
     common.add_argument("--sense", dest="sense")
     common.add_argument("--max-total", dest="max_total", type=int)
     common.add_argument("--out", dest="out")
@@ -437,8 +432,6 @@ def _cmd_lstat(config: RunConfig):
 
 
 def _partial_value_or_none(spec: DeckSpec, sense: str, state_limit: int):
-    if spec.total > 16:
-        return None
     try:
         return exact.optimal_partial(spec, sense, state_limit=state_limit)
     except RuntimeError:

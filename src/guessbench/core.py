@@ -69,6 +69,21 @@ def observe(model: FeedbackModel, guess: int, true_card: int) -> Observation:
     raise ValueError(f"unknown feedback model: {model!r}")
 
 
+def play(strategy, model: FeedbackModel, deck) -> int:
+    """Score of one strategy instance guessing its way through ``deck``.
+
+    The strategy sees only the feedback ``model`` gives after each card, so
+    playing a prefix of a deck equals stopping the game after that prefix.
+    """
+    score = 0
+    for card in deck:
+        guess = strategy.next_guess()
+        if guess == card:
+            score += 1
+        strategy.observe(observe(model, guess, card))
+    return score
+
+
 @dataclass(frozen=True)
 class History:
     """Observable transcript: guesses and the feedback they produced."""
@@ -163,41 +178,3 @@ def chain_length(word: tuple[int, ...]) -> int:
         if card == target:
             target += 1
     return target - 1
-
-
-@dataclass(frozen=True)
-class GameRecord:
-    """One finished game, enough to rescore and classify it."""
-
-    spec: DeckSpec
-    model: FeedbackModel
-    strategy: str
-    seed: int | None
-    shuffle: tuple[int, ...]
-    guesses: tuple[int, ...]
-    correct: tuple[bool, ...]
-    score: int
-
-    def __post_init__(self) -> None:
-        if not (len(self.shuffle) == len(self.guesses) == len(self.correct)):
-            raise ValueError("shuffle, guesses, and correct flags must align")
-        for g, card, flag in zip(self.guesses, self.shuffle, self.correct):
-            if flag != (g == card):
-                raise ValueError("correct flags inconsistent with shuffle")
-        if self.score != sum(self.correct):
-            raise ValueError("score inconsistent with correct flags")
-
-    def feedback_payloads(self) -> list[Observation]:
-        return [observe(self.model, g, card) for g, card in zip(self.guesses, self.shuffle)]
-
-    def to_json_dict(self) -> dict:
-        """JSON-serializable record: spec, model, strategy, seed, transcript."""
-        return {
-            "spec": {"m": self.spec.multiplicity, "n": self.spec.num_types},
-            "model": self.model.value,
-            "strategy": self.strategy,
-            "seed": self.seed,
-            "guesses": list(self.guesses),
-            "feedback": self.feedback_payloads(),
-            "score": self.score,
-        }

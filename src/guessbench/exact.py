@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Callable, Iterator, Literal
 
 from .combinatorics import ConstraintState, _count, last_card_fraction, shuffle_count
-from .core import DeckSpec, FeedbackModel, chain_length, observe
+from .core import DeckSpec, FeedbackModel, chain_length, play
 from .strategies import Strategy, StrategySpec, compatible, make_strategy
 
 Sense = Literal["max", "min"]
@@ -39,24 +39,25 @@ def _check_sense(sense: str) -> Callable:
 
 
 def iter_shuffles(spec: DeckSpec) -> Iterator[tuple[int, ...]]:
-    """All distinct shuffles in lexicographic order."""
-    counts = [spec.multiplicity] * spec.num_types
-    word: list[int] = []
-    total = spec.total
+    """All distinct shuffles in lexicographic order.
 
-    def rec() -> Iterator[tuple[int, ...]]:
-        if len(word) == total:
-            yield tuple(word)
+    Each shuffle after the canonical word is its multiset next permutation:
+    raise the rightmost card with a larger card somewhere after it to the
+    smallest such card, then sort what follows.
+    """
+    word = list(spec.canonical_word())
+    while True:
+        yield tuple(word)
+        i = len(word) - 2
+        while i >= 0 and word[i] >= word[i + 1]:
+            i -= 1
+        if i < 0:
             return
-        for t in range(1, len(counts) + 1):
-            if counts[t - 1]:
-                counts[t - 1] -= 1
-                word.append(t)
-                yield from rec()
-                word.pop()
-                counts[t - 1] += 1
-
-    return rec()
+        j = len(word) - 1
+        while word[j] <= word[i]:
+            j -= 1
+        word[i], word[j] = word[j], word[i]
+        word[i + 1 :] = reversed(word[i + 1 :])
 
 
 def enumerable_specs(size_limit: int = 10**4, max_total: int = 16) -> list[DeckSpec]:
@@ -68,16 +69,6 @@ def enumerable_specs(size_limit: int = 10**4, max_total: int = 16) -> list[DeckS
             if shuffle_count(spec) <= size_limit:
                 out.append(spec)
     return out
-
-
-def _play_score(spec: DeckSpec, model: FeedbackModel, strat: Strategy, deck) -> int:
-    score = 0
-    for card in deck:
-        guess = strat.next_guess()
-        if guess == card:
-            score += 1
-        strat.observe(observe(model, guess, card))
-    return score
 
 
 def exact_value(
@@ -108,7 +99,7 @@ def exact_value(
         raise ValueError(
             f"{size} shuffles exceed the enumeration limit {limit}; raise it or simulate"
         )
-    total_score = sum(_play_score(spec, model, factory(spec), deck) for deck in iter_shuffles(spec))
+    total_score = sum(play(factory(spec), model, deck) for deck in iter_shuffles(spec))
     return Fraction(total_score, size)
 
 
@@ -487,16 +478,9 @@ def first_third_distribution(
         raise ValueError(f"{size} shuffles exceed the enumeration limit {limit}")
     model = strategy.native_model
     cutoff = spec.total // 3
-    hist: Counter[int] = Counter()
-    for deck in iter_shuffles(spec):
-        strat = make_strategy(strategy, spec)
-        hits = 0
-        for t in range(cutoff):
-            guess = strat.next_guess()
-            if guess == deck[t]:
-                hits += 1
-            strat.observe(observe(model, guess, deck[t]))
-        hist[hits] += 1
+    hist = Counter(
+        play(make_strategy(strategy, spec), model, deck[:cutoff]) for deck in iter_shuffles(spec)
+    )
     return {k: Fraction(hist[k], size) for k in sorted(hist)}
 
 

@@ -2,13 +2,15 @@
 
 Trials are partitioned into fixed-size blocks; block b draws its decks from
 the counter-based stream (seed, 0, b) and any strategy randomness from
-(strategy seed, 1, b).  Results are merged as integer score histograms, so
+(strategy seed, 1, b).  Every deck draw in the package goes through
+``deck_chunks``.  Results are merged as integer score histograms, so
 estimates are bit-identical for a given (seed, trials) no matter how many
 workers run the blocks.
 
-Common strategies have vectorized kernels; the per-step generic path is the
-semantic reference and consumes the streams identically, so both paths yield
-the same trial-by-trial scores (tested, not assumed).
+Common strategies have vectorized kernels; the generic path, ``core.play``
+on each deck, is the semantic reference and consumes the streams
+identically, so both paths yield the same trial-by-trial scores (tested, not
+assumed).
 """
 
 from __future__ import annotations
@@ -18,10 +20,11 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 import numpy as np
 
-from .core import DeckSpec, FeedbackModel, GameRecord, observe
+from .core import DeckSpec, FeedbackModel, play
 from .strategies import StrategyId, StrategySpec, compatible, make_strategy
 
 RNG_FAMILY = "philox4x64"
@@ -34,40 +37,6 @@ _STRATEGY_TAG = 1
 def rng_stream(seed: int, *path: int) -> np.random.Generator:
     """Independent reproducible stream for (seed, path)."""
     return np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, *path])))
-
-
-def sample_shuffle(spec: DeckSpec, rng: np.random.Generator) -> np.ndarray:
-    """Uniform shuffle by in-place sequential swaps of the canonical word."""
-    return rng.permutation(np.array(spec.canonical_word(), dtype=np.int16))
-
-
-def play_game(
-    spec: DeckSpec,
-    model: FeedbackModel,
-    strategy,
-    shuffle,
-    strategy_id: str = "",
-    seed: int | None = None,
-) -> GameRecord:
-    """Drive one strategy instance through a full deck."""
-    guesses: list[int] = []
-    correct: list[bool] = []
-    word = tuple(int(c) for c in shuffle)
-    for card in word:
-        g = int(strategy.next_guess())
-        guesses.append(g)
-        correct.append(g == card)
-        strategy.observe(observe(model, g, card))
-    return GameRecord(
-        spec=spec,
-        model=model,
-        strategy=strategy_id,
-        seed=seed,
-        shuffle=word,
-        guesses=tuple(guesses),
-        correct=tuple(correct),
-        score=sum(correct),
-    )
 
 
 # ===== score summaries =====
@@ -187,11 +156,24 @@ _KERNELS = {
 }
 
 
-def _blocks(trials: int) -> list[tuple[int, int]]:
-    return [
-        (b, min(BLOCK_SIZE, trials - b * BLOCK_SIZE))
-        for b in range((trials + BLOCK_SIZE - 1) // BLOCK_SIZE)
-    ]
+def _blocks(trials: int, size: int = BLOCK_SIZE) -> list[tuple[int, int]]:
+    """(block id, rows) pairs that split ``trials`` into blocks of ``size``."""
+    return [(b, min(size, trials - b * size)) for b in range((trials + size - 1) // size)]
+
+
+def deck_chunks(
+    word: np.ndarray, blocks: list[tuple[int, int]], seed: int, tag: int = _DECK_TAG
+) -> Iterator[np.ndarray]:
+    """Shuffles of ``word`` for each (block id, rows) pair of ``blocks``.
+
+    Block b draws its shuffles in order from ``rng_stream(seed, tag, b)``;
+    they come out stacked in arrays of at most ``_CHUNK`` rows.
+    """
+    for block_id, count in blocks:
+        rng = rng_stream(seed, tag, block_id)
+        for done in range(0, count, _CHUNK):
+            step = min(_CHUNK, count - done)
+            yield np.stack([rng.permutation(word) for _ in range(step)])
 
 
 def _block_scores(
@@ -202,32 +184,20 @@ def _block_scores(
     seed: int,
     block_id: int,
 ) -> np.ndarray:
-    deck_rng = rng_stream(seed, _DECK_TAG, block_id)
     strat_rng = rng_stream(sspec.seed or 0, _STRATEGY_TAG, block_id)
     word = np.array(spec.canonical_word(), dtype=np.int16)
+    chunks = deck_chunks(word, [(block_id, count)], seed)
     kernel = _KERNELS.get(sspec.id)
     if kernel is not None and model is sspec.native_model:
-        scores = np.empty(count, dtype=np.int64)
-        done = 0
-        while done < count:
-            step = min(_CHUNK, count - done)
-            decks = np.stack([deck_rng.permutation(word) for _ in range(step)])
-            scores[done : done + step] = kernel(spec, sspec, decks, strat_rng)
-            done += step
-        return scores
-    scores = np.empty(count, dtype=np.int64)
-    for i in range(count):
-        deck = deck_rng.permutation(word)
-        strat = make_strategy(sspec, spec, strat_rng)
-        hits = 0
-        for card in deck:
-            g = strat.next_guess()
-            card = int(card)
-            if g == card:
-                hits += 1
-            strat.observe(observe(model, g, card))
-        scores[i] = hits
-    return scores
+        return np.concatenate([kernel(spec, sspec, decks, strat_rng) for decks in chunks])
+    return np.array(
+        [
+            play(make_strategy(sspec, spec, strat_rng), model, deck)
+            for decks in chunks
+            for deck in decks.tolist()
+        ],
+        dtype=np.int64,
+    )
 
 
 def _score_block_job(payload) -> list[tuple[int, int]]:
@@ -277,41 +247,6 @@ def estimate_value(
     return StatSummary.from_counter(hist)
 
 
-def estimate_tail(
-    spec: DeckSpec,
-    model: FeedbackModel | None,
-    strategy: StrategySpec,
-    lam: float,
-    trials: int,
-    seed: int,
-    workers: int = 1,
-) -> float:
-    """Empirical P[score > lam * mn]."""
-    if not 0 < lam <= 1:
-        raise ValueError("lam must lie in (0, 1]")
-    summary = estimate_value(spec, model, strategy, trials, seed, workers)
-    return summary.tail_frequency(lam * spec.total)
-
-
-def iter_game_records(
-    spec: DeckSpec,
-    model: FeedbackModel | None,
-    strategy: StrategySpec,
-    trials: int,
-    seed: int,
-):
-    """Full game records along the generic path, same decks as estimate_value."""
-    model = _resolve_model(strategy, model)
-    word = np.array(spec.canonical_word(), dtype=np.int16)
-    for block_id, count in _blocks(trials):
-        deck_rng = rng_stream(seed, _DECK_TAG, block_id)
-        strat_rng = rng_stream(strategy.seed or 0, _STRATEGY_TAG, block_id)
-        for _ in range(count):
-            deck = deck_rng.permutation(word)
-            strat = make_strategy(strategy, spec, strat_rng)
-            yield play_game(spec, model, strat, deck, strategy.label(), seed)
-
-
 # ===== waiting times and chain statistic =====
 
 
@@ -340,10 +275,8 @@ def estimate_repeat_time(spec: DeckSpec, j: int, trials: int, seed: int) -> Repe
         raise ValueError("trials must be positive")
     word = np.array(spec.canonical_word(), dtype=np.int16)
     hist: Counter[int] = Counter()
-    for block_id, count in _blocks(trials):
-        deck_rng = rng_stream(seed, _DECK_TAG, block_id)
-        for _ in range(count):
-            deck = deck_rng.permutation(word)
+    for decks in deck_chunks(word, _blocks(trials), seed):
+        for deck in decks.tolist():
             seen = [0] * spec.num_types
             for t, card in enumerate(deck, start=1):
                 seen[card - 1] += 1
@@ -374,71 +307,11 @@ def estimate_chain(spec: DeckSpec, trials: int, seed: int) -> StatSummary:
     if trials < 1:
         raise ValueError("trials must be positive")
     word = np.array(spec.canonical_word(), dtype=np.int16)
-    n = spec.num_types
     hist: Counter[int] = Counter()
-    for block_id, count in _blocks(trials):
-        deck_rng = rng_stream(seed, _DECK_TAG, block_id)
-        done = 0
-        while done < count:
-            step = min(_CHUNK, count - done)
-            decks = np.stack([deck_rng.permutation(word) for _ in range(step)])
-            target = np.ones(step, dtype=np.int64)
-            for t in range(spec.total):
-                # comparison against the raw target self-limits at n + 1
-                target += decks[:, t] == target
-            hist.update((target - 1).tolist())
-            done += step
+    for decks in deck_chunks(word, _blocks(trials), seed):
+        target = np.ones(decks.shape[0], dtype=np.int64)
+        for t in range(spec.total):
+            # comparison against the raw target self-limits at n + 1
+            target += decks[:, t] == target
+        hist.update((target - 1).tolist())
     return StatSummary.from_counter(hist)
-
-
-# ===== regime classification =====
-
-
-def default_epsilon(m: int) -> float:
-    """min(1/8, (log m / m)^(1/4)); the cap binds at desk scales."""
-    if m < 2:
-        return 0.125
-    return min(0.125, (math.log(m) / m) ** 0.25)
-
-
-@dataclass(frozen=True)
-class RegimeCounts:
-    """Per-game guess counts split by how often the guessed type was tried before."""
-
-    epsilon: float
-    sub_guesses: int
-    sub_correct: int
-    critical: tuple[tuple[int, int, int], ...]  # (type, guesses, correct)
-    super_guesses: int
-    super_correct: int
-
-
-def classify_guesses(record: GameRecord, epsilon: float) -> RegimeCounts:
-    """Label each guess by the guessed type's prior guess count.
-
-    A guess of type i at a point where i was guessed a(i) times before is
-    subcritical when a(i) < eps*mn, supercritical when a(i) >= (1-eps)*mn,
-    critical in between.
-    """
-    if not 0 < epsilon < 0.5:
-        raise ValueError("epsilon must lie in (0, 1/2)")
-    mn = record.spec.total
-    low, high = epsilon * mn, (1 - epsilon) * mn
-    prior = [0] * record.spec.num_types
-    sub_g = sub_c = sup_g = sup_c = 0
-    crit_g = Counter()
-    crit_c = Counter()
-    for guess, hit in zip(record.guesses, record.correct):
-        a = prior[guess - 1]
-        if a < low:
-            sub_g += 1
-            sub_c += hit
-        elif a >= high:
-            sup_g += 1
-            sup_c += hit
-        else:
-            crit_g[guess] += 1
-            crit_c[guess] += hit
-        prior[guess - 1] += 1
-    critical = tuple((t, crit_g[t], crit_c[t]) for t in sorted(crit_g))
-    return RegimeCounts(epsilon, sub_g, sub_c, critical, sup_g, sup_c)

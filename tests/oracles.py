@@ -1,7 +1,9 @@
 """Naive reference implementations the tests compare the library against.
 
 Most of this file enumerates and filters and shares no code with the
-package; size guards keep those inputs tiny on purpose.  The recursive
+package; size guards keep those inputs tiny on purpose.  ``replayed_decks``
+draws seeded shuffles one at a time from ``rng_stream``, the layout the
+chunked deck sampler must reproduce.  The recursive
 value DPs at the end are the package's earlier Fraction-valued solvers,
 kept as references for the integer-weighted ones.  They import only the
 arrangement counter ``_count``, ``DeckSpec`` and two result records.
@@ -18,6 +20,7 @@ from typing import Callable
 from guessbench.combinatorics import _count
 from guessbench.core import DeckSpec
 from guessbench.exact import PartialSolution, PersistenceViolation
+from guessbench.montecarlo import rng_stream
 
 ORACLE_CARD_LIMIT = 9
 
@@ -116,6 +119,20 @@ def brute_hypergeom(population: int, good: int, draws: int, k: int) -> Fraction:
         math.comb(good, k) * math.comb(population - good, draws - k),
         math.comb(population, draws),
     )
+
+
+def replayed_decks(
+    word, trials: int, seed: int, tag: int, block_size: int
+) -> list[tuple[int, ...]]:
+    """Trial t's deck is row t % block_size of block t // block_size, and
+    block b draws its rows in order, one permutation each, from
+    rng_stream(seed, tag, b)."""
+    decks = []
+    for block in range(-(-trials // block_size)):
+        rng = rng_stream(seed, tag, block)
+        for _ in range(min(block_size, trials - block * block_size)):
+            decks.append(tuple(int(c) for c in rng.permutation(word)))
+    return decks
 
 
 def small_constraint_states(max_total: int, max_types: int):

@@ -2,6 +2,7 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from guessbench.bounds import (
@@ -19,7 +20,6 @@ from guessbench.bounds import (
     hyp_single_tail_exact,
     hyp_tail_report,
     hypergeometric_pmf_map,
-    regime_bound_report,
     single_tail_grid,
     union_bound_rhs,
 )
@@ -27,7 +27,7 @@ from guessbench.combinatorics import binomial_pmf, hypergeom_pmf
 from guessbench.core import DeckSpec
 from guessbench.exact import first_third_distribution
 from guessbench.strategies import StrategyId, StrategySpec
-from oracles import brute_uniform_prefix_hits
+from oracles import brute_uniform_prefix_hits, replayed_decks
 
 
 def test_union_bound_rhs_golden():
@@ -140,6 +140,22 @@ def test_hyp_tail_report_maximal():
     payload = a.to_json_dict()
     assert payload["verdict"] == INCONCLUSIVE
     assert payload["params"]["b0"] == 8
+
+
+def test_hyp_tail_report_maximal_matches_replayed_decks():
+    # three 2048-row blocks on tag 2, the last cut short
+    population, good, lam, (b0, b1) = 30, 4, 1.0, (8, 30)
+    trials, seed = 5000, 3
+    report = hyp_tail_report(
+        population, good, 0, lam, mode="maximal", window=(b0, b1), trials=trials, seed=seed
+    )
+    deck = np.zeros(population, dtype=np.int8)
+    deck[:good] = 1
+    hits = 0
+    for order in replayed_decks(deck, trials, seed, 2, 2048):
+        drawn = np.cumsum(order)
+        hits += any(drawn[b - 1] > (1 + lam) * b * good / population for b in range(b0, b1 + 1))
+    assert report.lhs == hits / trials
 
 
 def test_single_tail_grid_all_pass():
@@ -262,21 +278,6 @@ def test_conditional_tail_rhs():
         conditional_tail_rhs(0.0)
     with pytest.raises(ValueError):
         conditional_tail_rhs(1.5)
-
-
-def test_regime_bound_report():
-    sub, crit = regime_bound_report(
-        DeckSpec(2, 2), StrategySpec(StrategyId.NOFB_CONSTANT), 0.125, 200, 0
-    )
-    for report in (sub, crit):
-        assert report.rhs is None
-        assert report.verdict == INCONCLUSIVE
-        assert 0.0 <= report.lhs <= 1.0
-        assert dict(report.params)["strategy"] == "nofb-constant"
-    with pytest.raises(ValueError):
-        regime_bound_report(DeckSpec(2, 2), StrategySpec(StrategyId.NOFB_CONSTANT), 0.2, 10, 0)
-    with pytest.raises(ValueError):
-        regime_bound_report(DeckSpec(2, 2), StrategySpec(StrategyId.NOFB_CONSTANT), 0.1, 0, 0)
 
 
 def test_verdict_constants():

@@ -59,7 +59,6 @@ def test_config_round_trip_fuzz():
             trials=rng.randint(1, 10**6),
             seed=rng.randint(0, 2**31),
             workers=rng.randint(1, 8),
-            epsilon=rng.choice([None, 0.125, 0.01]),
             sense=rng.choice(["max", "min"]),
             max_total=rng.choice([None, rng.randint(1, 100)]),
             j=rng.randint(1, 5),
@@ -159,6 +158,12 @@ def test_exact_value_subcommand(capsys):
     )
     assert code == 0
     assert dict(zip(*read_csv(out)))["value"] == "17/6"
+    # one type: a single shuffle, enumerated without recursion
+    code, out, _ = run_cli(
+        capsys, "exact-value", "-m", "1200", "-n", "1", "--strategy", "complete-greedy-max"
+    )
+    assert code == 0
+    assert dict(zip(*read_csv(out)))["value"] == "1200"
 
 
 def test_simulate_rerun_identical_minus_timestamp(tmp_path, capsys):
@@ -215,10 +220,11 @@ def test_persistence_subcommand(capsys):
 
 
 def test_lstat_exact_cells(capsys):
-    code, out, _ = run_cli(capsys, "lstat", "-m", "1", "-n", "2", "--trials", "400")
-    assert code == 0
-    data = dict(zip(*read_csv(out)))
-    assert data["mean_exact"] == "3/2"
+    for argv, mean_exact in [(("-m", "1", "-n", "2", "--trials", "400"), "3/2"),
+                             (("-m", "1200", "-n", "1", "--trials", "10"), "1")]:
+        code, out, _ = run_cli(capsys, "lstat", *argv)
+        assert code == 0
+        assert dict(zip(*read_csv(out)))["mean_exact"] == mean_exact
     code, out, _ = run_cli(
         capsys, "lstat", "-m", "4", "-n", "13", "--trials", "50", "--seed", "1"
     )
@@ -257,6 +263,11 @@ def test_table_subcommand(capsys):
     assert first[("2", "2")]["complete_max"] == "17/6"
     assert first[("2", "3")]["nofb"] == "2"
     assert "m^(3/4)" in data[0]["asymptotic_error_forms"]
+    # partial cells past m*n = 16 are solved, not left empty
+    code, out, _ = run_cli(capsys, "table", "-m", "9", "-n", "2")
+    assert code == 0
+    row = dict(zip(*read_csv(out)))
+    assert row["partial_max"] == row["complete_max"] == "272171/24310"
 
 
 def test_table_requires_grid(capsys):

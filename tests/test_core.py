@@ -3,7 +3,6 @@ import pytest
 from guessbench.core import (
     DeckSpec,
     FeedbackModel,
-    GameRecord,
     History,
     chain_length,
     derive_tallies,
@@ -118,29 +117,3 @@ def test_chain_length_matches_brute_force():
     for m, n in [(2, 3), (3, 2), (1, 4), (2, 4)]:
         for word in all_shuffles(m, n):
             assert chain_length(word) == brute_chain(word)
-
-
-def test_game_record_consistency():
-    spec = DeckSpec(1, 2)
-    record = GameRecord(
-        spec=spec,
-        model=FeedbackModel.PARTIAL,
-        strategy="nofb-constant",
-        seed=7,
-        shuffle=(2, 1),
-        guesses=(1, 1),
-        correct=(False, True),
-        score=1,
-    )
-    assert record.feedback_payloads() == [False, True]
-    payload = record.to_json_dict()
-    assert payload["spec"] == {"m": 1, "n": 2}
-    assert payload["score"] == 1
-    assert payload["guesses"] == [1, 1]
-
-    with pytest.raises(ValueError):
-        GameRecord(spec, FeedbackModel.PARTIAL, "x", None, (2, 1), (1, 1), (True, True), 2)
-    with pytest.raises(ValueError):
-        GameRecord(spec, FeedbackModel.PARTIAL, "x", None, (2, 1), (1, 1), (False, True), 2)
-    with pytest.raises(ValueError):
-        GameRecord(spec, FeedbackModel.PARTIAL, "x", None, (2, 1), (1,), (False,), 0)

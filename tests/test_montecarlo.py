@@ -5,24 +5,19 @@ import numpy as np
 import pytest
 
 import guessbench.montecarlo as mc
-from guessbench.core import DeckSpec, FeedbackModel, chain_length, validate_shuffle
+from guessbench.core import DeckSpec, FeedbackModel, chain_length, play, validate_shuffle
 from guessbench.exact import exact_chain_mean, solve_partial, PolicyPlayer
 from guessbench.montecarlo import (
     StatSummary,
-    classify_guesses,
-    default_epsilon,
+    deck_chunks,
     estimate_chain,
     estimate_repeat_time,
-    estimate_tail,
     estimate_value,
     exact_distinct_prefix_probability,
-    iter_game_records,
-    play_game,
     rng_stream,
-    sample_shuffle,
 )
-from guessbench.strategies import StrategyId, StrategySpec
-from oracles import brute_distinct_prefix
+from guessbench.strategies import StrategyId, StrategySpec, make_strategy
+from oracles import brute_distinct_prefix, replayed_decks
 
 CONSTANT = StrategySpec(StrategyId.NOFB_CONSTANT)
 
@@ -39,13 +34,13 @@ def test_rng_stream_reproducible_and_tag_separated():
 
 def test_sample_shuffle_is_valid_and_uniform():
     spec = DeckSpec(2, 2)
-    rng = rng_stream(123, 0, 0)
-    counts = Counter()
+    word = np.array(spec.canonical_word(), dtype=np.int16)
     trials = 60_000
-    for _ in range(trials):
-        word = tuple(int(x) for x in sample_shuffle(spec, rng))
-        assert validate_shuffle(word, spec)
-        counts[word] += 1
+    chunks = list(deck_chunks(word, mc._blocks(trials), 123))
+    assert all(1 <= len(decks) <= mc._CHUNK for decks in chunks)
+    counts = Counter(tuple(deck) for decks in chunks for deck in decks.tolist())
+    assert sum(counts.values()) == trials
+    assert all(validate_shuffle(deck, spec) for deck in counts)
     assert len(counts) == 6
     expected = trials / 6
     chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
@@ -54,24 +49,31 @@ def test_sample_shuffle_is_valid_and_uniform():
 
 
 def test_play_game_record():
-    spec = DeckSpec(1, 2)
-    strat_spec = CONSTANT
-    from guessbench.strategies import make_strategy
+    class Recording:
+        """Guesses 1 every turn and keeps the feedback it is shown."""
 
-    record = play_game(
-        spec,
-        FeedbackModel.PARTIAL,
-        make_strategy(strat_spec, spec),
-        np.array([2, 1], dtype=np.int16),
-        strategy_id=strat_spec.label(),
-        seed=9,
-    )
-    assert record.guesses == (1, 1)
-    assert record.correct == (False, True)
-    assert record.score == 1
-    assert record.shuffle == (2, 1)
-    assert record.seed == 9
-    assert record.feedback_payloads() == [False, True]
+        def __init__(self):
+            self.seen = []
+
+        def next_guess(self):
+            return 1
+
+        def observe(self, obs):
+            self.seen.append(obs)
+
+    for model, feedback in [
+        (FeedbackModel.NONE, [None, None]),
+        (FeedbackModel.PARTIAL, [False, True]),
+        (FeedbackModel.COMPLETE, [2, 1]),
+    ]:
+        strat = Recording()
+        assert play(strat, model, [2, 1]) == 1
+        assert strat.seen == feedback
+    # a strategy sees only the cards drawn, so a prefix stops the game early
+    spec = DeckSpec(2, 2)
+    greedy = StrategySpec(StrategyId.COMPLETE_GREEDY_MAX)
+    assert play(make_strategy(greedy, spec), FeedbackModel.COMPLETE, (1, 2, 2, 1)) == 3
+    assert play(make_strategy(greedy, spec), FeedbackModel.COMPLETE, (1, 2, 2, 1)[:2]) == 2
 
 
 KERNEL_CASES = [
@@ -136,30 +138,6 @@ def test_stat_summary_merge():
     assert merged == StatSummary.from_counter(whole)
 
 
-def test_estimate_tail():
-    spec = DeckSpec(1, 2)
-    # the constant guesser scores exactly one on every two-card deck
-    assert estimate_tail(spec, None, CONSTANT, 1.0, 500, 0) == 0.0
-    assert estimate_tail(spec, None, CONSTANT, 0.4, 500, 0) == 1.0
-    with pytest.raises(ValueError):
-        estimate_tail(spec, None, CONSTANT, 0.0, 10, 0)
-    with pytest.raises(ValueError):
-        estimate_tail(spec, None, CONSTANT, 1.5, 10, 0)
-
-
-def test_iter_game_records_matches_estimate_histogram():
-    spec = DeckSpec(2, 3)
-    for sspec in (StrategySpec(StrategyId.PARTIAL_MLE), CONSTANT):
-        records = list(iter_game_records(spec, None, sspec, 300, 5))
-        assert len(records) == 300
-        hist = Counter(r.score for r in records)
-        summary = estimate_value(spec, None, sspec, 300, 5)
-        assert tuple(sorted(hist.items())) == summary.histogram
-        for record in records[:10]:
-            assert validate_shuffle(record.shuffle, spec)
-            assert record.strategy == sspec.label()
-
-
 def test_repeat_time_matches_exact_survival():
     spec = DeckSpec(2, 3)
     estimate = estimate_repeat_time(spec, 2, 20_000, 77)
@@ -200,58 +178,35 @@ def test_estimate_chain_matches_replayed_decks():
     trials, seed = 3000, 21
     summary = estimate_chain(spec, trials, seed)
     word = np.array(spec.canonical_word(), dtype=np.int16)
-    hist = Counter()
-    for block_id, count in mc._blocks(trials):
-        rng = rng_stream(seed, mc._DECK_TAG, block_id)
-        for _ in range(count):
-            deck = tuple(int(c) for c in rng.permutation(word))
-            hist[chain_length(deck)] += 1
+    decks = replayed_decks(word, trials, seed, mc._DECK_TAG, mc.BLOCK_SIZE)
+    hist = Counter(chain_length(deck) for deck in decks)
     assert summary.histogram == tuple(sorted(hist.items()))
     exact = float(exact_chain_mean(spec))
     assert abs(summary.mean - exact) <= 4 * max(summary.se, 1e-9)
 
 
+def test_repeat_time_matches_replayed_decks():
+    # two blocks, the second cut short, so block and chunk edges both show
+    spec = DeckSpec(3, 4)
+    trials, seed, j = 5000, 8, 3
+    estimate = estimate_repeat_time(spec, j, trials, seed)
+    word = np.array(spec.canonical_word(), dtype=np.int16)
+    hist = Counter()
+    for deck in replayed_decks(word, trials, seed, mc._DECK_TAG, mc.BLOCK_SIZE):
+        first = next(t for t in range(1, spec.total + 1) if max(Counter(deck[:t]).values()) == j)
+        hist[first] += 1
+    assert estimate.histogram == tuple(sorted(hist.items()))
+
+
 def test_policy_player_simulation_consistent():
     spec = DeckSpec(1, 3)
     solution = solve_partial(spec, "max", track_policy=True)
-    rng = rng_stream(17, 0, 0)
-    scores = []
-    for _ in range(4000):
-        deck = sample_shuffle(spec, rng)
-        record = play_game(spec, FeedbackModel.PARTIAL, PolicyPlayer(solution), deck)
-        scores.append(record.score)
+    word = np.array(spec.canonical_word(), dtype=np.int16)
+    scores = [
+        play(PolicyPlayer(solution), FeedbackModel.PARTIAL, deck)
+        for decks in deck_chunks(word, mc._blocks(4000), 17)
+        for deck in decks.tolist()
+    ]
     mean = np.mean(scores)
     se = np.std(scores, ddof=1) / np.sqrt(len(scores))
     assert abs(mean - 5 / 3) <= 4 * se
-
-
-def test_classify_guesses_regimes():
-    spec = DeckSpec(2, 2)
-    record = play_game(
-        spec,
-        FeedbackModel.NONE,
-        type("Const", (), {"next_guess": lambda s: 1, "observe": lambda s, o: None})(),
-        np.array([1, 1, 2, 2], dtype=np.int16),
-    )
-    counts = classify_guesses(record, 0.3)
-    assert counts.sub_guesses == 2
-    assert counts.sub_correct == 2
-    assert counts.critical == ((1, 1, 0),)
-    assert counts.super_guesses == 1
-    assert counts.super_correct == 0
-    total = counts.sub_guesses + counts.super_guesses + sum(
-        g for _, g, _ in counts.critical
-    )
-    assert total == spec.total
-    with pytest.raises(ValueError):
-        classify_guesses(record, 0.5)
-    with pytest.raises(ValueError):
-        classify_guesses(record, 0.0)
-
-
-def test_default_epsilon():
-    assert default_epsilon(1) == 0.125
-    assert default_epsilon(2) == 0.125
-    assert default_epsilon(1000) == 0.125
-    assert default_epsilon(50_000) < 0.125
-    assert default_epsilon(10**6) < default_epsilon(10**5)
