@@ -43,17 +43,6 @@ class BoundReport:
     verdict: str
     notes: str = ""
 
-    def to_json_dict(self) -> dict:
-        return {
-            "bound": self.bound,
-            "params": dict(self.params),
-            "rhs": self.rhs,
-            "lhs": self.lhs,
-            "lhs_radius": self.lhs_radius,
-            "verdict": self.verdict,
-            "notes": self.notes,
-        }
-
 
 def _exact_verdict(lhs: float, rhs: float, hypothesis_ok: bool, slack: float = 0.0) -> str:
     if not hypothesis_ok:
@@ -299,36 +288,6 @@ def binomial_pmf_map(trials: int, p: Fraction) -> dict[int, Fraction]:
     return {k: binomial_pmf(trials, p, k) for k in range(trials + 1)}
 
 
-def hypergeometric_pmf_map(population: int, good: int, draws: int) -> dict[int, Fraction]:
-    return {
-        k: hypergeom_pmf(population, good, draws, k)
-        for k in range(min(good, draws) + 1)
-    }
-
-
-def damped_draw_pmf(
-    population: int, good: int, draws: int, damping: Sequence[Fraction]
-) -> dict[int, Fraction]:
-    """Score pmf of a draw process whose per-step success chance is the
-    without-replacement rate scaled by damping[t] <= 1; damping of all ones
-    recovers the hypergeometric exactly."""
-    if len(damping) != draws:
-        raise ValueError("need one damping factor per draw")
-    if any(not 0 <= d <= 1 for d in damping):
-        raise ValueError("damping factors must lie in [0, 1]")
-    pmf: dict[int, Fraction] = {0: Fraction(1)}
-    for t in range(1, draws + 1):
-        nxt: dict[int, Fraction] = {}
-        for s, mass in pmf.items():
-            hit = Fraction(damping[t - 1]) * Fraction(good - s, population - t + 1)
-            if hit:
-                nxt[s + 1] = nxt.get(s + 1, Fraction(0)) + mass * hit
-            if hit != 1:
-                nxt[s] = nxt.get(s, Fraction(0)) + mass * (1 - hit)
-        pmf = nxt
-    return pmf
-
-
 # ===== first-third score domination =====
 
 
@@ -370,14 +329,3 @@ def first_third_dominance_reports(
             result = check_dominance(envelope, first_third_pmf(spec, sspec))
             out.append(DominanceReport(spec, sspec.label(), prefix, result))
     return out
-
-
-# ===== conditional tail =====
-
-
-def conditional_tail_rhs(p: float) -> float:
-    """-1000*ln(p) + 1, the conditional-expectation envelope at condition
-    probability p."""
-    if not 0.0 < p <= 1.0:
-        raise ValueError("p must lie in (0, 1]")
-    return -1000.0 * math.log(p) + 1.0

@@ -150,7 +150,7 @@ def _build_parser() -> argparse.ArgumentParser:
         elif name == "table":
             sp.add_argument("--m-grid", dest="m_grid")
             sp.add_argument("--n-grid", dest="n_grid")
-        elif name in ("optimal", "persistence"):
+        if name in ("optimal", "persistence", "table"):
             sp.add_argument("--state-limit", dest="state_limit", type=int)
     return parser
 
@@ -191,7 +191,8 @@ def _parse_grid(text: str | None, fallback: int | None, flag: str) -> list[int]:
     return values
 
 
-# ===== subcommand handlers: (exit code, rows, columns) =====
+# ===== subcommand handlers: (exit code, rows) =====
+# Each row lists its columns in report order and ends with provenance().
 
 
 def _cmd_exact_value(config: RunConfig):
@@ -209,8 +210,7 @@ def _cmd_exact_value(config: RunConfig):
         **dict(exact_cells("value", value)),
         **provenance(),
     }
-    cols = ["m", "n", "model", "strategy", "value", "value_decimal", "version", "rng", "timestamp"]
-    return 0, [row], cols
+    return 0, [row]
 
 
 def _cmd_optimal(config: RunConfig):
@@ -234,8 +234,7 @@ def _cmd_optimal(config: RunConfig):
         **dict(exact_cells("value", value)),
         **provenance(),
     }
-    cols = ["m", "n", "model", "sense", "value", "value_decimal", "version", "rng", "timestamp"]
-    return 0, [row], cols
+    return 0, [row]
 
 
 def _cmd_simulate(config: RunConfig):
@@ -258,16 +257,10 @@ def _cmd_simulate(config: RunConfig):
         "se": summary.se,
         "min": summary.min,
         "max": summary.max,
-        **provenance(),
     }
-    cols = [
-        "m", "n", "model", "strategy", "trials", "seed", "workers",
-        "mean", "sd", "se", "min", "max", "version", "rng", "timestamp",
-    ]
     if config.format == "json":
         row["histogram"] = [list(item) for item in summary.histogram]
-        cols.insert(-3, "histogram")
-    return 0, [row], cols
+    return 0, [{**row, **provenance()}]
 
 
 def _cmd_verify_pointwise(config: RunConfig):
@@ -284,11 +277,7 @@ def _cmd_verify_pointwise(config: RunConfig):
         "verdict": "PASS" if report.passed else "FAIL",
         **provenance(),
     }
-    cols = [
-        "max_total", "states_checked", "max_ratio", "max_ratio_decimal",
-        "witness_count", "witnesses", "verdict", "version", "rng", "timestamp",
-    ]
-    return (0 if report.passed else 1), [row], cols
+    return (0 if report.passed else 1), [row]
 
 
 def _bound_report_row(report: bounds.BoundReport) -> dict:
@@ -334,12 +323,8 @@ def _cmd_verify_bounds(config: RunConfig):
     stamp = provenance()
     for row in rows:
         row.update(stamp)
-    cols = [
-        "bound", "params", "lhs", "lhs_radius", "rhs", "verdict", "notes",
-        "version", "rng", "timestamp",
-    ]
     failed = any(row["verdict"] == "FAIL" for row in rows)
-    return (1 if failed else 0), rows, cols
+    return (1 if failed else 0), rows
 
 
 def _cmd_tj(config: RunConfig):
@@ -358,17 +343,12 @@ def _cmd_tj(config: RunConfig):
             "count": count,
             "survival": estimate.survival(t),
             "survival_se": estimate.survival_se(t),
-            **stamp,
         }
         if config.j == 2:
             exact_surv = montecarlo.exact_distinct_prefix_probability(spec, t)
-            row.update(dict(exact_cells("survival_exact", exact_surv)))
-        rows.append(row)
-    cols = ["m", "n", "j", "trials", "seed", "t", "count", "survival", "survival_se"]
-    if config.j == 2:
-        cols += ["survival_exact", "survival_exact_decimal"]
-    cols += ["version", "rng", "timestamp"]
-    return 0, rows, cols
+            row.update(exact_cells("survival_exact", exact_surv))
+        rows.append({**row, **stamp})
+    return 0, rows
 
 
 def _cmd_persistence(config: RunConfig):
@@ -402,11 +382,7 @@ def _cmd_persistence(config: RunConfig):
                 **stamp,
             }
         )
-    cols = [
-        "m", "n", "violations", "holds", "state", "guess", "successor_optimal",
-        "version", "rng", "timestamp",
-    ]
-    return 0, rows, cols
+    return 0, rows
 
 
 def _cmd_lstat(config: RunConfig):
@@ -420,15 +396,11 @@ def _cmd_lstat(config: RunConfig):
         "mean": summary.mean,
         "sd": summary.sd,
         "se": summary.se,
-        **provenance(),
     }
-    cols = ["m", "n", "trials", "seed", "mean", "sd", "se"]
     enum_limit = config.max_total or 10**4
     if shuffle_count(spec) <= enum_limit:
-        row.update(dict(exact_cells("mean_exact", exact.exact_chain_mean(spec))))
-        cols += ["mean_exact", "mean_exact_decimal"]
-    cols += ["version", "rng", "timestamp"]
-    return 0, [row], cols
+        row.update(exact_cells("mean_exact", exact.exact_chain_mean(spec)))
+    return 0, [{**row, **provenance()}]
 
 
 def _partial_value_or_none(spec: DeckSpec, sense: str, state_limit: int):
@@ -450,31 +422,19 @@ def _cmd_table(config: RunConfig):
                 spec = DeckSpec(m, n)
             except ValueError as err:
                 raise UsageError(str(err)) from None
-            row = {
-                "m": m,
-                "n": n,
-                "shuffles": shuffle_count(spec),
-                **dict(exact_cells("nofb", Fraction(m))),
-                **dict(exact_cells("complete_max", exact.optimal_complete(spec, "max"))),
-                **dict(exact_cells("complete_min", exact.optimal_complete(spec, "min"))),
-                "asymptotic_error_forms": list(ASYMPTOTIC_ERROR_FORMS),
-                **stamp,
-            }
+            row = {"m": m, "n": n, "shuffles": shuffle_count(spec)}
+            row.update(exact_cells("nofb", Fraction(m)))
             for sense in ("max", "min"):
                 value = _partial_value_or_none(spec, sense, state_limit)
                 if value is None:
-                    row[f"partial_{sense}"] = None
-                    row[f"partial_{sense}_decimal"] = None
+                    row[f"partial_{sense}"] = row[f"partial_{sense}_decimal"] = None
                 else:
-                    row.update(dict(exact_cells(f"partial_{sense}", value)))
-            rows.append(row)
-    cols = [
-        "m", "n", "shuffles", "nofb", "nofb_decimal",
-        "partial_max", "partial_max_decimal", "partial_min", "partial_min_decimal",
-        "complete_max", "complete_max_decimal", "complete_min", "complete_min_decimal",
-        "asymptotic_error_forms", "version", "rng", "timestamp",
-    ]
-    return 0, rows, cols
+                    row.update(exact_cells(f"partial_{sense}", value))
+            for sense in ("max", "min"):
+                row.update(exact_cells(f"complete_{sense}", exact.optimal_complete(spec, sense)))
+            row["asymptotic_error_forms"] = list(ASYMPTOTIC_ERROR_FORMS)
+            rows.append({**row, **stamp})
+    return 0, rows
 
 
 _HANDLERS = {
@@ -494,8 +454,8 @@ def run(config: RunConfig, subcommand: str) -> int:
     handler = _HANDLERS.get(subcommand)
     if handler is None:
         raise UsageError(f"unknown subcommand {subcommand!r}")
-    code, rows, cols = handler(config)
-    text = emit_table(rows, cols, fmt=config.format, path=config.out)
+    code, rows = handler(config)
+    text = emit_table(rows, fmt=config.format, path=config.out)
     if config.out is None:
         sys.stdout.write(text)
     return code

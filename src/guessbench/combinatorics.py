@@ -13,8 +13,7 @@ T = sum(m).  Grouping terms by |k| turns each type into an integer polynomial
 sum_k (-1)^k C(a_i, k) m_i!/(m_i-k)! z^k; the count is then
 sum_K [z^K](prod poly_i) * (T - K)! / prod m_i!, all in exact integers.
 
-Everything here returns ints or fractions.Fraction; no floats except in the
-explicitly float-valued bound evaluator chernoff_rhs.
+Everything here returns ints or fractions.Fraction, never floats.
 """
 
 from __future__ import annotations
@@ -147,11 +146,6 @@ def last_card_fraction(state: ConstraintState, card: int) -> Fraction:
     return Fraction(_count(reduced, state.forbidden), _count(state.remaining, state.forbidden))
 
 
-def next_card_distribution(state: ConstraintState) -> tuple[Fraction, ...]:
-    """Last-letter distribution over all types; sums to one exactly."""
-    return tuple(last_card_fraction(state, card) for card in range(1, state.num_types + 1))
-
-
 def shuffle_count(spec: DeckSpec) -> int:
     """Number of distinct shuffles: (mn)! / (m!)^n."""
     return math.factorial(spec.total) // math.factorial(spec.multiplicity) ** spec.num_types
@@ -181,10 +175,3 @@ def binomial_pmf(trials: int, p: Fraction, k: int) -> Fraction:
     if k < 0 or k > trials:
         return Fraction(0)
     return math.comb(trials, k) * p**k * (1 - p) ** (trials - k)
-
-
-def chernoff_rhs(trials: int, p: float, lam: float) -> float:
-    """Upper-tail bound exp(-lam^2 * p * trials / 2) for Binomial(trials, p)."""
-    if trials < 0 or not 0 <= p <= 1 or lam <= 0:
-        raise ValueError("need trials >= 0, p in [0, 1], lam > 0")
-    return math.exp(-0.5 * lam * lam * p * trials)

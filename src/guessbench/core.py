@@ -1,4 +1,4 @@
-"""Decks, shuffles, feedback semantics, and observable game state.
+"""Decks, shuffles, feedback semantics, and the play loop.
 
 A deck holds ``num_types`` card types with ``multiplicity`` copies each; a
 shuffle is a word over ``1..num_types`` in which every type appears exactly
@@ -82,90 +82,6 @@ def play(strategy, model: FeedbackModel, deck) -> int:
             score += 1
         strategy.observe(observe(model, guess, card))
     return score
-
-
-@dataclass(frozen=True)
-class History:
-    """Observable transcript: guesses and the feedback they produced."""
-
-    model: FeedbackModel
-    guesses: tuple[int, ...] = ()
-    feedback: tuple[Observation, ...] = ()
-
-    def __post_init__(self) -> None:
-        if len(self.guesses) != len(self.feedback):
-            raise ValueError("guesses and feedback must have equal length")
-        for obs in self.feedback:
-            if self.model is FeedbackModel.NONE and obs is not None:
-                raise ValueError("NONE feedback carries no payload")
-            if self.model is FeedbackModel.PARTIAL and not isinstance(obs, bool):
-                raise ValueError("PARTIAL feedback must be booleans")
-            if self.model is FeedbackModel.COMPLETE and (
-                isinstance(obs, bool) or not isinstance(obs, int)
-            ):
-                raise ValueError("COMPLETE feedback must be card values")
-
-    def __len__(self) -> int:
-        return len(self.guesses)
-
-    def extended(self, guess: int, obs: Observation) -> History:
-        return History(self.model, self.guesses + (guess,), self.feedback + (obs,))
-
-    def correct_flags(self) -> tuple[bool, ...]:
-        """Per-turn correctness, as far as the feedback reveals it.
-
-        Under NONE nothing is observable, so every flag is False.
-        """
-        if self.model is FeedbackModel.PARTIAL:
-            return tuple(bool(y) for y in self.feedback)
-        if self.model is FeedbackModel.COMPLETE:
-            return tuple(g == y for g, y in zip(self.guesses, self.feedback))
-        return tuple(False for _ in self.guesses)
-
-
-@dataclass(frozen=True)
-class TallyState:
-    """Observable tallies derived from a history.
-
-    ``remaining[i]`` counts copies of type ``i+1`` not yet confirmed found,
-    ``guess_counts[i]`` counts guesses of type ``i+1`` so far.
-    """
-
-    remaining: tuple[int, ...]
-    guess_counts: tuple[int, ...]
-    correct_total: int
-    time: int
-
-
-def derive_tallies(history: History, spec: DeckSpec) -> TallyState:
-    """Recompute tallies from scratch; rejects inconsistent histories."""
-    n = spec.num_types
-    if len(history) > spec.total:
-        raise ValueError("history longer than the deck")
-    remaining = [spec.multiplicity] * n
-    guess_counts = [0] * n
-    flags = history.correct_flags()
-    for guess, flag in zip(history.guesses, flags):
-        if not 1 <= guess <= n:
-            raise ValueError(f"guess {guess} outside 1..{n}")
-        guess_counts[guess - 1] += 1
-        if flag:
-            remaining[guess - 1] -= 1
-            if remaining[guess - 1] < 0:
-                raise ValueError(f"more correct guesses of type {guess} than copies")
-    if history.model is FeedbackModel.COMPLETE:
-        revealed = Counter(history.feedback)
-        for card, cnt in revealed.items():
-            if not 1 <= card <= n:
-                raise ValueError(f"revealed card {card} outside 1..{n}")
-            if cnt > spec.multiplicity:
-                raise ValueError(f"type {card} revealed more often than its multiplicity")
-    return TallyState(
-        remaining=tuple(remaining),
-        guess_counts=tuple(guess_counts),
-        correct_total=sum(flags),
-        time=len(history),
-    )
 
 
 def chain_length(word: tuple[int, ...]) -> int:

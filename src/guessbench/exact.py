@@ -333,23 +333,6 @@ class PolicyPlayer:
             self._pairs[self._last - 1][1] += 1
 
 
-def export_value_table(solution: PartialSolution, path: str) -> None:
-    """Write the state-value table as CSV: state, exact value, optimal actions."""
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["state", "value_num", "value_den", "optimal_actions"])
-        for state in sorted(solution.values):
-            val = solution.values[state]
-            actions = ""
-            if solution.policy is not None and state in solution.policy:
-                actions = ";".join(f"{m}:{a}" for m, a in solution.policy[state])
-            writer.writerow(
-                ["|".join(f"{m}:{a}" for m, a in state), val.numerator, val.denominator, actions]
-            )
-
-
 # ===== partial feedback: independent expectimax over observable histories =====
 
 

@@ -53,13 +53,6 @@ class StatSummary:
     def from_counter(cls, counts: Counter[int]) -> StatSummary:
         return cls(sum(counts.values()), tuple(sorted(counts.items())))
 
-    @staticmethod
-    def merge(parts: list[StatSummary]) -> StatSummary:
-        total: Counter[int] = Counter()
-        for part in parts:
-            total.update(dict(part.histogram))
-        return StatSummary.from_counter(total)
-
     @property
     def mean(self) -> float:
         return sum(s * c for s, c in self.histogram) / self.trials
@@ -86,10 +79,6 @@ class StatSummary:
     @property
     def max(self) -> int:
         return self.histogram[-1][0]
-
-    def tail_frequency(self, threshold: float) -> float:
-        """Fraction of trials with score strictly above ``threshold``."""
-        return sum(c for s, c in self.histogram if s > threshold) / self.trials
 
 
 # ===== vectorized per-block kernels =====

@@ -1,9 +1,10 @@
 """Delimited output with lossless rationals.
 
 Exact values travel as a pair of columns: the reduced "num/den" string (or a
-plain integer) and a 6-decimal rendering for human scans.  Column order is
-fixed by the caller and the timestamp, when present, is always emitted last
-so byte-comparison of reruns can slice it off.
+plain integer) and a 6-decimal rendering for human scans.  Each row carries
+its own columns: the header is the first row's keys in order, and every row
+must have the same keys.  Rows end with ``provenance()``, so the timestamp is
+the last column and byte-comparison of reruns can slice it off.
 """
 
 from __future__ import annotations
@@ -26,11 +27,6 @@ def format_exact(value: Fraction | int) -> str:
 
 def format_decimal(value) -> str:
     return f"{float(value):.{FLOAT_DECIMALS}f}"
-
-
-def parse_exact(text: str) -> Fraction:
-    """Inverse of format_exact; lossless for every rational."""
-    return Fraction(text)
 
 
 def exact_cells(name: str, value: Fraction | int) -> list[tuple[str, str]]:
@@ -64,44 +60,38 @@ def _encode_json(value):
     return value
 
 
-def _order_columns(columns: list[str]) -> list[str]:
-    if "timestamp" in columns:
-        return [c for c in columns if c != "timestamp"] + ["timestamp"]
-    return list(columns)
-
-
-def render_csv(rows: list[dict], columns: list[str]) -> str:
+def _columns(rows: list[dict]) -> list[str]:
+    """The shared key order of ``rows``; raises unless every row has it."""
     if not rows:
         raise ValueError("no rows to emit")
-    cols = _order_columns(columns)
+    columns = list(rows[0])
+    for index, row in enumerate(rows):
+        if list(row) != columns:
+            raise ValueError(f"row {index} has columns {list(row)}, expected {columns}")
+    return columns
+
+
+def render_csv(rows: list[dict]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(cols)
+    writer.writerow(_columns(rows))
     for row in rows:
-        writer.writerow([_encode_cell(row.get(c)) for c in cols])
+        writer.writerow([_encode_cell(value) for value in row.values()])
     return buf.getvalue()
 
 
-def render_json_lines(rows: list[dict], columns: list[str]) -> str:
-    if not rows:
-        raise ValueError("no rows to emit")
-    cols = _order_columns(columns)
-    out = []
-    for row in rows:
-        ordered = {c: _encode_json(row.get(c)) for c in cols if c in row}
-        for key in row:
-            if key not in ordered:
-                ordered[key] = _encode_json(row[key])
-        out.append(json.dumps(ordered, separators=(",", ":")))
+def render_json_lines(rows: list[dict]) -> str:
+    _columns(rows)
+    out = [json.dumps(_encode_json(row), separators=(",", ":")) for row in rows]
     return "\n".join(out) + "\n"
 
 
-def emit_table(rows: list[dict], columns: list[str], fmt: str = "csv", path: str | None = None) -> str:
+def emit_table(rows: list[dict], fmt: str = "csv", path: str | None = None) -> str:
     """Render rows and optionally write them; returns the rendered text."""
     if fmt == "csv":
-        text = render_csv(rows, columns)
+        text = render_csv(rows)
     elif fmt == "json":
-        text = render_json_lines(rows, columns)
+        text = render_json_lines(rows)
     else:
         raise ValueError(f"unknown format {fmt!r}")
     if path is not None:

@@ -2,7 +2,7 @@
 
 Strategies see only the observation channel of their feedback model.  Each
 instance owns mutable per-game state; build a fresh one per game through
-``make_strategy`` or rebuild mid-game state with ``replay``.
+``make_strategy``.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from .combinatorics import _count
-from .core import DeckSpec, FeedbackModel, History, Observation
+from .core import DeckSpec, FeedbackModel, Observation
 
 
 class StrategyId(str, enum.Enum):
@@ -338,14 +338,3 @@ def compatible(spec: StrategySpec, model: FeedbackModel) -> bool:
     """No-feedback strategies run under any model; others only their own."""
     native = spec.native_model
     return native is model or native is FeedbackModel.NONE
-
-
-def replay(spec: StrategySpec, deck: DeckSpec, history: History) -> Strategy:
-    """Rebuild a strategy's mid-game state from an observable history."""
-    strat = make_strategy(spec, deck)
-    for guess, obs in zip(history.guesses, history.feedback):
-        produced = strat.next_guess()
-        if spec.deterministic and produced != guess:
-            raise ValueError(f"history guess {guess} diverges from strategy ({produced})")
-        strat.observe(obs)
-    return strat

@@ -12,14 +12,11 @@ from guessbench.bounds import (
     WalkSpec,
     binomial_pmf_map,
     check_dominance,
-    conditional_tail_rhs,
-    damped_draw_pmf,
     empirical_maximal,
     first_third_dominance_reports,
     first_third_pmf,
     hyp_single_tail_exact,
     hyp_tail_report,
-    hypergeometric_pmf_map,
     single_tail_grid,
     union_bound_rhs,
 )
@@ -136,10 +133,7 @@ def test_hyp_tail_report_maximal():
     assert a.rhs >= 1
     assert a.verdict == INCONCLUSIVE
     assert "c_prime=3" in a.notes
-
-    payload = a.to_json_dict()
-    assert payload["verdict"] == INCONCLUSIVE
-    assert payload["params"]["b0"] == 8
+    assert dict(a.params)["b0"] == 8
 
 
 def test_hyp_tail_report_maximal_matches_replayed_decks():
@@ -181,7 +175,7 @@ def test_dominance_reflexive_and_monotone():
 def test_dominance_antisymmetry():
     pmfs = [
         binomial_pmf_map(5, Fraction(1, 3)),
-        hypergeometric_pmf_map(10, 4, 5),
+        {k: hypergeom_pmf(10, 4, 5, k) for k in range(5)},
         {0: Fraction(1, 2), 3: Fraction(1, 2)},
     ]
     for a, b in itertools.product(pmfs, repeat=2):
@@ -211,39 +205,6 @@ def test_pmf_maps_match_scalar_functions():
     bmap = binomial_pmf_map(7, Fraction(2, 5))
     assert sum(bmap.values()) == 1
     assert all(bmap[k] == binomial_pmf(7, Fraction(2, 5), k) for k in bmap)
-    hmap = hypergeometric_pmf_map(12, 5, 6)
-    assert sum(hmap.values()) == 1
-    assert all(hmap[k] == hypergeom_pmf(12, 5, 6, k) for k in hmap)
-
-
-def test_damped_draw_pmf_recovers_hypergeometric():
-    # the hypergeometric map keeps explicit zero entries; compare as functions
-    for population, good, draws in [(6, 3, 4), (7, 2, 5), (5, 5, 3)]:
-        ones = [Fraction(1)] * draws
-        damped = damped_draw_pmf(population, good, draws, ones)
-        reference = hypergeometric_pmf_map(population, good, draws)
-        for k in set(damped) | set(reference):
-            assert damped.get(k, Fraction(0)) == reference.get(k, Fraction(0))
-
-
-def test_damped_draw_pmf_dominated_by_hypergeometric():
-    population, good = 6, 3
-    for draws in (1, 2, 3):
-        envelope = hypergeometric_pmf_map(population, good, draws)
-        for damping in itertools.product(
-            (Fraction(0), Fraction(1, 2), Fraction(1)), repeat=draws
-        ):
-            pmf = damped_draw_pmf(population, good, draws, list(damping))
-            assert sum(pmf.values()) == 1
-            assert check_dominance(envelope, pmf).dominates
-
-
-def test_damped_draw_pmf_validation():
-    with pytest.raises(ValueError):
-        damped_draw_pmf(6, 3, 2, [Fraction(1)])
-    with pytest.raises(ValueError):
-        damped_draw_pmf(6, 3, 2, [Fraction(1), Fraction(3, 2)])
-    assert damped_draw_pmf(6, 3, 3, [Fraction(0)] * 3) == {0: Fraction(1)}
 
 
 def test_first_third_pmf_uniform_closed_form():
@@ -268,16 +229,6 @@ def test_first_third_dominance_reports_small():
         size_limit=720, strategies=[StrategySpec(StrategyId.PARTIAL_LADDER)]
     )
     assert {r.strategy for r in only} == {"partial-ladder"}
-
-
-def test_conditional_tail_rhs():
-    assert conditional_tail_rhs(1.0) == pytest.approx(1.0)
-    assert conditional_tail_rhs(math.exp(-1)) == pytest.approx(1001.0)
-    assert conditional_tail_rhs(0.5) == pytest.approx(-1000 * math.log(0.5) + 1)
-    with pytest.raises(ValueError):
-        conditional_tail_rhs(0.0)
-    with pytest.raises(ValueError):
-        conditional_tail_rhs(1.5)
 
 
 def test_verdict_constants():

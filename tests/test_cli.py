@@ -34,6 +34,13 @@ def read_csv(text):
     return list(csv.reader(text.splitlines()))
 
 
+PROVENANCE = ["version", "rng", "timestamp"]
+SIMULATE_COLUMNS = [
+    "m", "n", "model", "strategy", "trials", "seed", "workers",
+    "mean", "sd", "se", "min", "max",
+]
+
+
 def test_subcommand_catalog():
     assert SUBCOMMANDS == (
         "exact-value",
@@ -192,6 +199,7 @@ def test_simulate_stdout_and_json(capsys):
     )
     assert code == 0
     payload = json.loads(out.splitlines()[0])
+    assert list(payload) == SIMULATE_COLUMNS + ["histogram"] + PROVENANCE
     assert payload["trials"] == 300
     assert isinstance(payload["histogram"], list)
     assert sum(count for _, count in payload["histogram"]) == 300
@@ -268,6 +276,89 @@ def test_table_subcommand(capsys):
     assert code == 0
     row = dict(zip(*read_csv(out)))
     assert row["partial_max"] == row["complete_max"] == "272171/24310"
+
+
+REPORT_HEADERS = [
+    pytest.param(
+        ["exact-value", "-m", "2", "-n", "2", "--strategy", "complete-greedy-max"],
+        ["m", "n", "model", "strategy", "value", "value_decimal"],
+        id="exact-value",
+    ),
+    pytest.param(
+        ["optimal", "-m", "1", "-n", "3", "--model", "complete"],
+        ["m", "n", "model", "sense", "value", "value_decimal"],
+        id="optimal",
+    ),
+    pytest.param(
+        ["simulate", "-m", "2", "-n", "2", "--strategy", "nofb-cyclic", "--trials", "50"],
+        SIMULATE_COLUMNS,
+        id="simulate",
+    ),
+    pytest.param(
+        ["verify-pointwise", "--max-total", "4"],
+        ["max_total", "states_checked", "max_ratio", "max_ratio_decimal",
+         "witness_count", "witnesses", "verdict"],
+        id="verify-pointwise",
+    ),
+    pytest.param(
+        ["verify-bounds", "--max-total", "6", "--trials", "100"],
+        ["bound", "params", "lhs", "lhs_radius", "rhs", "verdict", "notes"],
+        id="verify-bounds",
+    ),
+    pytest.param(
+        ["tj", "-m", "2", "-n", "2", "-j", "2", "--trials", "50"],
+        ["m", "n", "j", "trials", "seed", "t", "count", "survival", "survival_se",
+         "survival_exact", "survival_exact_decimal"],
+        id="tj-j2-exact",
+    ),
+    pytest.param(
+        ["tj", "-m", "3", "-n", "2", "-j", "3", "--trials", "50"],
+        ["m", "n", "j", "trials", "seed", "t", "count", "survival", "survival_se"],
+        id="tj-j3",
+    ),
+    pytest.param(
+        ["persistence", "-m", "2", "-n", "2"],
+        ["m", "n", "violations", "holds", "state", "guess", "successor_optimal"],
+        id="persistence",
+    ),
+    pytest.param(
+        ["lstat", "-m", "1", "-n", "2", "--trials", "40"],
+        ["m", "n", "trials", "seed", "mean", "sd", "se", "mean_exact", "mean_exact_decimal"],
+        id="lstat-exact",
+    ),
+    pytest.param(
+        ["lstat", "-m", "4", "-n", "13", "--trials", "20"],
+        ["m", "n", "trials", "seed", "mean", "sd", "se"],
+        id="lstat-no-exact",
+    ),
+    pytest.param(
+        ["table", "-m", "1", "-n", "2"],
+        ["m", "n", "shuffles", "nofb", "nofb_decimal",
+         "partial_max", "partial_max_decimal", "partial_min", "partial_min_decimal",
+         "complete_max", "complete_max_decimal", "complete_min", "complete_min_decimal",
+         "asymptotic_error_forms"],
+        id="table",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,columns", REPORT_HEADERS)
+def test_report_header(capsys, argv, columns):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    rows = read_csv(out)
+    assert rows[0] == columns + PROVENANCE
+    assert all(len(row) == len(rows[0]) for row in rows[1:])
+
+
+def test_table_state_limit_flag(capsys):
+    code, out, err = run_cli(capsys, "table", "-m", "2", "-n", "3", "--state-limit", "9")
+    assert code == 0, err
+    row = dict(zip(*read_csv(out)))
+    for sense in ("max", "min"):
+        assert row[f"partial_{sense}"] == row[f"partial_{sense}_decimal"] == ""
+    assert row["complete_max"] == "101/30"
+    assert row["complete_min"] == "13/15"
 
 
 def test_table_requires_grid(capsys):

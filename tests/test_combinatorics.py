@@ -1,4 +1,3 @@
-import math
 from fractions import Fraction
 
 import pytest
@@ -7,12 +6,10 @@ from guessbench.combinatorics import (
     ConstraintState,
     _count,
     binomial_pmf,
-    chernoff_rhs,
     count_arrangements,
     hypergeom_pmf,
     iter_arrangements,
     last_card_fraction,
-    next_card_distribution,
     shuffle_count,
 )
 from guessbench.core import DeckSpec
@@ -108,6 +105,10 @@ def test_valid_states_have_arrangements():
         assert count_arrangements(state) >= 1
 
 
+def last_card_fractions(state):
+    return tuple(last_card_fraction(state, card) for card in range(1, state.num_types + 1))
+
+
 def test_next_card_distribution_matches_brute():
     for remaining, forbidden in [
         ((1, 1, 1), (1, 0, 0)),
@@ -117,18 +118,18 @@ def test_next_card_distribution_matches_brute():
         ((3, 2), (1, 1)),
     ]:
         state = ConstraintState(remaining, forbidden)
-        dist = next_card_distribution(state)
+        dist = last_card_fractions(state)
         assert dist == brute_last_card(remaining, forbidden)
         assert sum(dist) == 1
 
 
 def test_next_card_distribution_spec_points():
-    assert next_card_distribution(ConstraintState((1, 1, 1), (1, 0, 0))) == (
+    assert last_card_fractions(ConstraintState((1, 1, 1), (1, 0, 0))) == (
         Fraction(1, 2),
         Fraction(1, 4),
         Fraction(1, 4),
     )
-    assert next_card_distribution(ConstraintState((2, 0), (0, 1))) == (
+    assert last_card_fractions(ConstraintState((2, 0), (0, 1))) == (
         Fraction(1),
         Fraction(0),
     )
@@ -170,13 +171,3 @@ def test_binomial_pmf():
     assert binomial_pmf(4, Fraction(0), 0) == 1
     assert binomial_pmf(4, Fraction(1), 4) == 1
     assert binomial_pmf(4, p, 9) == 0
-
-
-def test_chernoff_rhs():
-    value = chernoff_rhs(100, 0.5, 0.2)
-    assert value == pytest.approx(math.exp(-(0.2**2) * 100 * 0.5 / 2))
-    assert chernoff_rhs(0, 0.1, 1.0) == 1.0
-    with pytest.raises(ValueError):
-        chernoff_rhs(10, 0.1, 0.0)
-    with pytest.raises(ValueError):
-        chernoff_rhs(10, 1.5, 1.0)

@@ -3,9 +3,7 @@ import pytest
 from guessbench.core import (
     DeckSpec,
     FeedbackModel,
-    History,
     chain_length,
-    derive_tallies,
     observe,
     validate_shuffle,
 )
@@ -41,68 +39,6 @@ def test_observe_payloads():
     assert observe(FeedbackModel.COMPLETE, 1, 2) == 2
     with pytest.raises(ValueError):
         observe("complete", 1, 2)
-
-
-def test_history_payload_validation():
-    with pytest.raises(ValueError):
-        History(FeedbackModel.NONE, (1,), (True,))
-    with pytest.raises(ValueError):
-        History(FeedbackModel.PARTIAL, (1,), (2,))
-    # bools are ints in Python; the complete channel must still reject them
-    with pytest.raises(ValueError):
-        History(FeedbackModel.COMPLETE, (1,), (True,))
-    with pytest.raises(ValueError):
-        History(FeedbackModel.PARTIAL, (1, 2), (True,))
-
-
-def test_history_extension_and_flags():
-    h = History(FeedbackModel.PARTIAL)
-    h = h.extended(1, True).extended(2, False)
-    assert len(h) == 2
-    assert h.correct_flags() == (True, False)
-
-    hc = History(FeedbackModel.COMPLETE, (1, 2), (1, 3))
-    assert hc.correct_flags() == (True, False)
-
-    hn = History(FeedbackModel.NONE, (1, 1), (None, None))
-    assert hn.correct_flags() == (False, False)
-
-
-def test_derive_tallies_partial():
-    spec = DeckSpec(2, 2)
-    h = History(FeedbackModel.PARTIAL, (1, 1, 2), (True, False, True))
-    tallies = derive_tallies(h, spec)
-    assert tallies.remaining == (1, 1)
-    assert tallies.guess_counts == (2, 1)
-    assert tallies.correct_total == 2
-    assert tallies.time == 3
-
-
-def test_derive_tallies_complete_reveals():
-    spec = DeckSpec(2, 2)
-    h = History(FeedbackModel.COMPLETE, (1, 1), (1, 2))
-    tallies = derive_tallies(h, spec)
-    assert tallies.remaining == (1, 2)
-    assert tallies.correct_total == 1
-
-
-def test_derive_tallies_rejects_bad_histories():
-    spec = DeckSpec(1, 2)
-    with pytest.raises(ValueError):
-        derive_tallies(History(FeedbackModel.PARTIAL, (3,), (True,)), spec)
-    with pytest.raises(ValueError):
-        derive_tallies(
-            History(FeedbackModel.PARTIAL, (1, 1), (True, True)), spec
-        )
-    with pytest.raises(ValueError):
-        derive_tallies(History(FeedbackModel.COMPLETE, (1,), (5,)), spec)
-    with pytest.raises(ValueError):
-        derive_tallies(
-            History(FeedbackModel.COMPLETE, (1, 1, 2), (2, 2, 1)), DeckSpec(1, 2)
-        )
-    long = History(FeedbackModel.PARTIAL, (1, 1, 1), (False, False, False))
-    with pytest.raises(ValueError):
-        derive_tallies(long, spec)
 
 
 def test_chain_length_examples():

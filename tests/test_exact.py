@@ -1,4 +1,3 @@
-import csv
 import random
 from fractions import Fraction
 
@@ -12,7 +11,6 @@ from guessbench.exact import (
     exact_chain_mean,
     exact_value,
     expectimax_value,
-    export_value_table,
     first_third_distribution,
     iter_constraint_grid,
     iter_shuffles,
@@ -190,24 +188,6 @@ def test_persistence_probe_matches_reference():
     for m, n in [(1, 2), (1, 3), (1, 4), (2, 2), (2, 3), (3, 2), (3, 3), (2, 4)]:
         spec = DeckSpec(m, n)
         assert probe_persistence(spec) == recursive_probe_persistence(spec)
-
-
-def test_export_value_table_round_trip(tmp_path):
-    solution = solve_partial(DeckSpec(2, 2), "max", track_policy=True)
-    path = tmp_path / "values.csv"
-    export_value_table(solution, str(path))
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["state", "value_num", "value_den", "optimal_actions"]
-    parsed = {}
-    actions = {}
-    for state_s, num, den, acts in rows[1:]:
-        state = tuple(tuple(map(int, p.split(":"))) for p in state_s.split("|"))
-        parsed[state] = Fraction(int(num), int(den))
-        if acts:
-            actions[state] = tuple(tuple(map(int, p.split(":"))) for p in acts.split(";"))
-    assert parsed == solution.values
-    assert actions == {s: a for s, a in solution.policy.items()}
 
 
 def test_exact_chain_mean():

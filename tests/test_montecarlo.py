@@ -127,15 +127,7 @@ def test_stat_summary_moments():
     assert summary.se == pytest.approx(0.75)
     assert summary.min == 2
     assert summary.max == 5
-    assert summary.tail_frequency(2) == pytest.approx(0.25)
     assert StatSummary.from_counter(Counter({3: 1})).variance == 0.0
-
-
-def test_stat_summary_merge():
-    whole = Counter({0: 5, 1: 7, 3: 2})
-    parts = [Counter({0: 5, 1: 3}), Counter({1: 4, 3: 2})]
-    merged = StatSummary.merge([StatSummary.from_counter(c) for c in parts])
-    assert merged == StatSummary.from_counter(whole)
 
 
 def test_repeat_time_matches_exact_survival():

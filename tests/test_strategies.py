@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from guessbench.core import DeckSpec, FeedbackModel, History, observe
+from guessbench.core import DeckSpec, FeedbackModel, observe
 from guessbench.strategies import (
     StrategyId,
     StrategySpec,
@@ -11,7 +11,6 @@ from guessbench.strategies import (
     make_strategy,
     parse_strategy,
     posterior_by_pair,
-    replay,
 )
 from oracles import all_shuffles
 
@@ -216,25 +215,3 @@ def test_compatibility_rules():
     greedy = StrategySpec(StrategyId.COMPLETE_GREEDY_MAX)
     assert compatible(greedy, FeedbackModel.COMPLETE)
     assert not compatible(greedy, FeedbackModel.PARTIAL)
-
-
-def test_replay_reconstructs_state():
-    deck = DeckSpec(2, 2)
-    spec = StrategySpec(StrategyId.PARTIAL_MLE)
-    live = make_strategy(spec, deck)
-    history = History(FeedbackModel.PARTIAL)
-    for obs in (False, True, False):
-        g = live.next_guess()
-        live.observe(obs)
-        history = history.extended(g, obs)
-    rebuilt = replay(spec, deck, history)
-    assert rebuilt.remaining == live.remaining
-    assert rebuilt.wrong == live.wrong
-    assert rebuilt.next_guess() == live.next_guess()
-
-
-def test_replay_rejects_divergent_history():
-    deck = DeckSpec(2, 2)
-    history = History(FeedbackModel.PARTIAL, (2,), (False,))
-    with pytest.raises(ValueError, match="diverges"):
-        replay(StrategySpec(StrategyId.PARTIAL_MLE), deck, history)
