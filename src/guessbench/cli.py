@@ -69,6 +69,9 @@ _CHOICES = {
     "format": ("csv", "json"),
     "model": ("none", "partial", "complete"),
 }
+# Smallest accepted value of each bounded integer key; unset keys keep
+# their subcommand's default.
+_LOWEST = {"workers": 1, "max_total": 1, "state_limit": 1, "seed": 0}
 
 
 def _convert(key: str, raw: str):
@@ -119,9 +122,16 @@ def merge_config(file_values: dict, flag_values: dict) -> RunConfig:
         value = getattr(config, key)
         if value is not None and value not in allowed:
             raise UsageError(f"{key} must be one of {'|'.join(allowed)}, got {value!r}")
-    if config.workers < 1:
-        raise UsageError(f"--workers must be at least 1, got {config.workers}")
+    for key, lowest in _LOWEST.items():
+        value = getattr(config, key)
+        if value is not None and value < lowest:
+            flag = "--" + key.replace("_", "-")
+            raise UsageError(f"{flag} must be at least {lowest}, got {value}")
     return config
+
+
+def _or_default(value: int | None, default: int) -> int:
+    return default if value is None else value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -200,7 +210,7 @@ def _cmd_exact_value(config: RunConfig):
     sspec = _require_strategy(config)
     model = _model_or_none(config) or sspec.native_model
     value = exact.exact_value(
-        spec, sspec, model=model, limit=config.max_total or exact.DEFAULT_ENUM_LIMIT
+        spec, sspec, model=model, limit=_or_default(config.max_total, exact.DEFAULT_ENUM_LIMIT)
     )
     row = {
         "m": spec.multiplicity,
@@ -220,9 +230,8 @@ def _cmd_optimal(config: RunConfig):
     if config.model == "complete":
         value = exact.optimal_complete(spec, config.sense)
     elif config.model == "partial":
-        value = exact.optimal_partial(
-            spec, config.sense, state_limit=config.state_limit or exact.DEFAULT_STATE_LIMIT
-        )
+        state_limit = _or_default(config.state_limit, exact.DEFAULT_STATE_LIMIT)
+        value = exact.optimal_partial(spec, config.sense, state_limit=state_limit)
     else:
         # with no feedback every fixed guess sequence scores m in expectation
         value = Fraction(spec.multiplicity)
@@ -264,9 +273,10 @@ def _cmd_simulate(config: RunConfig):
 
 
 def _cmd_verify_pointwise(config: RunConfig):
-    report = exact.verify_pointwise(config.max_total or 8)
+    max_total = _or_default(config.max_total, 8)
+    report = exact.verify_pointwise(max_total)
     row = {
-        "max_total": config.max_total or 8,
+        "max_total": max_total,
         "states_checked": report.states_checked,
         **dict(exact_cells("max_ratio", report.max_ratio)),
         "witness_count": report.witness_count,
@@ -293,7 +303,7 @@ def _bound_report_row(report: bounds.BoundReport) -> dict:
 
 
 def _cmd_verify_bounds(config: RunConfig):
-    reports = bounds.single_tail_grid(config.max_total or 60)
+    reports = bounds.single_tail_grid(_or_default(config.max_total, 60))
     walk = bounds.WalkSpec(p=0.5, horizon=256, description="binomial")
     reports.append(bounds.empirical_maximal(walk, 1.0, 16, 256, config.trials, config.seed))
     reports.append(
@@ -354,7 +364,7 @@ def _cmd_tj(config: RunConfig):
 def _cmd_persistence(config: RunConfig):
     spec = _require_spec(config)
     violations = exact.probe_persistence(
-        spec, state_limit=config.state_limit or exact.DEFAULT_STATE_LIMIT
+        spec, state_limit=_or_default(config.state_limit, exact.DEFAULT_STATE_LIMIT)
     )
     stamp = provenance()
     rows = [
@@ -397,7 +407,7 @@ def _cmd_lstat(config: RunConfig):
         "sd": summary.sd,
         "se": summary.se,
     }
-    enum_limit = config.max_total or 10**4
+    enum_limit = _or_default(config.max_total, 10**4)
     if shuffle_count(spec) <= enum_limit:
         row.update(exact_cells("mean_exact", exact.exact_chain_mean(spec)))
     return 0, [{**row, **provenance()}]
@@ -413,7 +423,7 @@ def _partial_value_or_none(spec: DeckSpec, sense: str, state_limit: int):
 def _cmd_table(config: RunConfig):
     m_values = _parse_grid(config.m_grid, config.m, "--m-grid")
     n_values = _parse_grid(config.n_grid, config.n, "--n-grid")
-    state_limit = config.state_limit or exact.DEFAULT_STATE_LIMIT
+    state_limit = _or_default(config.state_limit, exact.DEFAULT_STATE_LIMIT)
     stamp = provenance()
     rows = []
     for m in m_values:

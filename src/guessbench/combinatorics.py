@@ -12,6 +12,8 @@ k_i banned positions of type i to violate contributes
 T = sum(m).  Grouping terms by |k| turns each type into an integer polynomial
 sum_k (-1)^k C(a_i, k) m_i!/(m_i-k)! z^k; the count is then
 sum_K [z^K](prod poly_i) * (T - K)! / prod m_i!, all in exact integers.
+``next_card_counts`` builds that product once per state and swaps one factor
+per type to count every state with one card set aside.
 
 Everything here returns ints or fractions.Fraction, never floats.
 """
@@ -64,7 +66,7 @@ class ConstraintState:
         return sum(self.remaining)
 
 
-def _convolve(p: list[int], q: list[int]) -> list[int]:
+def _convolve(p: list[int], q: tuple[int, ...]) -> list[int]:
     out = [0] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
         if a:
@@ -74,24 +76,89 @@ def _convolve(p: list[int], q: list[int]) -> list[int]:
 
 
 @lru_cache(maxsize=None)
-def _count(remaining: tuple[int, ...], forbidden: tuple[int, ...]) -> int:
-    """Inclusion-exclusion count; allows sum(forbidden) == sum(remaining)."""
-    total = sum(remaining)
+def _factor(m_i: int, a_i: int) -> tuple[int, ...]:
+    """One type's inclusion-exclusion polynomial F(m, a):
+    [z^k] = (-1)^k C(a, k) m!/(m-k)! for k = 0..min(a, m).  Its constant
+    term is 1."""
+    return tuple(
+        (-1) ** k * math.comb(a_i, k) * math.perm(m_i, k) for k in range(min(a_i, m_i) + 1)
+    )
+
+
+def _product(remaining: tuple[int, ...], forbidden: tuple[int, ...]) -> list[int]:
+    """prod_i F(m_i, a_i), skipping the factors that are 1."""
     poly = [1]
     for m_i, a_i in zip(remaining, forbidden):
-        top = min(a_i, m_i)
-        if top == 0:
-            continue
-        poly = _convolve(
-            poly,
-            [(-1) ** k * math.comb(a_i, k) * math.perm(m_i, k) for k in range(top + 1)],
-        )
-    num = sum(coeff * math.factorial(total - k) for k, coeff in enumerate(poly))
-    den = math.prod(math.factorial(m_i) for m_i in remaining)
+        if m_i and a_i:
+            poly = _convolve(poly, _factor(m_i, a_i))
+    return poly
+
+
+def _divide(p: list[int], f: tuple[int, ...]) -> list[int]:
+    """p / f for an f with constant term 1 that divides p exactly."""
+    rest = list(p)
+    size = len(p) - len(f) + 1
+    for k in range(size):
+        coeff = rest[k]
+        if coeff:
+            for j in range(1, len(f)):
+                rest[k + j] -= coeff * f[j]
+    return rest[:size]
+
+
+def _arrangements(poly: list[int], total: int, den: int) -> int:
+    """sum_K [z^K]poly * (total - K)! / den, checked to be a count.
+
+    Horner form: with d = deg poly, the sum is (total - d)! times the
+    nested ((c_0 * total + c_1) * (total - 1) + c_2) ... + c_d.
+    """
+    num = 0
+    for k, coeff in enumerate(poly):
+        num = num * (total - k + 1) + coeff
+    num *= math.factorial(total - len(poly) + 1)
     count, rem = divmod(num, den)
     if rem or count < 0:
         raise AssertionError(f"inclusion-exclusion produced a non-count: {num}/{den}")
     return count
+
+
+@lru_cache(maxsize=None)
+def _count(remaining: tuple[int, ...], forbidden: tuple[int, ...]) -> int:
+    """Inclusion-exclusion count; allows sum(forbidden) == sum(remaining)."""
+    den = math.prod(math.factorial(m_i) for m_i in remaining)
+    return _arrangements(_product(remaining, forbidden), sum(remaining), den)
+
+
+def next_card_counts(remaining: tuple[int, ...], forbidden: tuple[int, ...]) -> list[int]:
+    """N(s - e_i) for every type i: the count of the state with one copy of
+    type i set aside, i.e. ``_count`` of each reduced state (0 where no copy
+    is left).  Needs sum(forbidden) < sum(remaining).
+
+    The product of the per-type factors is built once; each distinct pair
+    swaps its own factor F(m_i, a_i) for F(m_i - 1, a_i), so a state with d
+    distinct pairs costs one product and d exact divisions.  The banned
+    slots lead, so every word of the state ends in an unbanned slot, and
+    dropping that last card leaves a word of exactly one reduced state: the
+    counts sum to ``_count(remaining, forbidden)``.
+    """
+    total = sum(remaining)
+    if sum(forbidden) >= total:
+        raise ValueError("need sum(forbidden) < sum(remaining)")
+    product = _product(remaining, forbidden)
+    den = math.prod(math.factorial(m_i) for m_i in remaining)
+    by_pair: dict[tuple[int, int], int] = {}
+    for m_i, a_i in zip(remaining, forbidden):
+        if (m_i, a_i) in by_pair:
+            continue
+        if m_i == 0:
+            by_pair[m_i, a_i] = 0
+            continue
+        poly = product
+        if a_i:
+            poly = _convolve(_divide(product, _factor(m_i, a_i)), _factor(m_i - 1, a_i))
+        # the reduced state's denominator is den / m_i
+        by_pair[m_i, a_i] = _arrangements(poly, total - 1, den // m_i)
+    return [by_pair[pair] for pair in zip(remaining, forbidden)]
 
 
 def count_arrangements(state: ConstraintState) -> int:

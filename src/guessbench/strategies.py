@@ -14,7 +14,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .combinatorics import _count
+# _count is unused here; perfbench/test_perfbench.py checks that tracing
+# rebinds it in this module too.
+from .combinatorics import _count, next_card_counts  # noqa: F401
 from .core import DeckSpec, FeedbackModel, Observation
 
 
@@ -175,48 +177,59 @@ class PartialTally(Strategy):
         self._last_guess = None
 
 
-_DIST_CACHE: dict[tuple[tuple[int, int], ...], dict[tuple[int, int], Fraction]] = {}
+PairState = tuple[tuple[int, int], ...]
+
+# Integer next-card counts N(s - e_i) by (remaining, wrong) pair, one entry
+# per canonical pair multiset s.
+_DIST_CACHE: dict[PairState, dict[tuple[int, int], int]] = {}
+# Per sense (True for max), the pairs whose count attains the optimum.
+_BEST_PAIRS: dict[bool, dict[PairState, frozenset[tuple[int, int]]]] = {True: {}, False: {}}
+
+
+def _counts_by_pair(pairs: PairState) -> dict[tuple[int, int], int]:
+    by_pair = _DIST_CACHE.get(pairs)
+    if by_pair is None:
+        remaining, wrong = zip(*pairs)
+        by_pair = _DIST_CACHE[pairs] = dict(zip(pairs, next_card_counts(remaining, wrong)))
+    return by_pair
 
 
 def posterior_by_pair(remaining: list[int], wrong: list[int]) -> list[Fraction]:
     """Next-card probabilities per type, cached on the canonical pair multiset.
 
     Types with equal (remaining, wrong) pairs are exchangeable, so one cache
-    entry serves every relabeling.
+    entry serves every relabeling.  The next slot is never banned, so the
+    counts of the types sum to the shared denominator N(s).
     """
-    pairs = tuple(sorted(zip(remaining, wrong)))
-    by_pair = _DIST_CACHE.get(pairs)
-    if by_pair is None:
-        denom = _count(tuple(p[0] for p in pairs), tuple(p[1] for p in pairs))
-        by_pair = {}
-        for idx, pair in enumerate(pairs):
-            if pair in by_pair:
-                continue
-            if pair[0] == 0:
-                by_pair[pair] = Fraction(0)
-                continue
-            reduced = tuple(
-                (p[0] - 1, p[1]) if j == idx else p for j, p in enumerate(pairs)
-            )
-            by_pair[pair] = Fraction(
-                _count(tuple(p[0] for p in reduced), tuple(p[1] for p in reduced)), denom
-            )
-        _DIST_CACHE[pairs] = by_pair
-    return [by_pair[pair] for pair in zip(remaining, wrong)]
+    by_pair = _counts_by_pair(tuple(sorted(zip(remaining, wrong))))
+    counts = [by_pair[pair] for pair in zip(remaining, wrong)]
+    denom = sum(counts)
+    return [Fraction(c, denom) for c in counts]
 
 
 class PartialMle(PartialTally):
-    """Guess a most (or least) likely next card under the exact posterior."""
+    """Guess a most (or least) likely next card under the exact posterior.
+
+    Probabilities share the denominator N(s), so comparing the integer
+    counts N(s - e_i) suffices; ties go to the lowest type index.
+    """
 
     def __init__(self, deck: DeckSpec, maximize: bool):
         super().__init__(deck)
         self.maximize = maximize
+        self._best = _BEST_PAIRS[maximize]
 
     def next_guess(self) -> int:
-        dist = posterior_by_pair(self.remaining, self.wrong)
-        pick = max if self.maximize else min
-        best = pick(dist)
-        guess = dist.index(best) + 1
+        pairs = list(zip(self.remaining, self.wrong))
+        state = tuple(sorted(pairs))
+        best = self._best.get(state)
+        if best is None:
+            by_pair = _counts_by_pair(state)
+            top = (max if self.maximize else min)(by_pair.values())
+            best = self._best[state] = frozenset(p for p, c in by_pair.items() if c == top)
+        for guess, pair in enumerate(pairs, start=1):
+            if pair in best:
+                break
         self._last_guess = guess
         return guess
 

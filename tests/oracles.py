@@ -5,8 +5,10 @@ package; size guards keep those inputs tiny on purpose.  ``replayed_decks``
 draws seeded shuffles one at a time from ``rng_stream``, the layout the
 chunked deck sampler must reproduce.  The recursive
 value DPs at the end are the package's earlier Fraction-valued solvers,
-kept as references for the integer-weighted ones.  They import only the
-arrangement counter ``_count``, ``DeckSpec`` and two result records.
+kept as references for the integer-weighted ones, and the Fraction-valued
+partial-mle posterior and guesser references the integer-count one.  They
+import only the arrangement counter ``_count``, ``DeckSpec``, two result
+records and the partial-feedback tally base ``PartialTally``.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from guessbench.combinatorics import _count
 from guessbench.core import DeckSpec
 from guessbench.exact import PartialSolution, PersistenceViolation
 from guessbench.montecarlo import rng_stream
+from guessbench.strategies import PartialTally
 
 ORACLE_CARD_LIMIT = 9
 
@@ -313,3 +316,51 @@ def recursive_probe_persistence(
                     )
                 stack.append(successor)
     return violations
+
+
+# ===== Fraction-valued partial-mle posterior (reference for strategies.py) =====
+
+_REFERENCE_CACHE: dict[tuple[tuple[int, int], ...], dict[tuple[int, int], Fraction]] = {}
+
+
+def reference_posterior_by_pair(remaining: list[int], wrong: list[int]) -> list[Fraction]:
+    """Next-card probabilities per type, cached on the canonical pair multiset.
+
+    Types with equal (remaining, wrong) pairs are exchangeable, so one cache
+    entry serves every relabeling.
+    """
+    pairs = tuple(sorted(zip(remaining, wrong)))
+    by_pair = _REFERENCE_CACHE.get(pairs)
+    if by_pair is None:
+        denom = _count(tuple(p[0] for p in pairs), tuple(p[1] for p in pairs))
+        by_pair = {}
+        for idx, pair in enumerate(pairs):
+            if pair in by_pair:
+                continue
+            if pair[0] == 0:
+                by_pair[pair] = Fraction(0)
+                continue
+            reduced = tuple(
+                (p[0] - 1, p[1]) if j == idx else p for j, p in enumerate(pairs)
+            )
+            by_pair[pair] = Fraction(
+                _count(tuple(p[0] for p in reduced), tuple(p[1] for p in reduced)), denom
+            )
+        _REFERENCE_CACHE[pairs] = by_pair
+    return [by_pair[pair] for pair in zip(remaining, wrong)]
+
+
+class ReferencePartialMle(PartialTally):
+    """Guess a most (or least) likely next card under the exact posterior."""
+
+    def __init__(self, deck: DeckSpec, maximize: bool):
+        super().__init__(deck)
+        self.maximize = maximize
+
+    def next_guess(self) -> int:
+        dist = reference_posterior_by_pair(self.remaining, self.wrong)
+        pick = max if self.maximize else min
+        best = pick(dist)
+        guess = dist.index(best) + 1
+        self._last_guess = guess
+        return guess

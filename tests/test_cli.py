@@ -159,6 +159,34 @@ def test_workers_must_be_positive(capsys):
         merge_config({"workers": 0}, {})
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("verify-pointwise", "--max-total", "0"), "--max-total must be at least 1, got 0"),
+        (("optimal", "-m", "2", "-n", "2", "--model", "partial", "--state-limit", "0"),
+         "--state-limit must be at least 1, got 0"),
+        (("optimal", "-m", "2", "-n", "2", "--model", "partial", "--state-limit", "-5"),
+         "--state-limit must be at least 1, got -5"),
+        (("simulate", "-m", "2", "-n", "3", "--strategy", "nofb-cyclic", "--trials", "10",
+          "--seed", "-1"), "--seed must be at least 0, got -1"),
+    ],
+)
+def test_limits_and_seed_must_be_in_range(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
+def test_limits_and_seed_reject_config_values():
+    for key, value in (("max_total", 0), ("state_limit", 0), ("seed", -1)):
+        with pytest.raises(UsageError, match="--" + key.replace("_", "-")):
+            merge_config({key: value}, {})
+    # the lowest accepted values are used as given, not replaced by defaults
+    config = merge_config({"max_total": 1, "state_limit": 1, "seed": 0}, {})
+    assert (config.max_total, config.state_limit, config.seed) == (1, 1, 0)
+
+
 def test_exact_value_subcommand(capsys):
     code, out, _ = run_cli(
         capsys, "exact-value", "-m", "2", "-n", "2", "--strategy", "complete-greedy-max"

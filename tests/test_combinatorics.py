@@ -10,9 +10,11 @@ from guessbench.combinatorics import (
     hypergeom_pmf,
     iter_arrangements,
     last_card_fraction,
+    next_card_counts,
     shuffle_count,
 )
 from guessbench.core import DeckSpec
+from guessbench.exact import iter_constraint_grid
 from oracles import (
     all_shuffles,
     brute_binomial,
@@ -142,6 +144,21 @@ def test_last_card_fraction_bounds_and_errors():
     with pytest.raises(ValueError):
         last_card_fraction(state, 3)
     assert last_card_fraction(ConstraintState((2, 0), (0, 1)), 2) == 0
+
+
+def test_next_card_counts_match_reduced_counts():
+    # includes types with more banned slots than copies and exhausted types
+    for state in iter_constraint_grid(8):
+        remaining, forbidden = state.remaining, state.forbidden
+        counts = next_card_counts(remaining, forbidden)
+        expected = [
+            _count(remaining[:i] + (m_i - 1,) + remaining[i + 1 :], forbidden) if m_i else 0
+            for i, m_i in enumerate(remaining)
+        ]
+        assert counts == expected
+        assert sum(counts) == _count(remaining, forbidden)
+    with pytest.raises(ValueError):
+        next_card_counts((1, 1), (1, 1))
 
 
 def test_shuffle_count():

@@ -17,7 +17,7 @@ from guessbench.montecarlo import (
     rng_stream,
 )
 from guessbench.strategies import StrategyId, StrategySpec, make_strategy
-from oracles import brute_distinct_prefix, replayed_decks
+from oracles import ReferencePartialMle, brute_distinct_prefix, replayed_decks
 
 CONSTANT = StrategySpec(StrategyId.NOFB_CONSTANT)
 
@@ -188,6 +188,23 @@ def test_repeat_time_matches_replayed_decks():
         first = next(t for t in range(1, spec.total + 1) if max(Counter(deck[:t]).values()) == j)
         hist[first] += 1
     assert estimate.histogram == tuple(sorted(hist.items()))
+
+
+@pytest.mark.parametrize(
+    "sid, maximize",
+    [(StrategyId.PARTIAL_MLE, True), (StrategyId.PARTIAL_MIN_MLE, False)],
+)
+def test_mle_matches_reference_on_replayed_decks(sid, maximize):
+    # two blocks, the second cut short
+    spec = DeckSpec(3, 4)
+    trials, seed = 5000, 13
+    summary = estimate_value(spec, FeedbackModel.PARTIAL, StrategySpec(sid), trials, seed)
+    word = np.array(spec.canonical_word(), dtype=np.int16)
+    hist = Counter(
+        play(ReferencePartialMle(spec, maximize), FeedbackModel.PARTIAL, deck)
+        for deck in replayed_decks(word, trials, seed, mc._DECK_TAG, mc.BLOCK_SIZE)
+    )
+    assert summary.histogram == tuple(sorted(hist.items()))
 
 
 def test_policy_player_simulation_consistent():

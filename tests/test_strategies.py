@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from guessbench.core import DeckSpec, FeedbackModel, observe
+from guessbench.exact import solve_partial
 from guessbench.strategies import (
     StrategyId,
     StrategySpec,
@@ -12,7 +13,7 @@ from guessbench.strategies import (
     parse_strategy,
     posterior_by_pair,
 )
-from oracles import all_shuffles
+from oracles import all_shuffles, reference_posterior_by_pair
 
 
 def play(spec, model, strat, deck):
@@ -117,6 +118,29 @@ def test_posterior_by_pair_known_points():
         Fraction(1, 2),
         Fraction(1, 4),
     ]
+
+
+def test_mle_matches_reference_on_solver_states():
+    # every non-terminal state the partial solver visits, each under its
+    # sorted, reversed and rotated labellings
+    specs = [DeckSpec(m, n) for m in range(1, 13) for n in range(1, 12 // m + 1)]
+    checked = 0
+    for spec in specs:
+        for state in solve_partial(spec, "max").values:
+            if sum(p[1] for p in state) == sum(p[0] for p in state):
+                continue
+            for labelled in (state, state[::-1], state[1:] + state[:1]):
+                remaining = [p[0] for p in labelled]
+                wrong = [p[1] for p in labelled]
+                expected = reference_posterior_by_pair(remaining, wrong)
+                assert posterior_by_pair(remaining, wrong) == expected
+                for sid, pick in ((StrategyId.PARTIAL_MLE, max),
+                                  (StrategyId.PARTIAL_MIN_MLE, min)):
+                    strat = make_strategy(StrategySpec(sid), spec)
+                    strat.remaining, strat.wrong = list(remaining), list(wrong)
+                    assert strat.next_guess() == expected.index(pick(expected)) + 1
+            checked += 1
+    assert checked > 10_000
 
 
 def test_mle_picks_posterior_mode_and_persists():
