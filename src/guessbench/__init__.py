@@ -6,9 +6,7 @@ from ._version import __version__
 from .combinatorics import (
     ConstraintState,
     binomial_pmf,
-    count_arrangements,
     hypergeom_pmf,
-    iter_arrangements,
     last_card_fraction,
     shuffle_count,
 )
@@ -17,17 +15,14 @@ from .core import (
     FeedbackModel,
     chain_length,
     observe,
-    validate_shuffle,
 )
 from .exact import (
     PartialSolution,
     PersistenceViolation,
     PointwiseReport,
-    PolicyPlayer,
     enumerable_specs,
     exact_chain_mean,
     exact_value,
-    expectimax_value,
     first_third_distribution,
     iter_shuffles,
     optimal_complete,
@@ -62,7 +57,6 @@ __all__ = [
     "PartialSolution",
     "PersistenceViolation",
     "PointwiseReport",
-    "PolicyPlayer",
     "RepeatTimeEstimate",
     "StatSummary",
     "Strategy",
@@ -71,7 +65,6 @@ __all__ = [
     "binomial_pmf",
     "chain_length",
     "compatible",
-    "count_arrangements",
     "enumerable_specs",
     "estimate_chain",
     "estimate_repeat_time",
@@ -79,10 +72,8 @@ __all__ = [
     "exact_chain_mean",
     "exact_distinct_prefix_probability",
     "exact_value",
-    "expectimax_value",
     "first_third_distribution",
     "hypergeom_pmf",
-    "iter_arrangements",
     "iter_shuffles",
     "last_card_fraction",
     "make_strategy",
@@ -94,6 +85,5 @@ __all__ = [
     "rng_stream",
     "shuffle_count",
     "solve_partial",
-    "validate_shuffle",
     "verify_pointwise",
 ]

@@ -69,7 +69,6 @@ class WalkSpec:
 
     p: float
     horizon: int
-    description: str = ""
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.p <= 1.0:

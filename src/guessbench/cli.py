@@ -1,9 +1,11 @@
 """Command-line front door: flat key=value configs, nine subcommands, and
 delimited reports.
 
-Precedence is flags over config file over defaults.  The config path itself
-comes from --config or the GUESSBENCH_CONFIG environment variable.  Exit
-codes: 0 success, 1 a verification suite reported FAIL, 2 usage errors.
+Each subcommand accepts only the flags and config-file keys it reads, as
+listed in ``_COMMANDS``.  Precedence is flags over config file over
+defaults.  The config path itself comes from --config or the
+GUESSBENCH_CONFIG environment variable.  Exit codes: 0 success, 1 a
+verification suite reported FAIL, 2 usage errors.
 """
 
 from __future__ import annotations
@@ -21,18 +23,6 @@ from .reporting import emit_table, exact_cells, provenance
 from .strategies import parse_strategy
 
 CONFIG_ENV = "GUESSBENCH_CONFIG"
-
-SUBCOMMANDS = (
-    "exact-value",
-    "optimal",
-    "simulate",
-    "verify-pointwise",
-    "verify-bounds",
-    "tj",
-    "persistence",
-    "lstat",
-    "table",
-)
 
 # Two recorded growth rates for the second-order error term of the
 # partial-feedback optimum at large m; metadata only, asserted nowhere.
@@ -62,7 +52,7 @@ class RunConfig:
     format: str = "csv"
 
 
-_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
+_KEYS = {f.name for f in fields(RunConfig)}
 _INT_KEYS = {"m", "n", "trials", "seed", "workers", "max_total", "j", "state_limit"}
 _CHOICES = {
     "sense": ("max", "min"),
@@ -94,27 +84,19 @@ def parse_config_text(text: str) -> dict:
             raise UsageError(f"config line {lineno} is not key=value: {line!r}")
         key, _, raw = stripped.partition("=")
         key = key.strip()
-        if key not in _FIELD_TYPES:
+        if key not in _KEYS:
             raise UsageError(f"unknown config key {key!r}")
         values[key] = _convert(key, raw.strip())
     return values
 
 
-def emit_config(config: RunConfig) -> str:
-    lines = []
-    for f in fields(RunConfig):
-        value = getattr(config, f.name)
-        if value is not None:
-            lines.append(f"{f.name}={value}")
-    return "\n".join(lines) + "\n"
-
-
-def parse_config(text: str) -> RunConfig:
-    """Inverse of emit_config over valid configs."""
-    return merge_config(parse_config_text(text), {})
-
-
-def merge_config(file_values: dict, flag_values: dict) -> RunConfig:
+def merge_config(subcommand: str, file_values: dict, flag_values: dict) -> RunConfig:
+    """Flag values over config-file values over defaults; a file key that
+    ``subcommand`` does not read is a usage error."""
+    reads = _COMMANDS[subcommand][1] + _SHARED_KEYS
+    for key in file_values:
+        if key not in reads:
+            raise UsageError(f"config key {key!r} is not read by {subcommand}")
     merged = dict(file_values)
     merged.update({k: v for k, v in flag_values.items() if v is not None})
     config = RunConfig(**merged)
@@ -125,44 +107,12 @@ def merge_config(file_values: dict, flag_values: dict) -> RunConfig:
     for key, lowest in _LOWEST.items():
         value = getattr(config, key)
         if value is not None and value < lowest:
-            flag = "--" + key.replace("_", "-")
-            raise UsageError(f"{flag} must be at least {lowest}, got {value}")
+            raise UsageError(f"{_flags(key)[-1]} must be at least {lowest}, got {value}")
     return config
 
 
 def _or_default(value: int | None, default: int) -> int:
     return default if value is None else value
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("-m", "--m", dest="m", type=int)
-    common.add_argument("-n", "--n", dest="n", type=int)
-    common.add_argument("--model", dest="model")
-    common.add_argument("--strategy", dest="strategy")
-    common.add_argument("--trials", dest="trials", type=int)
-    common.add_argument("--seed", dest="seed", type=int)
-    common.add_argument("--workers", dest="workers", type=int)
-    common.add_argument("--sense", dest="sense")
-    common.add_argument("--max-total", dest="max_total", type=int)
-    common.add_argument("--out", dest="out")
-    common.add_argument("--format", dest="format")
-    common.add_argument("--config", dest="config")
-    parser = argparse.ArgumentParser(
-        prog="guessbench",
-        description="Exact values, simulations, and bound checks for card-guessing games.",
-    )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in SUBCOMMANDS:
-        sp = sub.add_parser(name, parents=[common])
-        if name == "tj":
-            sp.add_argument("-j", "--j", dest="j", type=int)
-        elif name == "table":
-            sp.add_argument("--m-grid", dest="m_grid")
-            sp.add_argument("--n-grid", dest="n_grid")
-        if name in ("optimal", "persistence", "table"):
-            sp.add_argument("--state-limit", dest="state_limit", type=int)
-    return parser
 
 
 def _require_spec(config: RunConfig) -> DeckSpec:
@@ -304,7 +254,7 @@ def _bound_report_row(report: bounds.BoundReport) -> dict:
 
 def _cmd_verify_bounds(config: RunConfig):
     reports = bounds.single_tail_grid(_or_default(config.max_total, 60))
-    walk = bounds.WalkSpec(p=0.5, horizon=256, description="binomial")
+    walk = bounds.WalkSpec(p=0.5, horizon=256)
     reports.append(bounds.empirical_maximal(walk, 1.0, 16, 256, config.trials, config.seed))
     reports.append(
         bounds.hyp_tail_report(
@@ -409,7 +359,7 @@ def _cmd_lstat(config: RunConfig):
     }
     enum_limit = _or_default(config.max_total, 10**4)
     if shuffle_count(spec) <= enum_limit:
-        row.update(exact_cells("mean_exact", exact.exact_chain_mean(spec)))
+        row.update(exact_cells("mean_exact", exact.exact_chain_mean(spec, enum_limit)))
     return 0, [{**row, **provenance()}]
 
 
@@ -447,24 +397,49 @@ def _cmd_table(config: RunConfig):
     return 0, rows
 
 
-_HANDLERS = {
-    "exact-value": _cmd_exact_value,
-    "optimal": _cmd_optimal,
-    "simulate": _cmd_simulate,
-    "verify-pointwise": _cmd_verify_pointwise,
-    "verify-bounds": _cmd_verify_bounds,
-    "tj": _cmd_tj,
-    "persistence": _cmd_persistence,
-    "lstat": _cmd_lstat,
-    "table": _cmd_table,
+# Per subcommand, its handler and the RunConfig keys it reads.  Its flags,
+# the config-file keys it accepts and SUBCOMMANDS all come from this table;
+# every subcommand also takes _SHARED_KEYS and --config.
+_COMMANDS = {
+    "exact-value": (_cmd_exact_value, ("m", "n", "model", "strategy", "max_total")),
+    "optimal": (_cmd_optimal, ("m", "n", "model", "sense", "state_limit")),
+    "simulate": (_cmd_simulate, ("m", "n", "model", "strategy", "trials", "seed", "workers")),
+    "verify-pointwise": (_cmd_verify_pointwise, ("max_total",)),
+    "verify-bounds": (_cmd_verify_bounds, ("max_total", "trials", "seed")),
+    "tj": (_cmd_tj, ("m", "n", "j", "trials", "seed")),
+    "persistence": (_cmd_persistence, ("m", "n", "state_limit")),
+    "lstat": (_cmd_lstat, ("m", "n", "trials", "seed", "max_total")),
+    "table": (_cmd_table, ("m", "n", "m_grid", "n_grid", "state_limit")),
 }
+_SHARED_KEYS = ("out", "format")
+SUBCOMMANDS = tuple(_COMMANDS)
+
+
+def _flags(key: str) -> tuple[str, ...]:
+    """Flag spellings of a config key: -m/--m for one letter, else --max-total."""
+    long = "--" + key.replace("_", "-")
+    return ("-" + key, long) if len(key) == 1 else (long,)
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="guessbench",
+        description="Exact values, simulations, and bound checks for card-guessing games.",
+    )
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+    for name, (_, reads) in _COMMANDS.items():
+        # no abbreviations: --m must not stand for --max-total where -m is not read
+        sp = sub.add_parser(name, allow_abbrev=False)
+        for key in reads + _SHARED_KEYS:
+            sp.add_argument(*_flags(key), dest=key, type=int if key in _INT_KEYS else str)
+        sp.add_argument("--config", dest="config")
+    return parser
 
 
 def run(config: RunConfig, subcommand: str) -> int:
-    handler = _HANDLERS.get(subcommand)
-    if handler is None:
+    if subcommand not in _COMMANDS:
         raise UsageError(f"unknown subcommand {subcommand!r}")
-    code, rows = handler(config)
+    code, rows = _COMMANDS[subcommand][0](config)
     text = emit_table(rows, fmt=config.format, path=config.out)
     if config.out is None:
         sys.stdout.write(text)
@@ -486,12 +461,8 @@ def main(argv=None) -> int:
                     file_values = parse_config_text(fh.read())
             except OSError as err:
                 raise UsageError(f"cannot read config {config_path}: {err}") from None
-        flag_values = {
-            name: getattr(args, name)
-            for name in _FIELD_TYPES
-            if getattr(args, name, None) is not None
-        }
-        config = merge_config(file_values, flag_values)
+        flag_values = {key: value for key, value in vars(args).items() if key in _KEYS}
+        config = merge_config(args.subcommand, file_values, flag_values)
         return run(config, args.subcommand)
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)

@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator
 
 from .core import DeckSpec
 
@@ -159,42 +158,6 @@ def next_card_counts(remaining: tuple[int, ...], forbidden: tuple[int, ...]) -> 
         # the reduced state's denominator is den / m_i
         by_pair[m_i, a_i] = _arrangements(poly, total - 1, den // m_i)
     return [by_pair[pair] for pair in zip(remaining, forbidden)]
-
-
-def count_arrangements(state: ConstraintState) -> int:
-    """Number of words satisfying the constraint state."""
-    return _count(state.remaining, state.forbidden)
-
-
-def iter_arrangements(state: ConstraintState, max_total: int = 10) -> Iterator[tuple[int, ...]]:
-    """Yield every satisfying word in lexicographic order.
-
-    Guarded by ``max_total`` since output size is factorial; raise it
-    deliberately for bigger sweeps.
-    """
-    if state.total > max_total:
-        raise ValueError(f"total {state.total} exceeds enumeration guard {max_total}")
-    banned: list[int] = []
-    for t, a_i in enumerate(state.forbidden, start=1):
-        banned.extend([t] * a_i)
-    total = state.total
-    counts = list(state.remaining)
-    word: list[int] = []
-
-    def rec(pos: int) -> Iterator[tuple[int, ...]]:
-        if pos == total:
-            yield tuple(word)
-            return
-        ban = banned[pos] if pos < len(banned) else 0
-        for t in range(1, len(counts) + 1):
-            if counts[t - 1] and t != ban:
-                counts[t - 1] -= 1
-                word.append(t)
-                yield from rec(pos + 1)
-                word.pop()
-                counts[t - 1] += 1
-
-    return rec(0)
 
 
 def last_card_fraction(state: ConstraintState, card: int) -> Fraction:

@@ -10,7 +10,6 @@ nothing, whether the guess was correct, or the drawn card itself.
 from __future__ import annotations
 
 import enum
-from collections import Counter
 from dataclasses import dataclass
 
 Observation = None | bool | int
@@ -44,14 +43,6 @@ class DeckSpec:
         return tuple(
             t for t in range(1, self.num_types + 1) for _ in range(self.multiplicity)
         )
-
-
-def validate_shuffle(word: tuple[int, ...], spec: DeckSpec) -> bool:
-    """True iff ``word`` is a legal shuffle of ``spec``."""
-    if len(word) != spec.total:
-        return False
-    counts = Counter(word)
-    return all(counts.get(t, 0) == spec.multiplicity for t in range(1, spec.num_types + 1))
 
 
 def observe(model: FeedbackModel, guess: int, true_card: int) -> Observation:

@@ -2,12 +2,9 @@
 
 Values are Fractions throughout; the two value DPs reach them through
 integer weights (arrangement count times value) and divide once per state.
-Two independent routes exist for the partial-feedback game:
-``solve_partial`` runs backward induction on canonical tally states, while
-``expectimax_value`` searches the raw tree of observable histories, merging
-nodes only when their sets of consistent deck suffixes are literally
-identical.  Agreement between the two is the core consistency check for the
-tally-state reduction.
+``solve_partial`` runs backward induction on canonical tally states; the
+tests check it against an expectimax search over the raw tree of
+observable histories, which needs no state reduction.
 """
 
 from __future__ import annotations
@@ -16,11 +13,11 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Literal
+from typing import Iterator, Literal
 
 from .combinatorics import ConstraintState, _count, last_card_fraction, shuffle_count
 from .core import DeckSpec, FeedbackModel, chain_length, play
-from .strategies import Strategy, StrategySpec, compatible, make_strategy
+from .strategies import StrategySpec, _resolve_model, make_strategy
 
 Sense = Literal["max", "min"]
 
@@ -30,12 +27,9 @@ DEFAULT_ENUM_LIMIT = 10**6
 DEFAULT_STATE_LIMIT = 400_000
 
 
-def _check_sense(sense: str) -> Callable:
-    if sense == "max":
-        return max
-    if sense == "min":
-        return min
-    raise ValueError(f"sense must be 'max' or 'min', got {sense!r}")
+def _check_sense(sense: str) -> None:
+    if sense not in ("max", "min"):
+        raise ValueError(f"sense must be 'max' or 'min', got {sense!r}")
 
 
 def iter_shuffles(spec: DeckSpec) -> Iterator[tuple[int, ...]]:
@@ -73,33 +67,25 @@ def enumerable_specs(size_limit: int = 10**4, max_total: int = 16) -> list[DeckS
 
 def exact_value(
     spec: DeckSpec,
-    strategy: StrategySpec | Callable[[DeckSpec], Strategy],
+    strategy: StrategySpec,
     model: FeedbackModel | None = None,
     limit: int = DEFAULT_ENUM_LIMIT,
 ) -> Fraction:
     """Expected score of a deterministic strategy by full enumeration.
 
-    ``strategy`` is a StrategySpec or a factory producing a fresh strategy
-    per game.  Randomized specs are rejected; estimate those by simulation.
+    Randomized specs are rejected; estimate those by simulation.
     """
-    if isinstance(strategy, StrategySpec):
-        if not strategy.deterministic:
-            raise ValueError(f"{strategy.label()} is randomized; use montecarlo.estimate_value")
-        if model is None:
-            model = strategy.native_model
-        elif not compatible(strategy, model):
-            raise ValueError(f"{strategy.label()} cannot play under {model.value} feedback")
-        factory = lambda deck: make_strategy(strategy, deck)
-    else:
-        if model is None:
-            raise ValueError("model is required when passing a strategy factory")
-        factory = strategy
+    if not strategy.deterministic:
+        raise ValueError(f"{strategy.label()} is randomized; use montecarlo.estimate_value")
+    model = _resolve_model(strategy, model)
     size = shuffle_count(spec)
     if size > limit:
         raise ValueError(
             f"{size} shuffles exceed the enumeration limit {limit}; raise it or simulate"
         )
-    total_score = sum(play(factory(spec), model, deck) for deck in iter_shuffles(spec))
+    total_score = sum(
+        play(make_strategy(strategy, spec), model, deck) for deck in iter_shuffles(spec)
+    )
     return Fraction(total_score, size)
 
 
@@ -296,99 +282,6 @@ def optimal_partial(
     spec: DeckSpec, sense: Sense = "max", state_limit: int = DEFAULT_STATE_LIMIT
 ) -> Fraction:
     return solve_partial(spec, sense, state_limit=state_limit).value
-
-
-class PolicyPlayer:
-    """Replays a solved partial-feedback policy against concrete decks.
-
-    Tracks each concrete type's (remaining, wrong-guess) pair, looks up the
-    canonical multiset in the solution's policy, and maps the chosen pair
-    back to the lowest matching type index.
-    """
-
-    model = FeedbackModel.PARTIAL
-
-    def __init__(self, solution: PartialSolution):
-        if solution.policy is None:
-            raise ValueError("solution was computed without track_policy")
-        self._policy = solution.policy
-        self._pairs = [
-            [solution.spec.multiplicity, 0] for _ in range(solution.spec.num_types)
-        ]
-        self._last = 0
-
-    def next_guess(self) -> int:
-        state = tuple(sorted((m, a) for m, a in self._pairs))
-        pair = min(self._policy[state])
-        for i, (m, a) in enumerate(self._pairs):
-            if (m, a) == pair:
-                self._last = i + 1
-                return self._last
-        raise RuntimeError("optimal action matches no concrete type")
-
-    def observe(self, obs) -> None:
-        if obs:
-            self._pairs[self._last - 1][0] -= 1
-        else:
-            self._pairs[self._last - 1][1] += 1
-
-
-# ===== partial feedback: independent expectimax over observable histories =====
-
-
-def expectimax_value(spec: DeckSpec, sense: Sense = "max", limit: int = 10**4) -> Fraction:
-    """Reference value by exhaustive search over feedback histories.
-
-    Decks consistent with the history are carried as an explicit multiset of
-    their remaining suffixes (packed little-endian into ints).  Nodes merge
-    only when these multisets coincide exactly, which is sound regardless of
-    any state-reduction theory: identical futures have identical values.
-    """
-    choose = _check_sense(sense)
-    size = shuffle_count(spec)
-    if size > limit:
-        raise ValueError(f"{size} shuffles exceed the search limit {limit}")
-    base = spec.num_types + 1
-    weights = [base**t for t in range(spec.total)]
-    root: dict[int, int] = {}
-    for deck in iter_shuffles(spec):
-        root[sum(c * w for c, w in zip(deck, weights))] = 1
-    memo: dict[tuple[tuple[int, int], ...], Fraction] = {}
-
-    def value(node: tuple[tuple[int, int], ...]) -> Fraction:
-        if node[0][0] == 0:  # empty suffixes: the deck ran out
-            return Fraction(0)
-        cached = memo.get(node)
-        if cached is not None:
-            return cached
-        total = 0
-        shifted: dict[int, int] = {}
-        groups: dict[int, dict[int, int]] = {}
-        for code, cnt in node:
-            total += cnt
-            first, rest = code % base, code // base
-            grp = groups.setdefault(first, {})
-            grp[rest] = grp.get(rest, 0) + cnt
-            shifted[rest] = shifted.get(rest, 0) + cnt
-        best: Fraction | None = None
-        for g in range(1, spec.num_types + 1):
-            matched = groups.get(g, {})
-            hit = sum(matched.values())
-            act = Fraction(0)
-            if hit:
-                act += Fraction(hit, total) * (1 + value(tuple(sorted(matched.items()))))
-            if hit != total:
-                missed = {
-                    rest: cnt - matched.get(rest, 0)
-                    for rest, cnt in shifted.items()
-                    if cnt != matched.get(rest, 0)
-                }
-                act += Fraction(total - hit, total) * value(tuple(sorted(missed.items())))
-            best = act if best is None else choose(best, act)
-        memo[node] = best
-        return best
-
-    return value(tuple(sorted(root.items())))
 
 
 # ===== persistence probe =====

@@ -25,7 +25,7 @@ from typing import Iterator
 import numpy as np
 
 from .core import DeckSpec, FeedbackModel, play
-from .strategies import StrategyId, StrategySpec, compatible, make_strategy
+from .strategies import StrategyId, StrategySpec, _resolve_model, make_strategy
 
 RNG_FAMILY = "philox4x64"
 BLOCK_SIZE = 4096
@@ -195,14 +195,6 @@ def _score_block_job(payload) -> list[tuple[int, int]]:
         DeckSpec(m, n), FeedbackModel(model_value), sspec, count, seed, block_id
     )
     return sorted(Counter(scores.tolist()).items())
-
-
-def _resolve_model(sspec: StrategySpec, model: FeedbackModel | None) -> FeedbackModel:
-    if model is None:
-        return sspec.native_model
-    if not compatible(sspec, model):
-        raise ValueError(f"{sspec.label()} cannot play under {model.value} feedback")
-    return model
 
 
 def estimate_value(

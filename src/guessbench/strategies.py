@@ -45,6 +45,19 @@ _NATIVE_MODEL = {
 }
 
 _PARAM_FIELDS = ("card", "phase", "threshold", "seed")
+# The parameters each strategy reads; every other strategy reads none.
+_READS = {
+    StrategyId.NOFB_CONSTANT: ("card",),
+    StrategyId.PARTIAL_UNIFORM: ("seed",),
+    StrategyId.PARTIAL_TWO_PHASE: ("phase", "threshold"),
+}
+
+
+def _check_reads(sid: StrategyId, name: str) -> None:
+    reads = _READS.get(sid, ())
+    if name not in reads:
+        takes = ", ".join(reads) or "none"
+        raise ValueError(f"{sid.value} does not read parameter {name} (it reads: {takes})")
 
 
 @dataclass(frozen=True)
@@ -56,6 +69,11 @@ class StrategySpec:
     phase: int | None = None
     threshold: float | None = None
     seed: int | None = None
+
+    def __post_init__(self) -> None:
+        for name in _PARAM_FIELDS:
+            if getattr(self, name) is not None:
+                _check_reads(self.id, name)
 
     @property
     def native_model(self) -> FeedbackModel:
@@ -90,6 +108,8 @@ def parse_strategy(text: str) -> StrategySpec:
             key = key.strip()
             if not sep or key not in _PARAM_FIELDS:
                 raise ValueError(f"bad strategy parameter {item!r}")
+            # checked here too, since threshold=auto leaves no field set
+            _check_reads(sid, key)
             value = value.strip()
             if key == "threshold":
                 if value != "auto":
@@ -101,8 +121,6 @@ def parse_strategy(text: str) -> StrategySpec:
 
 class Strategy:
     """Base: one game's worth of guessing state."""
-
-    model = FeedbackModel.NONE
 
     def __init__(self, deck: DeckSpec):
         self.deck = deck
@@ -116,8 +134,6 @@ class Strategy:
 
 class CompleteGreedy(Strategy):
     """Guess a most (or least) plentiful remaining type; ties to lowest index."""
-
-    model = FeedbackModel.COMPLETE
 
     def __init__(self, deck: DeckSpec, maximize: bool):
         super().__init__(deck)
@@ -157,8 +173,6 @@ class NofbCyclic(Strategy):
 
 class PartialTally(Strategy):
     """Shared bookkeeping for partial-feedback strategies that track tallies."""
-
-    model = FeedbackModel.PARTIAL
 
     def __init__(self, deck: DeckSpec):
         super().__init__(deck)
@@ -235,8 +249,6 @@ class PartialMle(PartialTally):
 
 
 class PartialUniform(Strategy):
-    model = FeedbackModel.PARTIAL
-
     def __init__(self, deck: DeckSpec, rng: np.random.Generator):
         super().__init__(deck)
         # One bulk draw per game keeps the stream layout identical to the
@@ -257,8 +269,6 @@ class PartialTwoPhase(Strategy):
     the number of corrects so far reaches the threshold (default
     m/2 + sqrt(m)); otherwise keep guessing 1 forever.
     """
-
-    model = FeedbackModel.PARTIAL
 
     def __init__(self, deck: DeckSpec, phase: int, threshold: float):
         super().__init__(deck)
@@ -286,8 +296,6 @@ class PartialLadder(Strategy):
 
     After type n is hit the target caps and n is guessed forever.
     """
-
-    model = FeedbackModel.PARTIAL
 
     def __init__(self, deck: DeckSpec):
         super().__init__(deck)
@@ -351,3 +359,12 @@ def compatible(spec: StrategySpec, model: FeedbackModel) -> bool:
     """No-feedback strategies run under any model; others only their own."""
     native = spec.native_model
     return native is model or native is FeedbackModel.NONE
+
+
+def _resolve_model(spec: StrategySpec, model: FeedbackModel | None) -> FeedbackModel:
+    """``model``, which must be compatible with ``spec``, or when None the native one."""
+    if model is None:
+        return spec.native_model
+    if not compatible(spec, model):
+        raise ValueError(f"{spec.label()} cannot play under {model.value} feedback")
+    return model

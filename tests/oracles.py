@@ -4,11 +4,17 @@ Most of this file enumerates and filters and shares no code with the
 package; size guards keep those inputs tiny on purpose.  ``replayed_decks``
 draws seeded shuffles one at a time from ``rng_stream``, the layout the
 chunked deck sampler must reproduce.  The recursive
-value DPs at the end are the package's earlier Fraction-valued solvers,
+value DPs are the package's earlier Fraction-valued solvers,
 kept as references for the integer-weighted ones, and the Fraction-valued
 partial-mle posterior and guesser references the integer-count one.  They
 import only the arrangement counter ``_count``, ``DeckSpec``, two result
 records and the partial-feedback tally base ``PartialTally``.
+
+The last section holds references that once lived in the package: a
+recursive arrangement enumerator, a replayer of solved partial policies,
+the expectimax search over feedback histories (an independent route to the
+partial-feedback optimum) and ``brute_value``, which scores any strategy
+factory over every shuffle with ``core.play``.
 """
 
 from __future__ import annotations
@@ -17,11 +23,11 @@ import itertools
 import math
 from collections import Counter
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterator
 
-from guessbench.combinatorics import _count
-from guessbench.core import DeckSpec
-from guessbench.exact import PartialSolution, PersistenceViolation
+from guessbench.combinatorics import ConstraintState, _count, shuffle_count
+from guessbench.core import DeckSpec, FeedbackModel, play
+from guessbench.exact import PartialSolution, PersistenceViolation, Sense, iter_shuffles
 from guessbench.montecarlo import rng_stream
 from guessbench.strategies import PartialTally
 
@@ -364,3 +370,134 @@ class ReferencePartialMle(PartialTally):
         guess = dist.index(best) + 1
         self._last_guess = guess
         return guess
+
+
+# ===== search and replay references =====
+
+
+def iter_arrangements(state: ConstraintState, max_total: int = 10) -> Iterator[tuple[int, ...]]:
+    """Yield every satisfying word in lexicographic order.
+
+    Guarded by ``max_total`` since output size is factorial; raise it
+    deliberately for bigger sweeps.
+    """
+    if state.total > max_total:
+        raise ValueError(f"total {state.total} exceeds enumeration guard {max_total}")
+    banned: list[int] = []
+    for t, a_i in enumerate(state.forbidden, start=1):
+        banned.extend([t] * a_i)
+    total = state.total
+    counts = list(state.remaining)
+    word: list[int] = []
+
+    def rec(pos: int) -> Iterator[tuple[int, ...]]:
+        if pos == total:
+            yield tuple(word)
+            return
+        ban = banned[pos] if pos < len(banned) else 0
+        for t in range(1, len(counts) + 1):
+            if counts[t - 1] and t != ban:
+                counts[t - 1] -= 1
+                word.append(t)
+                yield from rec(pos + 1)
+                word.pop()
+                counts[t - 1] += 1
+
+    return rec(0)
+
+
+class PolicyPlayer:
+    """Replays a solved partial-feedback policy against concrete decks.
+
+    Tracks each concrete type's (remaining, wrong-guess) pair, looks up the
+    canonical multiset in the solution's policy, and maps the chosen pair
+    back to the lowest matching type index.
+    """
+
+    model = FeedbackModel.PARTIAL
+
+    def __init__(self, solution: PartialSolution):
+        if solution.policy is None:
+            raise ValueError("solution was computed without track_policy")
+        self._policy = solution.policy
+        self._pairs = [
+            [solution.spec.multiplicity, 0] for _ in range(solution.spec.num_types)
+        ]
+        self._last = 0
+
+    def next_guess(self) -> int:
+        state = tuple(sorted((m, a) for m, a in self._pairs))
+        pair = min(self._policy[state])
+        for i, (m, a) in enumerate(self._pairs):
+            if (m, a) == pair:
+                self._last = i + 1
+                return self._last
+        raise RuntimeError("optimal action matches no concrete type")
+
+    def observe(self, obs) -> None:
+        if obs:
+            self._pairs[self._last - 1][0] -= 1
+        else:
+            self._pairs[self._last - 1][1] += 1
+
+
+def expectimax_value(spec: DeckSpec, sense: Sense = "max", limit: int = 10**4) -> Fraction:
+    """Reference value by exhaustive search over feedback histories.
+
+    Decks consistent with the history are carried as an explicit multiset of
+    their remaining suffixes (packed little-endian into ints).  Nodes merge
+    only when these multisets coincide exactly, which is sound regardless of
+    any state-reduction theory: identical futures have identical values.
+    """
+    choose = _check_sense(sense)
+    size = shuffle_count(spec)
+    if size > limit:
+        raise ValueError(f"{size} shuffles exceed the search limit {limit}")
+    base = spec.num_types + 1
+    weights = [base**t for t in range(spec.total)]
+    root: dict[int, int] = {}
+    for deck in iter_shuffles(spec):
+        root[sum(c * w for c, w in zip(deck, weights))] = 1
+    memo: dict[tuple[tuple[int, int], ...], Fraction] = {}
+
+    def value(node: tuple[tuple[int, int], ...]) -> Fraction:
+        if node[0][0] == 0:  # empty suffixes: the deck ran out
+            return Fraction(0)
+        cached = memo.get(node)
+        if cached is not None:
+            return cached
+        total = 0
+        shifted: dict[int, int] = {}
+        groups: dict[int, dict[int, int]] = {}
+        for code, cnt in node:
+            total += cnt
+            first, rest = code % base, code // base
+            grp = groups.setdefault(first, {})
+            grp[rest] = grp.get(rest, 0) + cnt
+            shifted[rest] = shifted.get(rest, 0) + cnt
+        best: Fraction | None = None
+        for g in range(1, spec.num_types + 1):
+            matched = groups.get(g, {})
+            hit = sum(matched.values())
+            act = Fraction(0)
+            if hit:
+                act += Fraction(hit, total) * (1 + value(tuple(sorted(matched.items()))))
+            if hit != total:
+                missed = {
+                    rest: cnt - matched.get(rest, 0)
+                    for rest, cnt in shifted.items()
+                    if cnt != matched.get(rest, 0)
+                }
+                act += Fraction(total - hit, total) * value(tuple(sorted(missed.items())))
+            best = act if best is None else choose(best, act)
+        memo[node] = best
+        return best
+
+    return value(tuple(sorted(root.items())))
+
+
+def brute_value(spec: DeckSpec, factory, model: FeedbackModel) -> Fraction:
+    """Mean score of ``factory(spec)``, a fresh strategy per game, over every
+    shuffle of ``spec``."""
+    decks = all_shuffles(spec.multiplicity, spec.num_types)
+    return Fraction(sum(play(factory(spec), model, deck) for deck in decks), len(decks))

@@ -13,13 +13,12 @@ from guessbench.bounds import (
     first_third_dominance_reports,
     single_tail_grid,
 )
-from guessbench.combinatorics import count_arrangements, iter_arrangements
+from guessbench.combinatorics import _count
 from guessbench.core import DeckSpec, FeedbackModel, chain_length, observe
 from guessbench.exact import (
     enumerable_specs,
     exact_chain_mean,
     exact_value,
-    expectimax_value,
     iter_constraint_grid,
     iter_shuffles,
     optimal_complete,
@@ -33,6 +32,7 @@ from guessbench.montecarlo import (
 )
 from guessbench.cli import main
 from guessbench.strategies import StrategyId, StrategySpec, make_strategy
+from oracles import expectimax_value, iter_arrangements
 
 GREEDY_MAX = StrategySpec(StrategyId.COMPLETE_GREEDY_MAX)
 GREEDY_MIN = StrategySpec(StrategyId.COMPLETE_GREEDY_MIN)
@@ -127,7 +127,7 @@ def test_criterion_05_pointwise_bound_and_counts_exhaustive():
 
     states = 0
     for state in iter_constraint_grid(8, 4):
-        assert count_arrangements(state) == sum(
+        assert _count(state.remaining, state.forbidden) == sum(
             1 for _ in iter_arrangements(state, max_total=8)
         )
         states += 1

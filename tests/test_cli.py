@@ -1,7 +1,6 @@
 import csv
 import json
 import os
-import random
 import re
 import shutil
 import subprocess
@@ -11,15 +10,16 @@ from pathlib import Path
 
 import pytest
 
+import guessbench.exact as exact
 from guessbench.cli import (
     CONFIG_ENV,
-    RunConfig,
     SUBCOMMANDS,
     UsageError,
-    emit_config,
+    _COMMANDS,
+    _build_parser,
+    _flags,
     main,
     merge_config,
-    parse_config,
     parse_config_text,
 )
 
@@ -34,6 +34,7 @@ def read_csv(text):
     return list(csv.reader(text.splitlines()))
 
 
+REPO_ROOT = Path(__file__).resolve().parent.parent
 PROVENANCE = ["version", "rng", "timestamp"]
 SIMULATE_COLUMNS = [
     "m", "n", "model", "strategy", "trials", "seed", "workers",
@@ -55,26 +56,6 @@ def test_subcommand_catalog():
     )
 
 
-def test_config_round_trip_fuzz():
-    rng = random.Random(4)
-    for _ in range(25):
-        config = RunConfig(
-            m=rng.choice([None, rng.randint(1, 9)]),
-            n=rng.choice([None, rng.randint(1, 9)]),
-            model=rng.choice([None, "none", "partial", "complete"]),
-            strategy=rng.choice([None, "partial-mle", "nofb-constant:card=2"]),
-            trials=rng.randint(1, 10**6),
-            seed=rng.randint(0, 2**31),
-            workers=rng.randint(1, 8),
-            sense=rng.choice(["max", "min"]),
-            max_total=rng.choice([None, rng.randint(1, 100)]),
-            j=rng.randint(1, 5),
-            out=rng.choice([None, "report.csv"]),
-            format=rng.choice(["csv", "json"]),
-        )
-        assert parse_config(emit_config(config)) == config
-
-
 def test_parse_config_text_errors():
     with pytest.raises(UsageError, match="unknown config key"):
         parse_config_text("depth=3\n")
@@ -86,14 +67,14 @@ def test_parse_config_text_errors():
 
 
 def test_merge_config_precedence_and_choices():
-    config = merge_config({"m": 2, "n": 5}, {"m": 3, "seed": None})
+    config = merge_config("simulate", {"m": 2, "n": 5}, {"m": 3, "seed": None})
     assert config.m == 3
     assert config.n == 5
     assert config.seed == 0
     with pytest.raises(UsageError, match="sense"):
-        merge_config({}, {"sense": "sideways"})
+        merge_config("optimal", {}, {"sense": "sideways"})
     with pytest.raises(UsageError, match="model"):
-        merge_config({"model": "telepathy"}, {})
+        merge_config("optimal", {"model": "telepathy"}, {})
 
 
 def test_usage_errors_exit_2(capsys):
@@ -156,7 +137,7 @@ def test_workers_must_be_positive(capsys):
         assert out == ""
         assert f"--workers must be at least 1, got {workers}" in err
     with pytest.raises(UsageError, match="--workers"):
-        merge_config({"workers": 0}, {})
+        merge_config("simulate", {"workers": 0}, {})
 
 
 @pytest.mark.parametrize(
@@ -179,12 +160,13 @@ def test_limits_and_seed_must_be_in_range(capsys, argv, message):
 
 
 def test_limits_and_seed_reject_config_values():
-    for key, value in (("max_total", 0), ("state_limit", 0), ("seed", -1)):
+    cases = (("lstat", "max_total", 0), ("table", "state_limit", 0), ("lstat", "seed", -1))
+    for subcommand, key, value in cases:
         with pytest.raises(UsageError, match="--" + key.replace("_", "-")):
-            merge_config({key: value}, {})
-    # the lowest accepted values are used as given, not replaced by defaults
-    config = merge_config({"max_total": 1, "state_limit": 1, "seed": 0}, {})
-    assert (config.max_total, config.state_limit, config.seed) == (1, 1, 0)
+            merge_config(subcommand, {key: value}, {})
+        # the lowest accepted value is used as given, not replaced by a default
+        config = merge_config(subcommand, {key: value + 1}, {})
+        assert getattr(config, key) == value + 1
 
 
 def test_exact_value_subcommand(capsys):
@@ -422,7 +404,114 @@ def test_config_unknown_key_exits_2(tmp_path, capsys):
     assert "unknown config key" in err
 
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
+# The RunConfig keys each subcommand reads; each also takes --out, --format
+# and --config.
+READS = {
+    "exact-value": ("m", "n", "model", "strategy", "max_total"),
+    "optimal": ("m", "n", "model", "sense", "state_limit"),
+    "simulate": ("m", "n", "model", "strategy", "trials", "seed", "workers"),
+    "verify-pointwise": ("max_total",),
+    "verify-bounds": ("max_total", "trials", "seed"),
+    "tj": ("m", "n", "j", "trials", "seed"),
+    "persistence": ("m", "n", "state_limit"),
+    "lstat": ("m", "n", "trials", "seed", "max_total"),
+    "table": ("m", "n", "m_grid", "n_grid", "state_limit"),
+}
+SPELLINGS = {
+    "m": ("-m", "--m"),
+    "n": ("-n", "--n"),
+    "j": ("-j", "--j"),
+    "model": ("--model",),
+    "strategy": ("--strategy",),
+    "trials": ("--trials",),
+    "seed": ("--seed",),
+    "workers": ("--workers",),
+    "sense": ("--sense",),
+    "max_total": ("--max-total",),
+    "m_grid": ("--m-grid",),
+    "n_grid": ("--n-grid",),
+    "state_limit": ("--state-limit",),
+    "out": ("--out",),
+    "format": ("--format",),
+    "config": ("--config",),
+}
+# Keys several subcommands read; each of the others must reject them.
+COMMON_KEYS = ("m", "n", "model", "strategy", "trials", "seed", "workers", "sense", "max_total")
+UNREAD = [(name, key) for name, keys in READS.items() for key in COMMON_KEYS if key not in keys]
+
+
+def test_each_subcommand_accepts_what_it_reads():
+    assert {name: keys for name, (_, keys) in _COMMANDS.items()} == READS
+    assert len(UNREAD) == 48
+    parser = _build_parser()
+    slots = 0
+    for name, keys in READS.items():
+        for key in keys + ("out", "format", "config"):
+            for flag in SPELLINGS[key]:
+                assert getattr(parser.parse_args([name, flag, "7"]), key) in (7, "7")
+            slots += 1
+    assert slots == 66
+
+
+def test_readme_flag_table_matches_cli():
+    rows = {}
+    for line in (REPO_ROOT / "README.md").read_text().splitlines():
+        cells = [cell.strip().strip("`") for cell in line.strip().strip("|").split("|")]
+        if len(cells) == 3 and cells[0] in SUBCOMMANDS:
+            rows[cells[0]] = cells[2].replace("`", "").split()
+    assert rows == {
+        name: [_flags(key)[0] for key in keys] for name, (_, keys) in _COMMANDS.items()
+    }
+
+
+@pytest.mark.parametrize("subcommand,key", UNREAD, ids=[f"{s}:{k}" for s, k in UNREAD])
+def test_unread_flag_exits_2(capsys, subcommand, key):
+    for flag in SPELLINGS[key]:
+        code, out, err = run_cli(capsys, subcommand, flag, "1")
+        assert code == 2
+        assert out == ""
+        assert f"unrecognized arguments: {flag} 1" in err
+
+
+def test_unread_config_key_exits_2(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("m=2\nn=3\nsense=min\n")
+    code, out, err = run_cli(capsys, "persistence", "--config", str(config))
+    assert code == 2
+    assert out == ""
+    assert "config key 'sense' is not read by persistence" in err
+    with pytest.raises(UsageError, match="'trials' is not read by optimal"):
+        merge_config("optimal", {"trials": 5}, {})
+    # --out and --format go to every subcommand
+    assert merge_config("persistence", {"format": "json", "out": "r.csv"}, {}).format == "json"
+
+
+def test_unread_strategy_parameter_exits_2(capsys):
+    code, out, err = run_cli(
+        capsys, "simulate", "-m", "2", "-n", "3",
+        "--strategy", "partial-mle:card=2,phase=4", "--trials", "10",
+    )
+    assert code == 2
+    assert out == ""
+    assert "partial-mle does not read parameter card" in err
+
+
+def test_lstat_enumerates_up_to_max_total(capsys, monkeypatch):
+    limits = []
+    enumerate_mean = exact.exact_chain_mean
+
+    def recording(spec, limit=exact.DEFAULT_ENUM_LIMIT):
+        limits.append(limit)
+        return enumerate_mean(spec, limit)
+
+    monkeypatch.setattr(exact, "exact_chain_mean", recording)
+    for extra in (["--max-total", "10000000"], []):
+        code, out, _ = run_cli(capsys, "lstat", "-m", "1", "-n", "2", "--trials", "10", *extra)
+        assert code == 0
+        assert dict(zip(*read_csv(out)))["mean_exact"] == "3/2"
+    assert limits == [10_000_000, 10**4]
+
+
 ENTRY_POINT_ARGS = ["optimal", "-m", "1", "-n", "3", "--model", "complete"]
 
 

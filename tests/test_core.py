@@ -5,7 +5,6 @@ from guessbench.core import (
     FeedbackModel,
     chain_length,
     observe,
-    validate_shuffle,
 )
 from oracles import all_shuffles, brute_chain
 
@@ -20,16 +19,6 @@ def test_deck_spec_basics():
 def test_deck_spec_rejects_nonpositive(m, n):
     with pytest.raises(ValueError):
         DeckSpec(m, n)
-
-
-def test_validate_shuffle():
-    spec = DeckSpec(2, 2)
-    assert validate_shuffle((1, 2, 2, 1), spec)
-    assert not validate_shuffle((1, 2, 2), spec)
-    assert not validate_shuffle((1, 1, 1, 2), spec)
-    assert not validate_shuffle((1, 2, 3, 1), spec)
-    for word in all_shuffles(2, 2):
-        assert validate_shuffle(word, spec)
 
 
 def test_observe_payloads():

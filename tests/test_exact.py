@@ -10,21 +10,22 @@ from guessbench.exact import (
     enumerable_specs,
     exact_chain_mean,
     exact_value,
-    expectimax_value,
     first_third_distribution,
     iter_constraint_grid,
     iter_shuffles,
     optimal_complete,
     optimal_partial,
-    PolicyPlayer,
     probe_persistence,
     solve_partial,
     verify_pointwise,
 )
 from guessbench.strategies import StrategyId, StrategySpec
 from oracles import (
+    PolicyPlayer,
     all_shuffles,
     brute_chain,
+    brute_value,
+    expectimax_value,
     recursive_optimal_complete,
     recursive_probe_persistence,
     recursive_solve_partial,
@@ -157,9 +158,7 @@ def test_arbitrary_strategies_lie_between_optima():
     for spec in [DeckSpec(2, 2), DeckSpec(1, 4)]:
         lo, hi = optimal_partial(spec, "min"), optimal_partial(spec, "max")
         for seed in range(10):
-            value = exact_value(
-                spec, _scripted_factory(seed), model=FeedbackModel.PARTIAL
-            )
+            value = brute_value(spec, _scripted_factory(seed), FeedbackModel.PARTIAL)
             assert lo <= value <= hi
 
 
@@ -167,9 +166,7 @@ def test_policy_player_achieves_dp_value():
     for m, n in [(1, 3), (2, 2)]:
         spec = DeckSpec(m, n)
         solution = solve_partial(spec, "max", track_policy=True)
-        value = exact_value(
-            spec, lambda deck: PolicyPlayer(solution), model=FeedbackModel.PARTIAL
-        )
+        value = brute_value(spec, lambda deck: PolicyPlayer(solution), FeedbackModel.PARTIAL)
         assert value == solution.value
 
 
@@ -246,8 +243,6 @@ def test_enumeration_limits_and_misuse():
         exact_value(DeckSpec(2, 2), StrategySpec(StrategyId.PARTIAL_UNIFORM))
     with pytest.raises(ValueError, match="cannot play"):
         exact_value(DeckSpec(2, 2), StrategySpec(StrategyId.PARTIAL_MLE), model=FeedbackModel.COMPLETE)
-    with pytest.raises(ValueError, match="model is required"):
-        exact_value(DeckSpec(2, 2), _scripted_factory(0))
 
 
 def test_no_feedback_strategy_under_complete_model():

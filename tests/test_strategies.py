@@ -50,6 +50,31 @@ def test_parse_rejects_unknown():
         parse_strategy("nofb-constant:card")
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "partial-mle:card=2",
+        "partial-mle:threshold=auto",
+        "nofb-cyclic:card=1",
+        "nofb-constant:seed=3",
+        "partial-uniform:card=1",
+        "partial-two-phase:card=2",
+        "partial-two-phase:seed=4",
+        "complete-greedy-max:phase=3",
+    ],
+)
+def test_parameters_a_strategy_does_not_read_are_rejected(text):
+    name, _, param = text.partition(":")
+    message = f"{name} does not read parameter {param.partition('=')[0]}"
+    with pytest.raises(ValueError, match=message):
+        parse_strategy(text)
+    spec = parse_strategy(name)
+    key, _, value = param.partition("=")
+    if value != "auto":
+        with pytest.raises(ValueError, match=message):
+            make_strategy(StrategySpec(spec.id, **{key: int(value)}), DeckSpec(2, 2))
+
+
 def test_parse_threshold_auto():
     spec = parse_strategy("partial-two-phase:threshold=auto")
     assert spec.threshold is None
