@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .combinatorics import binomial_pmf, hypergeom_pmf
+from .combinatorics import binomial_pmf
 from .core import DeckSpec
 from .exact import enumerable_specs, first_third_distribution
 from .montecarlo import _blocks, deck_chunks, rng_stream
@@ -136,13 +136,20 @@ def empirical_maximal(
 
 
 def hyp_single_tail_exact(population: int, good: int, draws: int, lam: float) -> Fraction:
-    """Exact P[S_draws > (1+lam) * draws * good / population]."""
-    threshold = (1 + Fraction(lam)) * draws * good / population
-    k_min = math.floor(threshold) + 1
-    return sum(
-        (hypergeom_pmf(population, good, draws, k) for k in range(k_min, min(draws, good) + 1)),
-        Fraction(0),
+    """Exact P[S_draws > (1+lam) * draws * good / population].
+
+    With lam = p/q exactly, the smallest count past the threshold is
+    floor((q + p) * draws * good / (q * population)) + 1, and the tail sums
+    the integers C(draws, k) * C(population - draws, good - k) before one
+    division by C(population, good).
+    """
+    p, q = Fraction(lam).as_integer_ratio()
+    k_min = max((q + p) * draws * good // (q * population) + 1, 0)
+    tail = sum(
+        math.comb(draws, k) * math.comb(population - draws, good - k)
+        for k in range(k_min, min(draws, good) + 1)
     )
+    return Fraction(tail, math.comb(population, good))
 
 
 def hyp_tail_report(

@@ -137,11 +137,17 @@ def _require_strategy(config: RunConfig):
         raise UsageError(str(err)) from None
 
 
-def _parse_grid(text: str | None, fallback: int | None, flag: str) -> list[int]:
+def _parse_grid(config: RunConfig, key: str) -> list[int]:
+    """The values of ``key`` from its ``<key>_grid`` list or its single flag,
+    never both."""
+    text, single = getattr(config, key + "_grid"), getattr(config, key)
+    flag, single_flag = _flags(key + "_grid")[0], _flags(key)[0]
     if text is None:
-        if fallback is None:
+        if single is None:
             raise UsageError(f"{flag} is required")
-        return [fallback]
+        return [single]
+    if single is not None:
+        raise UsageError(f"give {single_flag} or {flag}, not both")
     try:
         values = [int(part) for part in text.split(",") if part.strip()]
     except ValueError:
@@ -177,6 +183,8 @@ def _cmd_optimal(config: RunConfig):
     spec = _require_spec(config)
     if config.model is None:
         raise UsageError("--model is required (none|partial|complete)")
+    if config.state_limit is not None and config.model != "partial":
+        raise UsageError(f"--state-limit is read only with --model partial, not {config.model}")
     if config.model == "complete":
         value = exact.optimal_complete(spec, config.sense)
     elif config.model == "partial":
@@ -371,8 +379,8 @@ def _partial_value_or_none(spec: DeckSpec, sense: str, state_limit: int):
 
 
 def _cmd_table(config: RunConfig):
-    m_values = _parse_grid(config.m_grid, config.m, "--m-grid")
-    n_values = _parse_grid(config.n_grid, config.n, "--n-grid")
+    m_values = _parse_grid(config, "m")
+    n_values = _parse_grid(config, "n")
     state_limit = _or_default(config.state_limit, exact.DEFAULT_STATE_LIMIT)
     stamp = provenance()
     rows = []

@@ -9,13 +9,23 @@ observable histories, which needs no state reduction.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Literal
 
-from .combinatorics import ConstraintState, _count, last_card_fraction, shuffle_count
+# last_card_fraction is unused here; perfbench/test_perfbench.py checks that
+# tracing rebinds exact.last_card_fraction, and perfbench/ is fixed with the
+# benchmark, so the name stays until the benchmark's next change.
+from .combinatorics import (  # noqa: F401
+    ConstraintState,
+    _count,
+    last_card_fraction,
+    next_card_counts,
+    shuffle_count,
+)
 from .core import DeckSpec, FeedbackModel, chain_length, play
 from .strategies import StrategySpec, _resolve_model, make_strategy
 
@@ -363,26 +373,26 @@ def first_third_distribution(
 # ===== pointwise bound sweep =====
 
 
+def _grid_vectors(
+    max_total: int, max_types: int
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """(remaining, forbidden) of every grid state, by type count and then
+    lexicographically; each pair is a valid ConstraintState."""
+    for ntypes in range(1, max_types + 1):
+        for remaining in itertools.product(range(max_total + 1), repeat=ntypes):
+            total = sum(remaining)
+            if not 0 < total <= max_total:
+                continue
+            caps = [range(total - m + 1) for m in remaining]
+            for forbidden in itertools.product(*caps):
+                if sum(forbidden) < total:
+                    yield remaining, forbidden
+
+
 def iter_constraint_grid(max_total: int, max_types: int = 4) -> Iterator[ConstraintState]:
     """Every constraint state with at most ``max_types`` types and total ``max_total``."""
-
-    def vectors(length: int, top: int) -> Iterator[tuple[int, ...]]:
-        if length == 0:
-            yield ()
-            return
-        for head in range(top + 1):
-            for tail in vectors(length - 1, top - head):
-                yield (head,) + tail
-
-    for ntypes in range(1, max_types + 1):
-        for remaining in vectors(ntypes, max_total):
-            total = sum(remaining)
-            if total == 0:
-                continue
-            for forbidden in vectors(ntypes, total - 1):
-                if any(a > total - m for m, a in zip(remaining, forbidden)):
-                    continue
-                yield ConstraintState(remaining, forbidden)
+    for remaining, forbidden in _grid_vectors(max_total, max_types):
+        yield ConstraintState(remaining, forbidden)
 
 
 @dataclass(frozen=True)
@@ -397,31 +407,56 @@ class PointwiseReport:
         return self.max_ratio <= 1
 
 
+def _pointwise_ratios(
+    remaining: tuple[int, ...], forbidden: tuple[int, ...]
+) -> dict[tuple[int, int], tuple[int, int]]:
+    """Per (m_i, a_i) pair with m_i > 0, the ratio f_i * (T - a_i) / m_i as
+    the integer pair (N(s - e_i) * (T - a_i), N(s) * m_i), N(s) > 0.
+
+    Both counts are symmetric in the types, so the ratios depend only on the
+    pair multiset; N(s) is the sum of the next-card counts.
+    """
+    counts = next_card_counts(remaining, forbidden)
+    total = sum(remaining)
+    arrangements = sum(counts)
+    return {
+        (m_i, a_i): (reduced * (total - a_i), arrangements * m_i)
+        for m_i, a_i, reduced in zip(remaining, forbidden, counts)
+        if m_i
+    }
+
+
 def verify_pointwise(max_total: int, max_types: int = 4, witness_cap: int = 64) -> PointwiseReport:
     """Check f_i <= m_i / (total - a_i) across the whole grid, exactly.
 
     Reports the largest ratio of the two sides and the states attaining it;
-    the claim holds iff that maximum is at most one.
+    the claim holds iff that maximum is at most one.  Ratios are compared as
+    integer pairs by cross-multiplying, and each canonical pair multiset is
+    counted once per call.
     """
-    best = Fraction(0)
+    best_num, best_den = 0, 1
     witnesses: list[tuple[ConstraintState, int]] = []
     witness_count = 0
     checked = 0
-    for state in iter_constraint_grid(max_total, max_types):
+    ratios_by_key: dict[PairState, dict[tuple[int, int], tuple[int, int]]] = {}
+    for remaining, forbidden in _grid_vectors(max_total, max_types):
         checked += 1
-        total = state.total
-        for card in range(1, state.num_types + 1):
-            m_i = state.remaining[card - 1]
-            if m_i == 0:
+        pairs = tuple(zip(remaining, forbidden))
+        key = tuple(sorted(pairs))
+        ratios = ratios_by_key.get(key)
+        if ratios is None:
+            ratios = ratios_by_key[key] = _pointwise_ratios(remaining, forbidden)
+        for card, pair in enumerate(pairs, start=1):
+            if not pair[0]:
                 continue
-            frac = last_card_fraction(state, card)
-            ratio = frac * Fraction(total - state.forbidden[card - 1], m_i)
-            if ratio > best:
-                best = ratio
-                witnesses = [(state, card)]
+            num, den = ratios[pair]
+            lhs, rhs = num * best_den, best_num * den
+            if lhs > rhs:
+                best_num, best_den = num, den
+                witnesses = [(ConstraintState(remaining, forbidden), card)]
                 witness_count = 1
-            elif ratio == best:
+            elif lhs == rhs:
                 witness_count += 1
                 if len(witnesses) < witness_cap:
-                    witnesses.append((state, card))
-    return PointwiseReport(best, tuple(witnesses), witness_count, checked)
+                    witnesses.append((ConstraintState(remaining, forbidden), card))
+    return PointwiseReport(Fraction(best_num, best_den), tuple(witnesses), witness_count, checked)

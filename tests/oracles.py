@@ -8,7 +8,10 @@ value DPs are the package's earlier Fraction-valued solvers,
 kept as references for the integer-weighted ones, and the Fraction-valued
 partial-mle posterior and guesser references the integer-count one.  They
 import only the arrangement counter ``_count``, ``DeckSpec``, two result
-records and the partial-feedback tally base ``PartialTally``.
+records and the partial-feedback tally base ``PartialTally``.  The
+package's earlier Fraction-valued pointwise sweep and hypergeometric tail
+are kept as references for the integer ones; they read the package's
+``last_card_fraction``, ``hypergeom_pmf`` and constraint grid.
 
 The last section holds references that once lived in the package: a
 recursive arrangement enumerator, a replayer of solved partial policies,
@@ -25,9 +28,22 @@ from collections import Counter
 from fractions import Fraction
 from typing import Callable, Iterator
 
-from guessbench.combinatorics import ConstraintState, _count, shuffle_count
+from guessbench.combinatorics import (
+    ConstraintState,
+    _count,
+    hypergeom_pmf,
+    last_card_fraction,
+    shuffle_count,
+)
 from guessbench.core import DeckSpec, FeedbackModel, play
-from guessbench.exact import PartialSolution, PersistenceViolation, Sense, iter_shuffles
+from guessbench.exact import (
+    PartialSolution,
+    PersistenceViolation,
+    PointwiseReport,
+    Sense,
+    iter_constraint_grid,
+    iter_shuffles,
+)
 from guessbench.montecarlo import rng_stream
 from guessbench.strategies import PartialTally
 
@@ -370,6 +386,51 @@ class ReferencePartialMle(PartialTally):
         guess = dist.index(best) + 1
         self._last_guess = guess
         return guess
+
+
+# ===== Fraction-valued verification sweeps (references for the integer ones) =====
+
+
+def reference_verify_pointwise(
+    max_total: int, max_types: int = 4, witness_cap: int = 64
+) -> PointwiseReport:
+    """Check f_i <= m_i / (total - a_i) across the whole grid, exactly.
+
+    Reports the largest ratio of the two sides and the states attaining it;
+    the claim holds iff that maximum is at most one.
+    """
+    best = Fraction(0)
+    witnesses: list[tuple[ConstraintState, int]] = []
+    witness_count = 0
+    checked = 0
+    for state in iter_constraint_grid(max_total, max_types):
+        checked += 1
+        total = state.total
+        for card in range(1, state.num_types + 1):
+            m_i = state.remaining[card - 1]
+            if m_i == 0:
+                continue
+            frac = last_card_fraction(state, card)
+            ratio = frac * Fraction(total - state.forbidden[card - 1], m_i)
+            if ratio > best:
+                best = ratio
+                witnesses = [(state, card)]
+                witness_count = 1
+            elif ratio == best:
+                witness_count += 1
+                if len(witnesses) < witness_cap:
+                    witnesses.append((state, card))
+    return PointwiseReport(best, tuple(witnesses), witness_count, checked)
+
+
+def reference_hyp_single_tail_exact(population: int, good: int, draws: int, lam: float) -> Fraction:
+    """Exact P[S_draws > (1+lam) * draws * good / population]."""
+    threshold = (1 + Fraction(lam)) * draws * good / population
+    k_min = math.floor(threshold) + 1
+    return sum(
+        (hypergeom_pmf(population, good, draws, k) for k in range(k_min, min(draws, good) + 1)),
+        Fraction(0),
+    )
 
 
 # ===== search and replay references =====

@@ -24,7 +24,7 @@ from guessbench.combinatorics import binomial_pmf, hypergeom_pmf
 from guessbench.core import DeckSpec
 from guessbench.exact import first_third_distribution
 from guessbench.strategies import StrategyId, StrategySpec
-from oracles import brute_uniform_prefix_hits, replayed_decks
+from oracles import brute_uniform_prefix_hits, reference_hyp_single_tail_exact, replayed_decks
 
 
 def test_union_bound_rhs_golden():
@@ -88,6 +88,19 @@ def test_hyp_single_tail_exact_golden():
     assert hyp_single_tail_exact(20, 4, 0, 1.0) == 0
     # drawing everything finds every good card, never more
     assert hyp_single_tail_exact(20, 4, 20, 0.25) == 0
+
+
+def test_hyp_single_tail_exact_matches_reference():
+    # lam is the float's exact binary value.  That of 0.3 lies just below 3/10,
+    # so at (13, 2, 5) the exact threshold lies just below 1 while the float
+    # product (1 + 0.3) * 5 * 2 / 13 rounds to 1: only an exact floor gets k_min.
+    for population in range(1, 41):
+        for good in range(population + 1):
+            for draws in range(population + 1):
+                for lam in (0.1, 0.25, 0.3, 0.5, 1.0, 2.0, 3.7):
+                    assert hyp_single_tail_exact(
+                        population, good, draws, lam
+                    ) == reference_hyp_single_tail_exact(population, good, draws, lam)
 
 
 def test_hyp_tail_report_single():

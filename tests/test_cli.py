@@ -127,6 +127,16 @@ def test_optimal_fails_fast_past_state_limit(capsys):
     assert "state_limit" in err
 
 
+@pytest.mark.parametrize("model", ["complete", "none"])
+def test_optimal_rejects_state_limit_it_does_not_read(capsys, model):
+    code, out, err = run_cli(
+        capsys, "optimal", "-m", "2", "-n", "2", "--model", model, "--state-limit", "1"
+    )
+    assert code == 2
+    assert out == ""
+    assert f"--state-limit is read only with --model partial, not {model}" in err
+
+
 def test_workers_must_be_positive(capsys):
     for workers in ("0", "-3"):
         code, out, err = run_cli(
@@ -374,6 +384,21 @@ def test_table_state_limit_flag(capsys):
 def test_table_requires_grid(capsys):
     assert run_cli(capsys, "table")[0] == 2
     assert run_cli(capsys, "table", "--m-grid", "1,x", "--n-grid", "2")[0] == 2
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("-m", "9", "-n", "9", "--m-grid", "1", "--n-grid", "2"), "give -m or --m-grid, not both"),
+        (("-m", "9", "--m-grid", "1", "--n-grid", "2"), "give -m or --m-grid, not both"),
+        (("-n", "9", "--m-grid", "1", "--n-grid", "2"), "give -n or --n-grid, not both"),
+    ],
+)
+def test_table_rejects_single_value_with_grid(capsys, argv, message):
+    code, out, err = run_cli(capsys, "table", *argv)
+    assert code == 2
+    assert out == ""
+    assert message in err
 
 
 def test_config_file_and_env(tmp_path, capsys, monkeypatch):

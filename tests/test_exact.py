@@ -29,6 +29,7 @@ from oracles import (
     recursive_optimal_complete,
     recursive_probe_persistence,
     recursive_solve_partial,
+    reference_verify_pointwise,
     small_constraint_states,
 )
 
@@ -212,14 +213,15 @@ def test_first_third_distribution_rejects_randomized():
 def test_constraint_grid_matches_naive_filter():
     from guessbench.combinatorics import ConstraintState
 
-    naive = set()
+    # both walk type counts, then remaining and forbidden lexicographically
+    naive = []
     for remaining, forbidden in small_constraint_states(4, 3):
         try:
             ConstraintState(remaining, forbidden)
         except ValueError:
             continue
-        naive.add((remaining, forbidden))
-    grid = {(s.remaining, s.forbidden) for s in iter_constraint_grid(4, 3)}
+        naive.append((remaining, forbidden))
+    grid = [(s.remaining, s.forbidden) for s in iter_constraint_grid(4, 3)]
     assert grid == naive
 
 
@@ -230,6 +232,16 @@ def test_verify_pointwise_small_grid():
     assert report.states_checked == sum(1 for _ in iter_constraint_grid(6))
     assert report.witnesses
     assert report.witness_count >= len(report.witnesses)
+
+
+def test_verify_pointwise_matches_reference():
+    # the same max ratio, witnesses in grid order, witness count and states
+    for max_total in range(1, 7):
+        for max_types in range(1, 5):
+            for cap in (1, 64):
+                assert verify_pointwise(max_total, max_types, cap) == reference_verify_pointwise(
+                    max_total, max_types, cap
+                )
 
 
 def test_enumeration_limits_and_misuse():
