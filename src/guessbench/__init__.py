@@ -6,7 +6,6 @@ from ._version import __version__
 from .combinatorics import (
     ConstraintState,
     binomial_pmf,
-    hypergeom_pmf,
     last_card_fraction,
     shuffle_count,
 )
@@ -73,7 +72,6 @@ __all__ = [
     "exact_distinct_prefix_probability",
     "exact_value",
     "first_third_distribution",
-    "hypergeom_pmf",
     "iter_shuffles",
     "last_card_fraction",
     "make_strategy",

@@ -63,20 +63,6 @@ def _proportion_radius(freq: float, trials: int) -> float:
 # ===== maximal inequality for adaptive walks =====
 
 
-@dataclass(frozen=True)
-class WalkSpec:
-    """Centered success-count walk: Z_k = (successes among first k) - p*k."""
-
-    p: float
-    horizon: int
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError("p must lie in [0, 1]")
-        if self.horizon < 1:
-            raise ValueError("horizon must be positive")
-
-
 def union_bound_rhs(
     c: float, c_prime: float, lam: float, p: float, k0: int, k1: int
 ) -> float:
@@ -95,20 +81,19 @@ def union_bound_rhs(
 
 
 def empirical_maximal(
-    walk: WalkSpec, lam: float, k0: int, k1: int, trials: int, seed: int
+    p: float, lam: float, k0: int, k1: int, trials: int, seed: int
 ) -> BoundReport:
-    """Simulated P[exists k in [k0, k1]: Z_k > lam*p*k] for a binomial walk,
+    """Simulated P[exists k in [k0, k1]: Z_k > lam*p*k] for the centered
+    walk Z_k = (successes among the first k Bernoulli(p) trials) - p*k,
     against the union bound with c = 1/2, c' = 1."""
     if trials < 1:
         raise ValueError("trials must be positive")
-    if k1 > walk.horizon:
-        raise ValueError("k1 exceeds the walk horizon")
-    rhs = union_bound_rhs(0.5, 1.0, lam, walk.p, k0, k1)
+    rhs = union_bound_rhs(0.5, 1.0, lam, p, k0, k1)
     ks = np.arange(k0, k1 + 1, dtype=np.float64)
-    cutoff = (1.0 + lam) * walk.p * ks
+    cutoff = (1.0 + lam) * p * ks
     hits = 0
     for block, rows in _blocks(trials, _SIM_BLOCK):
-        draws = rng_stream(seed, _BOUNDS_TAG, block).random((rows, k1)) < walk.p
+        draws = rng_stream(seed, _BOUNDS_TAG, block).random((rows, k1)) < p
         sums = draws.cumsum(axis=1)[:, k0 - 1 :]
         hits += int((sums > cutoff).any(axis=1).sum())
     lhs = hits / trials
@@ -116,7 +101,7 @@ def empirical_maximal(
     return BoundReport(
         bound="maximal-walk",
         params=(
-            ("p", walk.p),
+            ("p", p),
             ("lam", lam),
             ("k0", k0),
             ("k1", k1),

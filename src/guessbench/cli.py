@@ -131,10 +131,7 @@ def _model_or_none(config: RunConfig) -> FeedbackModel | None:
 def _require_strategy(config: RunConfig):
     if config.strategy is None:
         raise UsageError("--strategy is required")
-    try:
-        return parse_strategy(config.strategy)
-    except ValueError as err:
-        raise UsageError(str(err)) from None
+    return parse_strategy(config.strategy)
 
 
 def _parse_grid(config: RunConfig, key: str) -> list[int]:
@@ -262,8 +259,7 @@ def _bound_report_row(report: bounds.BoundReport) -> dict:
 
 def _cmd_verify_bounds(config: RunConfig):
     reports = bounds.single_tail_grid(_or_default(config.max_total, 60))
-    walk = bounds.WalkSpec(p=0.5, horizon=256)
-    reports.append(bounds.empirical_maximal(walk, 1.0, 16, 256, config.trials, config.seed))
+    reports.append(bounds.empirical_maximal(0.5, 1.0, 16, 256, config.trials, config.seed))
     reports.append(
         bounds.hyp_tail_report(
             30, 4, 0, 1.0, mode="maximal", window=(8, 30),

@@ -181,22 +181,6 @@ def shuffle_count(spec: DeckSpec) -> int:
     return math.factorial(spec.total) // math.factorial(spec.multiplicity) ** spec.num_types
 
 
-def hypergeom_pmf(population: int, good: int, draws: int, k: int) -> Fraction:
-    """P[exactly k good cards among ``draws`` of ``population``], exact.
-
-    Normalized by C(population, good): choose where the good cards sit, then
-    count placements putting k of them inside the drawn prefix.
-    """
-    if population < 0 or not 0 <= good <= population or not 0 <= draws <= population:
-        raise ValueError("need 0 <= good, draws <= population")
-    if k < max(0, good + draws - population) or k > min(good, draws):
-        return Fraction(0)
-    return Fraction(
-        math.comb(draws, k) * math.comb(population - draws, good - k),
-        math.comb(population, good),
-    )
-
-
 def binomial_pmf(trials: int, p: Fraction, k: int) -> Fraction:
     """Exact Binomial(trials, p) mass at k for rational p."""
     p = Fraction(p)

@@ -82,10 +82,12 @@ class StatSummary:
 
 
 # ===== vectorized per-block kernels =====
+# Each takes the deck spec, the strategy's resolved parameters
+# (StrategySpec.resolve), one chunk of decks and the strategy's stream.
 
 
 def _kernel_greedy(maximize: bool):
-    def kernel(spec: DeckSpec, sspec: StrategySpec, decks: np.ndarray, strat_rng) -> np.ndarray:
+    def kernel(spec: DeckSpec, params: dict, decks: np.ndarray, strat_rng) -> np.ndarray:
         rows = np.arange(decks.shape[0])
         counts = np.full((decks.shape[0], spec.num_types), spec.multiplicity, dtype=np.int64)
         scores = np.zeros(decks.shape[0], dtype=np.int64)
@@ -99,31 +101,29 @@ def _kernel_greedy(maximize: bool):
     return kernel
 
 
-def _kernel_constant(spec, sspec, decks, strat_rng):
-    card = sspec.card if sspec.card is not None else 1
-    return (decks == card).sum(axis=1)
+def _kernel_constant(spec, params, decks, strat_rng):
+    return (decks == params["card"]).sum(axis=1)
 
 
-def _kernel_cyclic(spec, sspec, decks, strat_rng):
+def _kernel_cyclic(spec, params, decks, strat_rng):
     pattern = np.array([t % spec.num_types + 1 for t in range(spec.total)], dtype=np.int16)
     return (decks == pattern).sum(axis=1)
 
 
-def _kernel_uniform(spec, sspec, decks, strat_rng):
+def _kernel_uniform(spec, params, decks, strat_rng):
     guesses = strat_rng.integers(1, spec.num_types + 1, size=decks.shape)
     return (guesses == decks).sum(axis=1)
 
 
-def _kernel_two_phase(spec, sspec, decks, strat_rng):
-    template = make_strategy(sspec, spec)
-    phase, threshold = template.phase, template.threshold
+def _kernel_two_phase(spec, params, decks, strat_rng):
+    phase, threshold = params["phase"], params["threshold"]
     early_hits = (decks[:, :phase] == 1).sum(axis=1)
     switched = early_hits >= threshold
     late_twos = (decks[:, phase:] == 2).sum(axis=1)
     return np.where(switched, early_hits + late_twos, spec.multiplicity)
 
 
-def _kernel_ladder(spec, sspec, decks, strat_rng):
+def _kernel_ladder(spec, params, decks, strat_rng):
     n = spec.num_types
     target = np.ones(decks.shape[0], dtype=np.int64)
     scores = np.zeros(decks.shape[0], dtype=np.int64)
@@ -173,12 +173,13 @@ def _block_scores(
     seed: int,
     block_id: int,
 ) -> np.ndarray:
-    strat_rng = rng_stream(sspec.seed or 0, _STRATEGY_TAG, block_id)
+    params = sspec.resolve(spec)
+    strat_rng = None if sspec.deterministic else rng_stream(params["seed"], _STRATEGY_TAG, block_id)
     word = np.array(spec.canonical_word(), dtype=np.int16)
     chunks = deck_chunks(word, [(block_id, count)], seed)
     kernel = _KERNELS.get(sspec.id)
     if kernel is not None and model is sspec.native_model:
-        return np.concatenate([kernel(spec, sspec, decks, strat_rng) for decks in chunks])
+        return np.concatenate([kernel(spec, params, decks, strat_rng) for decks in chunks])
     return np.array(
         [
             play(make_strategy(sspec, spec, strat_rng), model, deck)

@@ -2,7 +2,8 @@
 
 Strategies see only the observation channel of their feedback model.  Each
 instance owns mutable per-game state; build a fresh one per game through
-``make_strategy``.
+``make_strategy``.  ``_STRATEGIES`` declares every strategy: its native
+model, the parameters it reads with their defaults, and its builder.
 """
 
 from __future__ import annotations
@@ -11,6 +12,9 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+from itertools import cycle, repeat
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -32,29 +36,11 @@ class StrategyId(str, enum.Enum):
     PARTIAL_LADDER = "partial-ladder"
 
 
-_NATIVE_MODEL = {
-    StrategyId.COMPLETE_GREEDY_MAX: FeedbackModel.COMPLETE,
-    StrategyId.COMPLETE_GREEDY_MIN: FeedbackModel.COMPLETE,
-    StrategyId.NOFB_CONSTANT: FeedbackModel.NONE,
-    StrategyId.NOFB_CYCLIC: FeedbackModel.NONE,
-    StrategyId.PARTIAL_MLE: FeedbackModel.PARTIAL,
-    StrategyId.PARTIAL_MIN_MLE: FeedbackModel.PARTIAL,
-    StrategyId.PARTIAL_UNIFORM: FeedbackModel.PARTIAL,
-    StrategyId.PARTIAL_TWO_PHASE: FeedbackModel.PARTIAL,
-    StrategyId.PARTIAL_LADDER: FeedbackModel.PARTIAL,
-}
-
 _PARAM_FIELDS = ("card", "phase", "threshold", "seed")
-# The parameters each strategy reads; every other strategy reads none.
-_READS = {
-    StrategyId.NOFB_CONSTANT: ("card",),
-    StrategyId.PARTIAL_UNIFORM: ("seed",),
-    StrategyId.PARTIAL_TWO_PHASE: ("phase", "threshold"),
-}
 
 
 def _check_reads(sid: StrategyId, name: str) -> None:
-    reads = _READS.get(sid, ())
+    reads = _STRATEGIES[sid].defaults
     if name not in reads:
         takes = ", ".join(reads) or "none"
         raise ValueError(f"{sid.value} does not read parameter {name} (it reads: {takes})")
@@ -74,14 +60,38 @@ class StrategySpec:
         for name in _PARAM_FIELDS:
             if getattr(self, name) is not None:
                 _check_reads(self.id, name)
+        if self.seed is not None and self.seed < 0:
+            raise ValueError("seed must be nonnegative")
+        if self.threshold is not None and math.isnan(self.threshold):
+            raise ValueError("threshold must be a number, not nan")
 
     @property
     def native_model(self) -> FeedbackModel:
-        return _NATIVE_MODEL[self.id]
+        return _STRATEGIES[self.id].model
 
     @property
     def deterministic(self) -> bool:
-        return self.id is not StrategyId.PARTIAL_UNIFORM
+        # a strategy is randomized exactly when it reads a seed
+        return "seed" not in _STRATEGIES[self.id].defaults
+
+    def resolve(self, deck: DeckSpec) -> dict[str, int | float]:
+        """Each parameter the strategy reads, set to its default on ``deck``
+        where the spec leaves it unset.
+
+        Raises ValueError naming the parameter when a value does not fit the deck.
+        """
+        kind = _STRATEGIES[self.id]
+        if deck.num_types < kind.min_types:
+            raise ValueError(f"{self.id.value} needs at least {kind.min_types} types")
+        params = {}
+        for name, default in kind.defaults.items():
+            value = getattr(self, name)
+            params[name] = default(deck) if value is None else value
+        for name, bounds in kind.bounds.items():
+            low, high = bounds(deck)
+            if not low <= params[name] <= high:
+                raise ValueError(f"{name} must lie in {low}..{high}")
+        return params
 
     def label(self) -> str:
         """Canonical string form, re-parsable by parse_strategy."""
@@ -101,7 +111,7 @@ def parse_strategy(text: str) -> StrategySpec:
     except ValueError:
         known = ", ".join(s.value for s in StrategyId)
         raise ValueError(f"unknown strategy {head!r}; known: {known}") from None
-    params: dict[str, int | float] = {}
+    params: dict[str, int | float | None] = {}
     if tail:
         for item in tail.split(","):
             key, sep, value = item.partition("=")
@@ -110,12 +120,16 @@ def parse_strategy(text: str) -> StrategySpec:
                 raise ValueError(f"bad strategy parameter {item!r}")
             # checked here too, since threshold=auto leaves no field set
             _check_reads(sid, key)
+            if key in params:
+                raise ValueError(f"strategy parameter {key} is given twice")
             value = value.strip()
-            if key == "threshold":
-                if value != "auto":
-                    params[key] = float(value)
-            else:
-                params[key] = int(value)
+            try:
+                if key == "threshold":
+                    params[key] = None if value == "auto" else float(value)
+                else:
+                    params[key] = int(value)
+            except ValueError:
+                raise ValueError(f"bad value {value!r} for strategy parameter {key}") from None
     return StrategySpec(sid, **params)
 
 
@@ -149,46 +163,24 @@ class CompleteGreedy(Strategy):
         self.counts[obs - 1] -= 1
 
 
-class NofbConstant(Strategy):
-    def __init__(self, deck: DeckSpec, card: int):
+class FixedSequence(Strategy):
+    """Guess along a sequence fixed before the game; feedback changes nothing."""
+
+    def __init__(self, deck: DeckSpec, guesses: Iterator[int]):
         super().__init__(deck)
-        self.card = card
+        self.guesses = guesses
 
     def next_guess(self) -> int:
-        return self.card
+        return next(self.guesses)
 
 
-class NofbCyclic(Strategy):
-    """Guess along the fixed word 1, 2, ..., n, 1, 2, ... covering each type m times."""
-
-    def __init__(self, deck: DeckSpec):
-        super().__init__(deck)
-        self.t = 0
-
-    def next_guess(self) -> int:
-        guess = self.t % self.deck.num_types + 1
-        self.t += 1
-        return guess
-
-
-class PartialTally(Strategy):
-    """Shared bookkeeping for partial-feedback strategies that track tallies."""
-
-    def __init__(self, deck: DeckSpec):
-        super().__init__(deck)
-        self.remaining = [deck.multiplicity] * deck.num_types
-        self.wrong = [0] * deck.num_types
-        self._last_guess: int | None = None
-
-    def observe(self, obs: Observation) -> None:
-        g = self._last_guess
-        if g is None:
-            raise ValueError("observation before any guess")
-        if obs:
-            self.remaining[g - 1] -= 1
-        else:
-            self.wrong[g - 1] += 1
-        self._last_guess = None
+def _uniform(deck: DeckSpec, seed: int, rng: np.random.Generator | None) -> FixedSequence:
+    """Uniform guesses from ``rng``, else from a fresh stream of ``seed``."""
+    if rng is None:
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([seed])))
+    # One bulk draw per game keeps the stream layout identical to the
+    # vectorized simulation kernel.
+    return FixedSequence(deck, iter(rng.integers(1, deck.num_types + 1, size=deck.total).tolist()))
 
 
 PairState = tuple[tuple[int, int], ...]
@@ -221,9 +213,10 @@ def posterior_by_pair(remaining: list[int], wrong: list[int]) -> list[Fraction]:
     return [Fraction(c, denom) for c in counts]
 
 
-class PartialMle(PartialTally):
+class PartialMle(Strategy):
     """Guess a most (or least) likely next card under the exact posterior.
 
+    Tracks, per type, the copies still to come and the wrong guesses of it.
     Probabilities share the denominator N(s), so comparing the integer
     counts N(s - e_i) suffices; ties go to the lowest type index.
     """
@@ -231,6 +224,9 @@ class PartialMle(PartialTally):
     def __init__(self, deck: DeckSpec, maximize: bool):
         super().__init__(deck)
         self.maximize = maximize
+        self.remaining = [deck.multiplicity] * deck.num_types
+        self.wrong = [0] * deck.num_types
+        self._last_guess: int | None = None
         self._best = _BEST_PAIRS[maximize]
 
     def next_guess(self) -> int:
@@ -247,27 +243,23 @@ class PartialMle(PartialTally):
         self._last_guess = guess
         return guess
 
-
-class PartialUniform(Strategy):
-    def __init__(self, deck: DeckSpec, rng: np.random.Generator):
-        super().__init__(deck)
-        # One bulk draw per game keeps the stream layout identical to the
-        # vectorized simulation kernel.
-        self.guesses = rng.integers(1, deck.num_types + 1, size=deck.total)
-        self.t = 0
-
-    def next_guess(self) -> int:
-        guess = int(self.guesses[self.t])
-        self.t += 1
-        return guess
+    def observe(self, obs: Observation) -> None:
+        g = self._last_guess
+        if g is None:
+            raise ValueError("observation before any guess")
+        if obs:
+            self.remaining[g - 1] -= 1
+        else:
+            self.wrong[g - 1] += 1
+        self._last_guess = None
 
 
 class PartialTwoPhase(Strategy):
     """Guess 1 for a fixed phase, then maybe commit to 2.
 
     After ``phase`` guesses of type 1, switch to guessing 2 for the rest iff
-    the number of corrects so far reaches the threshold (default
-    m/2 + sqrt(m)); otherwise keep guessing 1 forever.
+    the number of corrects so far reaches ``threshold``; otherwise keep
+    guessing 1 forever.
     """
 
     def __init__(self, deck: DeckSpec, phase: int, threshold: float):
@@ -309,6 +301,50 @@ class PartialLadder(Strategy):
             self.target += 1
 
 
+class _Kind(NamedTuple):
+    """One strategy: its native model, its builder (deck, **parameters, plus
+    rng for a randomized one), each parameter it reads with its default on a
+    deck, and what the deck must satisfy: bounds on parameters and a least
+    number of types."""
+
+    model: FeedbackModel
+    build: Callable[..., Strategy]
+    defaults: dict[str, Callable[[DeckSpec], int | float]] = {}
+    bounds: dict[str, Callable[[DeckSpec], tuple[int, int]]] = {}
+    min_types: int = 1
+
+
+_STRATEGIES = {
+    StrategyId.COMPLETE_GREEDY_MAX:
+        _Kind(FeedbackModel.COMPLETE, partial(CompleteGreedy, maximize=True)),
+    StrategyId.COMPLETE_GREEDY_MIN:
+        _Kind(FeedbackModel.COMPLETE, partial(CompleteGreedy, maximize=False)),
+    StrategyId.NOFB_CONSTANT: _Kind(
+        FeedbackModel.NONE,
+        lambda deck, card: FixedSequence(deck, repeat(card)),
+        defaults={"card": lambda deck: 1},
+        bounds={"card": lambda deck: (1, deck.num_types)},
+    ),
+    StrategyId.NOFB_CYCLIC: _Kind(
+        FeedbackModel.NONE, lambda deck: FixedSequence(deck, cycle(range(1, deck.num_types + 1)))
+    ),
+    StrategyId.PARTIAL_MLE: _Kind(FeedbackModel.PARTIAL, partial(PartialMle, maximize=True)),
+    StrategyId.PARTIAL_MIN_MLE: _Kind(FeedbackModel.PARTIAL, partial(PartialMle, maximize=False)),
+    StrategyId.PARTIAL_UNIFORM: _Kind(FeedbackModel.PARTIAL, _uniform, {"seed": lambda deck: 0}),
+    StrategyId.PARTIAL_TWO_PHASE: _Kind(
+        FeedbackModel.PARTIAL,
+        PartialTwoPhase,
+        defaults={
+            "phase": lambda deck: deck.total // 2,
+            "threshold": lambda deck: deck.multiplicity / 2 + math.sqrt(deck.multiplicity),
+        },
+        bounds={"phase": lambda deck: (0, deck.total)},
+        min_types=2,
+    ),
+    StrategyId.PARTIAL_LADDER: _Kind(FeedbackModel.PARTIAL, PartialLadder),
+}
+
+
 def make_strategy(
     spec: StrategySpec, deck: DeckSpec, rng: np.random.Generator | None = None
 ) -> Strategy:
@@ -317,42 +353,10 @@ def make_strategy(
     Randomized strategies draw from ``rng`` when given, else from a fresh
     stream seeded by ``spec.seed``.
     """
-    n, mn = deck.num_types, deck.total
-    sid = spec.id
-    if spec.card is not None and not 1 <= spec.card <= n:
-        raise ValueError(f"card must lie in 1..{n}")
-    if spec.phase is not None and not 0 <= spec.phase <= mn:
-        raise ValueError(f"phase must lie in 0..{mn}")
-    if spec.seed is not None and spec.seed < 0:
-        raise ValueError("seed must be nonnegative")
-    if sid is StrategyId.COMPLETE_GREEDY_MAX:
-        return CompleteGreedy(deck, maximize=True)
-    if sid is StrategyId.COMPLETE_GREEDY_MIN:
-        return CompleteGreedy(deck, maximize=False)
-    if sid is StrategyId.NOFB_CONSTANT:
-        return NofbConstant(deck, spec.card if spec.card is not None else 1)
-    if sid is StrategyId.NOFB_CYCLIC:
-        return NofbCyclic(deck)
-    if sid is StrategyId.PARTIAL_MLE:
-        return PartialMle(deck, maximize=True)
-    if sid is StrategyId.PARTIAL_MIN_MLE:
-        return PartialMle(deck, maximize=False)
-    if sid is StrategyId.PARTIAL_UNIFORM:
-        if rng is None:
-            rng = np.random.Generator(
-                np.random.Philox(np.random.SeedSequence([spec.seed or 0]))
-            )
-        return PartialUniform(deck, rng)
-    if sid is StrategyId.PARTIAL_TWO_PHASE:
-        if n < 2:
-            raise ValueError("two-phase needs at least two types")
-        m = deck.multiplicity
-        phase = spec.phase if spec.phase is not None else mn // 2
-        threshold = spec.threshold if spec.threshold is not None else m / 2 + math.sqrt(m)
-        return PartialTwoPhase(deck, phase, threshold)
-    if sid is StrategyId.PARTIAL_LADDER:
-        return PartialLadder(deck)
-    raise ValueError(f"unhandled strategy id {sid!r}")
+    params = spec.resolve(deck)
+    if not spec.deterministic:
+        params["rng"] = rng
+    return _STRATEGIES[spec.id].build(deck, **params)
 
 
 def compatible(spec: StrategySpec, model: FeedbackModel) -> bool:

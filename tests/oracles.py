@@ -8,10 +8,11 @@ value DPs are the package's earlier Fraction-valued solvers,
 kept as references for the integer-weighted ones, and the Fraction-valued
 partial-mle posterior and guesser references the integer-count one.  They
 import only the arrangement counter ``_count``, ``DeckSpec``, two result
-records and the partial-feedback tally base ``PartialTally``.  The
-package's earlier Fraction-valued pointwise sweep and hypergeometric tail
-are kept as references for the integer ones; they read the package's
-``last_card_fraction``, ``hypergeom_pmf`` and constraint grid.
+records and ``PartialMle``, whose tallies the reference guesser reuses.
+The package's earlier Fraction-valued pointwise sweep and hypergeometric
+tail are kept as references for the integer ones; they read the package's
+``last_card_fraction`` and constraint grid, and the tail sums the
+hypergeometric pmf ``hypergeom_pmf`` kept here.
 
 The last section holds references that once lived in the package: a
 recursive arrangement enumerator, a replayer of solved partial policies,
@@ -31,7 +32,6 @@ from typing import Callable, Iterator
 from guessbench.combinatorics import (
     ConstraintState,
     _count,
-    hypergeom_pmf,
     last_card_fraction,
     shuffle_count,
 )
@@ -45,7 +45,7 @@ from guessbench.exact import (
     iter_shuffles,
 )
 from guessbench.montecarlo import rng_stream
-from guessbench.strategies import PartialTally
+from guessbench.strategies import PartialMle
 
 ORACLE_CARD_LIMIT = 9
 
@@ -372,12 +372,8 @@ def reference_posterior_by_pair(remaining: list[int], wrong: list[int]) -> list[
     return [by_pair[pair] for pair in zip(remaining, wrong)]
 
 
-class ReferencePartialMle(PartialTally):
+class ReferencePartialMle(PartialMle):
     """Guess a most (or least) likely next card under the exact posterior."""
-
-    def __init__(self, deck: DeckSpec, maximize: bool):
-        super().__init__(deck)
-        self.maximize = maximize
 
     def next_guess(self) -> int:
         dist = reference_posterior_by_pair(self.remaining, self.wrong)
@@ -421,6 +417,22 @@ def reference_verify_pointwise(
                 if len(witnesses) < witness_cap:
                     witnesses.append((state, card))
     return PointwiseReport(best, tuple(witnesses), witness_count, checked)
+
+
+def hypergeom_pmf(population: int, good: int, draws: int, k: int) -> Fraction:
+    """P[exactly k good cards among ``draws`` of ``population``], exact.
+
+    Normalized by C(population, good): choose where the good cards sit, then
+    count placements putting k of them inside the drawn prefix.
+    """
+    if population < 0 or not 0 <= good <= population or not 0 <= draws <= population:
+        raise ValueError("need 0 <= good, draws <= population")
+    if k < max(0, good + draws - population) or k > min(good, draws):
+        return Fraction(0)
+    return Fraction(
+        math.comb(draws, k) * math.comb(population - draws, good - k),
+        math.comb(population, good),
+    )
 
 
 def reference_hyp_single_tail_exact(population: int, good: int, draws: int, lam: float) -> Fraction:

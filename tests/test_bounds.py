@@ -9,7 +9,6 @@ from guessbench.bounds import (
     FAIL,
     INCONCLUSIVE,
     PASS,
-    WalkSpec,
     binomial_pmf_map,
     check_dominance,
     empirical_maximal,
@@ -20,11 +19,16 @@ from guessbench.bounds import (
     single_tail_grid,
     union_bound_rhs,
 )
-from guessbench.combinatorics import binomial_pmf, hypergeom_pmf
+from guessbench.combinatorics import binomial_pmf
 from guessbench.core import DeckSpec
 from guessbench.exact import first_third_distribution
 from guessbench.strategies import StrategyId, StrategySpec
-from oracles import brute_uniform_prefix_hits, reference_hyp_single_tail_exact, replayed_decks
+from oracles import (
+    brute_uniform_prefix_hits,
+    hypergeom_pmf,
+    reference_hyp_single_tail_exact,
+    replayed_decks,
+)
 
 
 def test_union_bound_rhs_golden():
@@ -53,34 +57,35 @@ def test_union_bound_rhs_preconditions():
 
 
 def test_walk_spec_validation():
-    with pytest.raises(ValueError):
-        WalkSpec(-0.1, 10)
-    with pytest.raises(ValueError):
-        WalkSpec(0.5, 0)
+    # the walk's success probability and horizon are checked where they are read
+    with pytest.raises(ValueError, match="p must lie in"):
+        empirical_maximal(-0.1, 1.0, 16, 32, 100, 0)
+    with pytest.raises(ValueError, match="p must lie in"):
+        empirical_maximal(1.1, 1.0, 16, 32, 100, 0)
+    with pytest.raises(ValueError, match="k0 must not exceed k1"):
+        empirical_maximal(0.5, 1.0, 16, 8, 100, 0)
 
 
 def test_empirical_maximal_degenerate_walks():
     # a zero-success walk never exceeds a positive cutoff
-    report = empirical_maximal(WalkSpec(0.0, 64), 1.0, 16, 32, 500, 0)
+    report = empirical_maximal(0.0, 1.0, 16, 32, 500, 0)
     assert report.lhs == 0.0
     assert report.verdict == INCONCLUSIVE  # rhs blows past one at p = 0
     # huge lam: S_k > 4.5k is impossible and the rhs is tiny
-    report = empirical_maximal(WalkSpec(0.5, 64), 8.0, 16, 64, 500, 0)
+    report = empirical_maximal(0.5, 8.0, 16, 64, 500, 0)
     assert report.lhs == 0.0
     assert report.rhs < 1
     assert report.verdict == PASS
 
 
 def test_empirical_maximal_deterministic_and_bounded():
-    a = empirical_maximal(WalkSpec(0.5, 256), 0.2, 16, 256, 3000, 9)
-    b = empirical_maximal(WalkSpec(0.5, 256), 0.2, 16, 256, 3000, 9)
+    a = empirical_maximal(0.5, 0.2, 16, 256, 3000, 9)
+    b = empirical_maximal(0.5, 0.2, 16, 256, 3000, 9)
     assert a == b
     assert 0.0 < a.lhs <= 1.0
     assert a.lhs_radius > 0
     with pytest.raises(ValueError):
-        empirical_maximal(WalkSpec(0.5, 64), 1.0, 16, 128, 100, 0)
-    with pytest.raises(ValueError):
-        empirical_maximal(WalkSpec(0.5, 64), 1.0, 16, 32, 0, 0)
+        empirical_maximal(0.5, 1.0, 16, 32, 0, 0)
 
 
 def test_hyp_single_tail_exact_golden():

@@ -521,6 +521,25 @@ def test_unread_strategy_parameter_exits_2(capsys):
     assert "partial-mle does not read parameter card" in err
 
 
+@pytest.mark.parametrize(
+    "strategy,name",
+    [
+        ("nofb-constant:card=9", "card"),
+        ("partial-uniform:seed=-1", "seed"),
+        ("partial-two-phase:phase=abc", "phase"),
+        ("nofb-constant:card=2,card=3", "card"),
+        ("partial-two-phase:threshold=nan", "threshold"),
+    ],
+)
+def test_bad_strategy_value_exits_2_naming_it(capsys, strategy, name):
+    code, out, err = run_cli(
+        capsys, "simulate", "-m", "2", "-n", "3", "--strategy", strategy, "--trials", "10"
+    )
+    assert code == 2
+    assert out == ""
+    assert name in err
+
+
 def test_lstat_enumerates_up_to_max_total(capsys, monkeypatch):
     limits = []
     enumerate_mean = exact.exact_chain_mean

@@ -6,7 +6,6 @@ from guessbench.combinatorics import (
     ConstraintState,
     _count,
     binomial_pmf,
-    hypergeom_pmf,
     last_card_fraction,
     next_card_counts,
     shuffle_count,
@@ -19,6 +18,7 @@ from oracles import (
     brute_count,
     brute_hypergeom,
     brute_last_card,
+    hypergeom_pmf,
     iter_arrangements,
     satisfying_words,
     small_constraint_states,

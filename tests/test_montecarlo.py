@@ -84,10 +84,12 @@ def test_play_game_record():
 KERNEL_CASES = [
     (StrategySpec(StrategyId.COMPLETE_GREEDY_MAX), DeckSpec(3, 3)),
     (StrategySpec(StrategyId.COMPLETE_GREEDY_MIN), DeckSpec(3, 3)),
+    (StrategySpec(StrategyId.NOFB_CONSTANT), DeckSpec(3, 3)),
     (StrategySpec(StrategyId.NOFB_CONSTANT, card=2), DeckSpec(3, 3)),
     (StrategySpec(StrategyId.NOFB_CYCLIC), DeckSpec(2, 4)),
     (StrategySpec(StrategyId.PARTIAL_UNIFORM, seed=3), DeckSpec(3, 3)),
     (StrategySpec(StrategyId.PARTIAL_TWO_PHASE), DeckSpec(3, 4)),
+    (StrategySpec(StrategyId.PARTIAL_TWO_PHASE, phase=5, threshold=2), DeckSpec(3, 4)),
     (StrategySpec(StrategyId.PARTIAL_LADDER), DeckSpec(2, 4)),
 ]
 
@@ -101,6 +103,32 @@ def test_kernel_matches_generic_path(monkeypatch, sspec, deck):
     monkeypatch.setattr(mc, "_KERNELS", {})
     slow = estimate_value(deck, None, sspec, trials, seed)
     assert fast.histogram == slow.histogram
+
+
+INVALID_CASES = [
+    (StrategyId.NOFB_CONSTANT, {"card": 0}, DeckSpec(2, 3), "card must lie in 1..3"),
+    (StrategyId.NOFB_CONSTANT, {"card": 4}, DeckSpec(2, 3), "card must lie in 1..3"),
+    (StrategyId.PARTIAL_TWO_PHASE, {"phase": -1}, DeckSpec(2, 3), "phase must lie in 0..6"),
+    (StrategyId.PARTIAL_TWO_PHASE, {"phase": 7}, DeckSpec(2, 3), "phase must lie in 0..6"),
+    (StrategyId.PARTIAL_TWO_PHASE, {}, DeckSpec(3, 1), "needs at least 2 types"),
+    (StrategyId.PARTIAL_UNIFORM, {"seed": -1}, DeckSpec(2, 3), "seed must be nonnegative"),
+]
+
+
+@pytest.mark.parametrize(
+    "sid,params,deck,message",
+    INVALID_CASES,
+    ids=["card=0", "card=n+1", "phase=-1", "phase=mn+1", "two-phase-at-n=1", "seed=-1"],
+)
+def test_invalid_spec_fails_alike_with_and_without_kernels(monkeypatch, sid, params, deck, message):
+    def estimate():
+        with pytest.raises(ValueError, match=message) as caught:
+            estimate_value(deck, None, StrategySpec(sid, **params), 10, 0)
+        return str(caught.value)
+
+    fast = estimate()
+    monkeypatch.setattr(mc, "_KERNELS", {})
+    assert estimate() == fast
 
 
 def test_workers_do_not_change_results():

@@ -1,4 +1,6 @@
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ import pytest
 from guessbench.core import DeckSpec, FeedbackModel, observe
 from guessbench.exact import solve_partial
 from guessbench.strategies import (
+    _STRATEGIES,
     StrategyId,
     StrategySpec,
     compatible,
@@ -73,6 +76,35 @@ def test_parameters_a_strategy_does_not_read_are_rejected(text):
     if value != "auto":
         with pytest.raises(ValueError, match=message):
             make_strategy(StrategySpec(spec.id, **{key: int(value)}), DeckSpec(2, 2))
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("partial-two-phase:phase=abc", "bad value 'abc' for strategy parameter phase"),
+        ("partial-two-phase:threshold=abc", "bad value 'abc' for strategy parameter threshold"),
+        ("partial-uniform:seed=1.5", "bad value '1.5' for strategy parameter seed"),
+        ("nofb-constant:card=2,card=3", "strategy parameter card is given twice"),
+        ("partial-two-phase:threshold=auto,threshold=3", "parameter threshold is given twice"),
+        ("partial-two-phase:threshold=nan", "threshold must be a number, not nan"),
+        ("partial-uniform:seed=-1", "seed must be nonnegative"),
+    ],
+)
+def test_parse_names_the_bad_parameter(text, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        parse_strategy(text)
+
+
+def test_readme_strategy_table_matches_strategies():
+    ids, rows = {sid.value for sid in StrategyId}, {}
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    for line in readme.read_text().splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        if len(cells) == 3 and cells[0].strip("`") in ids:
+            rows[cells[0].strip("`")] = (cells[1], re.findall(r"`(\w+)`", cells[2]))
+    assert rows == {
+        sid.value: (kind.model.value, list(kind.defaults)) for sid, kind in _STRATEGIES.items()
+    }
 
 
 def test_parse_threshold_auto():
