@@ -13,7 +13,6 @@ from .core import (
     DeckSpec,
     FeedbackModel,
     chain_length,
-    observe,
 )
 from .exact import (
     PartialSolution,
@@ -40,7 +39,6 @@ from .montecarlo import (
     rng_stream,
 )
 from .strategies import (
-    Strategy,
     StrategyId,
     StrategySpec,
     compatible,
@@ -58,7 +56,6 @@ __all__ = [
     "PointwiseReport",
     "RepeatTimeEstimate",
     "StatSummary",
-    "Strategy",
     "StrategyId",
     "StrategySpec",
     "binomial_pmf",
@@ -75,7 +72,6 @@ __all__ = [
     "iter_shuffles",
     "last_card_fraction",
     "make_strategy",
-    "observe",
     "optimal_complete",
     "optimal_partial",
     "parse_strategy",

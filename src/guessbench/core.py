@@ -1,4 +1,4 @@
-"""Decks, shuffles, feedback semantics, and the play loop.
+"""Decks, shuffles, feedback models, and the increasing-chain statistic.
 
 A deck holds ``num_types`` card types with ``multiplicity`` copies each; a
 shuffle is a word over ``1..num_types`` in which every type appears exactly
@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-
-Observation = None | bool | int
 
 
 class FeedbackModel(str, enum.Enum):
@@ -43,36 +41,6 @@ class DeckSpec:
         return tuple(
             t for t in range(1, self.num_types + 1) for _ in range(self.multiplicity)
         )
-
-
-def observe(model: FeedbackModel, guess: int, true_card: int) -> Observation:
-    """Feedback payload for one turn.
-
-    NONE yields nothing, PARTIAL yields the correctness bit, COMPLETE yields
-    the drawn card itself.
-    """
-    if model is FeedbackModel.NONE:
-        return None
-    if model is FeedbackModel.PARTIAL:
-        return guess == true_card
-    if model is FeedbackModel.COMPLETE:
-        return true_card
-    raise ValueError(f"unknown feedback model: {model!r}")
-
-
-def play(strategy, model: FeedbackModel, deck) -> int:
-    """Score of one strategy instance guessing its way through ``deck``.
-
-    The strategy sees only the feedback ``model`` gives after each card, so
-    playing a prefix of a deck equals stopping the game after that prefix.
-    """
-    score = 0
-    for card in deck:
-        guess = strategy.next_guess()
-        if guess == card:
-            score += 1
-        strategy.observe(observe(model, guess, card))
-    return score
 
 
 def chain_length(word: tuple[int, ...]) -> int:

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Literal
 
+import numpy as np
+
 # last_card_fraction is unused here; perfbench/test_perfbench.py checks that
 # tracing rebinds exact.last_card_fraction, and perfbench/ is fixed with the
 # benchmark, so the name stays until the benchmark's next change.
@@ -26,7 +28,7 @@ from .combinatorics import (  # noqa: F401
     next_card_counts,
     shuffle_count,
 )
-from .core import DeckSpec, FeedbackModel, chain_length, play
+from .core import DeckSpec, FeedbackModel, chain_length
 from .strategies import StrategySpec, _resolve_model, make_strategy
 
 Sense = Literal["max", "min"]
@@ -35,6 +37,7 @@ PairState = tuple[tuple[int, int], ...]
 
 DEFAULT_ENUM_LIMIT = 10**6
 DEFAULT_STATE_LIMIT = 400_000
+_SCORE_CHUNK = 4096
 
 
 def _check_sense(sense: str) -> None:
@@ -75,6 +78,17 @@ def enumerable_specs(size_limit: int = 10**4, max_total: int = 16) -> list[DeckS
     return out
 
 
+def _enumerated_scores(spec: DeckSpec, strategy: StrategySpec, prefix: int) -> Counter[int]:
+    """Histogram of the strategy's score over the first ``prefix`` cards of
+    every shuffle, scored by its kernel in int16 chunks of shuffles."""
+    score = make_strategy(strategy, spec)
+    shuffles = iter_shuffles(spec)
+    hist: Counter[int] = Counter()
+    while chunk := list(itertools.islice(shuffles, _SCORE_CHUNK)):
+        hist.update(score(np.array(chunk, dtype=np.int16)[:, :prefix]).tolist())
+    return hist
+
+
 def exact_value(
     spec: DeckSpec,
     strategy: StrategySpec,
@@ -87,16 +101,14 @@ def exact_value(
     """
     if not strategy.deterministic:
         raise ValueError(f"{strategy.label()} is randomized; use montecarlo.estimate_value")
-    model = _resolve_model(strategy, model)
+    _resolve_model(strategy, model)  # a compatible model never changes a score
     size = shuffle_count(spec)
     if size > limit:
         raise ValueError(
             f"{size} shuffles exceed the enumeration limit {limit}; raise it or simulate"
         )
-    total_score = sum(
-        play(make_strategy(strategy, spec), model, deck) for deck in iter_shuffles(spec)
-    )
-    return Fraction(total_score, size)
+    hist = _enumerated_scores(spec, strategy, spec.total)
+    return Fraction(sum(score * count for score, count in hist.items()), size)
 
 
 # ===== complete feedback: integer weights on count multisets =====
@@ -362,11 +374,7 @@ def first_third_distribution(
     size = shuffle_count(spec)
     if size > limit:
         raise ValueError(f"{size} shuffles exceed the enumeration limit {limit}")
-    model = strategy.native_model
-    cutoff = spec.total // 3
-    hist = Counter(
-        play(make_strategy(strategy, spec), model, deck[:cutoff]) for deck in iter_shuffles(spec)
-    )
+    hist = _enumerated_scores(spec, strategy, spec.total // 3)
     return {k: Fraction(hist[k], size) for k in sorted(hist)}
 
 

@@ -7,10 +7,11 @@ the counter-based stream (seed, 0, b) and any strategy randomness from
 estimates are bit-identical for a given (seed, trials) no matter how many
 workers run the blocks.
 
-Common strategies have vectorized kernels; the generic path, ``core.play``
-on each deck, is the semantic reference and consumes the streams
-identically, so both paths yield the same trial-by-trial scores (tested, not
-assumed).
+Each chunk of decks is scored by the strategy's kernel through
+``strategies.make_strategy``, the same path exact enumeration takes.  The
+tests replay the same decks and strategy streams game by game through the
+per-game reference strategies in ``tests/oracles.py`` and require the same
+trial-by-trial scores.
 """
 
 from __future__ import annotations
@@ -24,8 +25,11 @@ from typing import Iterator
 
 import numpy as np
 
-from .core import DeckSpec, FeedbackModel, play
-from .strategies import StrategyId, StrategySpec, _resolve_model, make_strategy
+from .core import DeckSpec, FeedbackModel
+
+# _KERNELS is not read here; perfbench/tracer.py wraps the simulation
+# kernels through this name, and it is the same dict make_strategy reads.
+from .strategies import _KERNELS, StrategySpec, _resolve_model, make_strategy  # noqa: F401
 
 RNG_FAMILY = "philox4x64"
 BLOCK_SIZE = 4096
@@ -81,70 +85,6 @@ class StatSummary:
         return self.histogram[-1][0]
 
 
-# ===== vectorized per-block kernels =====
-# Each takes the deck spec, the strategy's resolved parameters
-# (StrategySpec.resolve), one chunk of decks and the strategy's stream.
-
-
-def _kernel_greedy(maximize: bool):
-    def kernel(spec: DeckSpec, params: dict, decks: np.ndarray, strat_rng) -> np.ndarray:
-        rows = np.arange(decks.shape[0])
-        counts = np.full((decks.shape[0], spec.num_types), spec.multiplicity, dtype=np.int64)
-        scores = np.zeros(decks.shape[0], dtype=np.int64)
-        for t in range(decks.shape[1]):
-            guess = counts.argmax(axis=1) if maximize else counts.argmin(axis=1)
-            revealed = decks[:, t] - 1
-            scores += guess == revealed
-            counts[rows, revealed] -= 1
-        return scores
-
-    return kernel
-
-
-def _kernel_constant(spec, params, decks, strat_rng):
-    return (decks == params["card"]).sum(axis=1)
-
-
-def _kernel_cyclic(spec, params, decks, strat_rng):
-    pattern = np.array([t % spec.num_types + 1 for t in range(spec.total)], dtype=np.int16)
-    return (decks == pattern).sum(axis=1)
-
-
-def _kernel_uniform(spec, params, decks, strat_rng):
-    guesses = strat_rng.integers(1, spec.num_types + 1, size=decks.shape)
-    return (guesses == decks).sum(axis=1)
-
-
-def _kernel_two_phase(spec, params, decks, strat_rng):
-    phase, threshold = params["phase"], params["threshold"]
-    early_hits = (decks[:, :phase] == 1).sum(axis=1)
-    switched = early_hits >= threshold
-    late_twos = (decks[:, phase:] == 2).sum(axis=1)
-    return np.where(switched, early_hits + late_twos, spec.multiplicity)
-
-
-def _kernel_ladder(spec, params, decks, strat_rng):
-    n = spec.num_types
-    target = np.ones(decks.shape[0], dtype=np.int64)
-    scores = np.zeros(decks.shape[0], dtype=np.int64)
-    for t in range(decks.shape[1]):
-        hit = decks[:, t] == np.minimum(target, n)
-        scores += hit
-        target += hit & (target <= n)
-    return scores
-
-
-_KERNELS = {
-    StrategyId.COMPLETE_GREEDY_MAX: _kernel_greedy(True),
-    StrategyId.COMPLETE_GREEDY_MIN: _kernel_greedy(False),
-    StrategyId.NOFB_CONSTANT: _kernel_constant,
-    StrategyId.NOFB_CYCLIC: _kernel_cyclic,
-    StrategyId.PARTIAL_UNIFORM: _kernel_uniform,
-    StrategyId.PARTIAL_TWO_PHASE: _kernel_two_phase,
-    StrategyId.PARTIAL_LADDER: _kernel_ladder,
-}
-
-
 def _blocks(trials: int, size: int = BLOCK_SIZE) -> list[tuple[int, int]]:
     """(block id, rows) pairs that split ``trials`` into blocks of ``size``."""
     return [(b, min(size, trials - b * size)) for b in range((trials + size - 1) // size)]
@@ -162,39 +102,23 @@ def deck_chunks(
         rng = rng_stream(seed, tag, block_id)
         for done in range(0, count, _CHUNK):
             step = min(_CHUNK, count - done)
-            yield np.stack([rng.permutation(word) for _ in range(step)])
+            yield rng.permuted(np.tile(word, (step, 1)), axis=1)
 
 
 def _block_scores(
-    spec: DeckSpec,
-    model: FeedbackModel,
-    sspec: StrategySpec,
-    count: int,
-    seed: int,
-    block_id: int,
+    spec: DeckSpec, sspec: StrategySpec, count: int, seed: int, block_id: int
 ) -> np.ndarray:
-    params = sspec.resolve(spec)
-    strat_rng = None if sspec.deterministic else rng_stream(params["seed"], _STRATEGY_TAG, block_id)
+    strat_rng = None
+    if not sspec.deterministic:
+        strat_rng = rng_stream(sspec.resolve(spec)["seed"], _STRATEGY_TAG, block_id)
+    score = make_strategy(sspec, spec, strat_rng)
     word = np.array(spec.canonical_word(), dtype=np.int16)
-    chunks = deck_chunks(word, [(block_id, count)], seed)
-    kernel = _KERNELS.get(sspec.id)
-    if kernel is not None and model is sspec.native_model:
-        return np.concatenate([kernel(spec, params, decks, strat_rng) for decks in chunks])
-    return np.array(
-        [
-            play(make_strategy(sspec, spec, strat_rng), model, deck)
-            for decks in chunks
-            for deck in decks.tolist()
-        ],
-        dtype=np.int64,
-    )
+    return np.concatenate([score(decks) for decks in deck_chunks(word, [(block_id, count)], seed)])
 
 
 def _score_block_job(payload) -> list[tuple[int, int]]:
-    m, n, model_value, sspec, count, seed, block_id = payload
-    scores = _block_scores(
-        DeckSpec(m, n), FeedbackModel(model_value), sspec, count, seed, block_id
-    )
+    m, n, sspec, count, seed, block_id = payload
+    scores = _block_scores(DeckSpec(m, n), sspec, count, seed, block_id)
     return sorted(Counter(scores.tolist()).items())
 
 
@@ -213,9 +137,11 @@ def estimate_value(
     """
     if trials < 1:
         raise ValueError("trials must be positive")
-    model = _resolve_model(strategy, model)
+    # validated only: a compatible model other than the strategy's own never
+    # changes a score, since only no-feedback strategies run under one
+    _resolve_model(strategy, model)
     jobs = [
-        (spec.multiplicity, spec.num_types, model.value, strategy, count, seed, block_id)
+        (spec.multiplicity, spec.num_types, strategy, count, seed, block_id)
         for block_id, count in _blocks(trials)
     ]
     hist: Counter[int] = Counter()

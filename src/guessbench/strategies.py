@@ -1,9 +1,11 @@
 """Guessing strategies, addressable by id string from configs and the CLI.
 
-Strategies see only the observation channel of their feedback model.  Each
-instance owns mutable per-game state; build a fresh one per game through
+Each strategy is written once, as a kernel that scores a whole array of
+decks; simulation and exact enumeration both reach it through
 ``make_strategy``.  ``_STRATEGIES`` declares every strategy: its native
-model, the parameters it reads with their defaults, and its builder.
+model and the parameters it reads with their defaults.  ``_KERNELS`` holds
+its kernel.  The per-game reference strategies and play loop live in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -12,16 +14,14 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
-from itertools import cycle, repeat
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 # _count is unused here; perfbench/test_perfbench.py checks that tracing
 # rebinds it in this module too.
 from .combinatorics import _count, next_card_counts  # noqa: F401
-from .core import DeckSpec, FeedbackModel, Observation
+from .core import DeckSpec, FeedbackModel
 
 
 class StrategyId(str, enum.Enum):
@@ -64,6 +64,8 @@ class StrategySpec:
             raise ValueError("seed must be nonnegative")
         if self.threshold is not None and math.isnan(self.threshold):
             raise ValueError("threshold must be a number, not nan")
+        if self.threshold is not None and math.isinf(self.threshold):
+            raise ValueError("threshold must be finite")
 
     @property
     def native_model(self) -> FeedbackModel:
@@ -133,56 +135,6 @@ def parse_strategy(text: str) -> StrategySpec:
     return StrategySpec(sid, **params)
 
 
-class Strategy:
-    """Base: one game's worth of guessing state."""
-
-    def __init__(self, deck: DeckSpec):
-        self.deck = deck
-
-    def next_guess(self) -> int:
-        raise NotImplementedError
-
-    def observe(self, obs: Observation) -> None:
-        pass
-
-
-class CompleteGreedy(Strategy):
-    """Guess a most (or least) plentiful remaining type; ties to lowest index."""
-
-    def __init__(self, deck: DeckSpec, maximize: bool):
-        super().__init__(deck)
-        self.maximize = maximize
-        self.counts = [deck.multiplicity] * deck.num_types
-
-    def next_guess(self) -> int:
-        pick = max if self.maximize else min
-        best = pick(self.counts)
-        return self.counts.index(best) + 1
-
-    def observe(self, obs: Observation) -> None:
-        self.counts[obs - 1] -= 1
-
-
-class FixedSequence(Strategy):
-    """Guess along a sequence fixed before the game; feedback changes nothing."""
-
-    def __init__(self, deck: DeckSpec, guesses: Iterator[int]):
-        super().__init__(deck)
-        self.guesses = guesses
-
-    def next_guess(self) -> int:
-        return next(self.guesses)
-
-
-def _uniform(deck: DeckSpec, seed: int, rng: np.random.Generator | None) -> FixedSequence:
-    """Uniform guesses from ``rng``, else from a fresh stream of ``seed``."""
-    if rng is None:
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([seed])))
-    # One bulk draw per game keeps the stream layout identical to the
-    # vectorized simulation kernel.
-    return FixedSequence(deck, iter(rng.integers(1, deck.num_types + 1, size=deck.total).tolist()))
-
-
 PairState = tuple[tuple[int, int], ...]
 
 # Integer next-card counts N(s - e_i) by (remaining, wrong) pair, one entry
@@ -213,127 +165,133 @@ def posterior_by_pair(remaining: list[int], wrong: list[int]) -> list[Fraction]:
     return [Fraction(c, denom) for c in counts]
 
 
-class PartialMle(Strategy):
-    """Guess a most (or least) likely next card under the exact posterior.
+def _mle_guess(pairs: list[tuple[int, int]], maximize: bool) -> int:
+    """Index of the type to guess under partial-mle (partial-min-mle when not
+    ``maximize``), given each type's (remaining, wrong) pair.
 
-    Tracks, per type, the copies still to come and the wrong guesses of it.
     Probabilities share the denominator N(s), so comparing the integer
-    counts N(s - e_i) suffices; ties go to the lowest type index.
+    counts N(s - e_i) suffices.  The pairs attaining the optimum are cached
+    per canonical state and sense; ties go to the lowest type index.
     """
-
-    def __init__(self, deck: DeckSpec, maximize: bool):
-        super().__init__(deck)
-        self.maximize = maximize
-        self.remaining = [deck.multiplicity] * deck.num_types
-        self.wrong = [0] * deck.num_types
-        self._last_guess: int | None = None
-        self._best = _BEST_PAIRS[maximize]
-
-    def next_guess(self) -> int:
-        pairs = list(zip(self.remaining, self.wrong))
-        state = tuple(sorted(pairs))
-        best = self._best.get(state)
-        if best is None:
-            by_pair = _counts_by_pair(state)
-            top = (max if self.maximize else min)(by_pair.values())
-            best = self._best[state] = frozenset(p for p, c in by_pair.items() if c == top)
-        for guess, pair in enumerate(pairs, start=1):
-            if pair in best:
-                break
-        self._last_guess = guess
-        return guess
-
-    def observe(self, obs: Observation) -> None:
-        g = self._last_guess
-        if g is None:
-            raise ValueError("observation before any guess")
-        if obs:
-            self.remaining[g - 1] -= 1
-        else:
-            self.wrong[g - 1] += 1
-        self._last_guess = None
+    cache = _BEST_PAIRS[maximize]
+    state = tuple(sorted(pairs))
+    best = cache.get(state)
+    if best is None:
+        by_pair = _counts_by_pair(state)
+        top = (max if maximize else min)(by_pair.values())
+        best = cache[state] = frozenset(p for p, c in by_pair.items() if c == top)
+    for i, pair in enumerate(pairs):
+        if pair in best:
+            return i
+    raise AssertionError("no type attains the optimum")
 
 
-class PartialTwoPhase(Strategy):
-    """Guess 1 for a fixed phase, then maybe commit to 2.
-
-    After ``phase`` guesses of type 1, switch to guessing 2 for the rest iff
-    the number of corrects so far reaches ``threshold``; otherwise keep
-    guessing 1 forever.
-    """
-
-    def __init__(self, deck: DeckSpec, phase: int, threshold: float):
-        super().__init__(deck)
-        self.phase = phase
-        self.threshold = threshold
-        self.t = 0
-        self.hits = 0
-        self.switched = False
-
-    def next_guess(self) -> int:
-        if self.t < self.phase:
-            return 1
-        if self.t == self.phase:
-            self.switched = self.hits >= self.threshold
-        return 2 if self.switched else 1
-
-    def observe(self, obs: Observation) -> None:
-        if self.t < self.phase and obs:
-            self.hits += 1
-        self.t += 1
+# ===== kernels: one implementation per strategy =====
+# Each takes the deck spec, the strategy's resolved parameters
+# (StrategySpec.resolve), an array of deck words, one per row, and the
+# strategy's stream, and returns each row's score.  Rows may be a common
+# prefix of the decks: a strategy sees only the cards drawn so far, so
+# scoring a prefix equals stopping the game there.  Only no-feedback
+# strategies run under a model other than their own, and they ignore
+# feedback, so no kernel needs the model.
 
 
-class PartialLadder(Strategy):
-    """Guess k until a guess of k is correct, then advance to k + 1.
+def _kernel_greedy(maximize: bool):
+    def kernel(spec: DeckSpec, params: dict, decks: np.ndarray, strat_rng) -> np.ndarray:
+        rows = np.arange(decks.shape[0])
+        counts = np.full((decks.shape[0], spec.num_types), spec.multiplicity, dtype=np.int64)
+        scores = np.zeros(decks.shape[0], dtype=np.int64)
+        for t in range(decks.shape[1]):
+            guess = counts.argmax(axis=1) if maximize else counts.argmin(axis=1)
+            revealed = decks[:, t] - 1
+            scores += guess == revealed
+            counts[rows, revealed] -= 1
+        return scores
 
-    After type n is hit the target caps and n is guessed forever.
-    """
+    return kernel
 
-    def __init__(self, deck: DeckSpec):
-        super().__init__(deck)
-        self.target = 1
 
-    def next_guess(self) -> int:
-        return min(self.target, self.deck.num_types)
+def _kernel_constant(spec, params, decks, strat_rng):
+    return (decks == params["card"]).sum(axis=1)
 
-    def observe(self, obs: Observation) -> None:
-        if obs and self.target <= self.deck.num_types:
-            self.target += 1
+
+def _kernel_cyclic(spec, params, decks, strat_rng):
+    pattern = np.array([t % spec.num_types + 1 for t in range(decks.shape[1])], dtype=np.int16)
+    return (decks == pattern).sum(axis=1)
+
+
+def _kernel_mle(maximize: bool):
+    def kernel(spec: DeckSpec, params: dict, decks: np.ndarray, strat_rng) -> np.ndarray:
+        scores = []
+        for deck in decks.tolist():
+            pairs = [(spec.multiplicity, 0)] * spec.num_types
+            score = 0
+            for card in deck:
+                i = _mle_guess(pairs, maximize)
+                remaining, wrong = pairs[i]
+                if card == i + 1:
+                    score += 1
+                    pairs[i] = (remaining - 1, wrong)
+                else:
+                    pairs[i] = (remaining, wrong + 1)
+            scores.append(score)
+        return np.array(scores, dtype=np.int64)
+
+    return kernel
+
+
+def _kernel_uniform(spec, params, decks, strat_rng):
+    guesses = strat_rng.integers(1, spec.num_types + 1, size=decks.shape)
+    return (guesses == decks).sum(axis=1)
+
+
+def _kernel_two_phase(spec, params, decks, strat_rng):
+    # Guess 1 for ``phase`` turns; then guess 2 for the rest iff the hits so
+    # far reach ``threshold``, else keep guessing 1.
+    phase, threshold = params["phase"], params["threshold"]
+    early_hits = (decks[:, :phase] == 1).sum(axis=1)
+    switched = early_hits >= threshold
+    late = decks[:, phase:]
+    return early_hits + np.where(switched, (late == 2).sum(axis=1), (late == 1).sum(axis=1))
+
+
+def _kernel_ladder(spec, params, decks, strat_rng):
+    # Guess k until a guess of k hits, then k + 1; the target caps at n.
+    n = spec.num_types
+    target = np.ones(decks.shape[0], dtype=np.int64)
+    scores = np.zeros(decks.shape[0], dtype=np.int64)
+    for t in range(decks.shape[1]):
+        hit = decks[:, t] == np.minimum(target, n)
+        scores += hit
+        target += hit & (target <= n)
+    return scores
 
 
 class _Kind(NamedTuple):
-    """One strategy: its native model, its builder (deck, **parameters, plus
-    rng for a randomized one), each parameter it reads with its default on a
-    deck, and what the deck must satisfy: bounds on parameters and a least
-    number of types."""
+    """One strategy: its native model, each parameter it reads with its
+    default on a deck, and what the deck must satisfy: bounds on parameters
+    and a least number of types.  Its kernel is its entry in ``_KERNELS``."""
 
     model: FeedbackModel
-    build: Callable[..., Strategy]
     defaults: dict[str, Callable[[DeckSpec], int | float]] = {}
     bounds: dict[str, Callable[[DeckSpec], tuple[int, int]]] = {}
     min_types: int = 1
 
 
 _STRATEGIES = {
-    StrategyId.COMPLETE_GREEDY_MAX:
-        _Kind(FeedbackModel.COMPLETE, partial(CompleteGreedy, maximize=True)),
-    StrategyId.COMPLETE_GREEDY_MIN:
-        _Kind(FeedbackModel.COMPLETE, partial(CompleteGreedy, maximize=False)),
+    StrategyId.COMPLETE_GREEDY_MAX: _Kind(FeedbackModel.COMPLETE),
+    StrategyId.COMPLETE_GREEDY_MIN: _Kind(FeedbackModel.COMPLETE),
     StrategyId.NOFB_CONSTANT: _Kind(
         FeedbackModel.NONE,
-        lambda deck, card: FixedSequence(deck, repeat(card)),
         defaults={"card": lambda deck: 1},
         bounds={"card": lambda deck: (1, deck.num_types)},
     ),
-    StrategyId.NOFB_CYCLIC: _Kind(
-        FeedbackModel.NONE, lambda deck: FixedSequence(deck, cycle(range(1, deck.num_types + 1)))
-    ),
-    StrategyId.PARTIAL_MLE: _Kind(FeedbackModel.PARTIAL, partial(PartialMle, maximize=True)),
-    StrategyId.PARTIAL_MIN_MLE: _Kind(FeedbackModel.PARTIAL, partial(PartialMle, maximize=False)),
-    StrategyId.PARTIAL_UNIFORM: _Kind(FeedbackModel.PARTIAL, _uniform, {"seed": lambda deck: 0}),
+    StrategyId.NOFB_CYCLIC: _Kind(FeedbackModel.NONE),
+    StrategyId.PARTIAL_MLE: _Kind(FeedbackModel.PARTIAL),
+    StrategyId.PARTIAL_MIN_MLE: _Kind(FeedbackModel.PARTIAL),
+    StrategyId.PARTIAL_UNIFORM: _Kind(FeedbackModel.PARTIAL, {"seed": lambda deck: 0}),
     StrategyId.PARTIAL_TWO_PHASE: _Kind(
         FeedbackModel.PARTIAL,
-        PartialTwoPhase,
         defaults={
             "phase": lambda deck: deck.total // 2,
             "threshold": lambda deck: deck.multiplicity / 2 + math.sqrt(deck.multiplicity),
@@ -341,22 +299,38 @@ _STRATEGIES = {
         bounds={"phase": lambda deck: (0, deck.total)},
         min_types=2,
     ),
-    StrategyId.PARTIAL_LADDER: _Kind(FeedbackModel.PARTIAL, PartialLadder),
+    StrategyId.PARTIAL_LADDER: _Kind(FeedbackModel.PARTIAL),
+}
+
+# The one dispatch table for scoring; make_strategy reads it at every call,
+# so a wrapper put in place of an entry sees every scored chunk.
+_KERNELS = {
+    StrategyId.COMPLETE_GREEDY_MAX: _kernel_greedy(True),
+    StrategyId.COMPLETE_GREEDY_MIN: _kernel_greedy(False),
+    StrategyId.NOFB_CONSTANT: _kernel_constant,
+    StrategyId.NOFB_CYCLIC: _kernel_cyclic,
+    StrategyId.PARTIAL_MLE: _kernel_mle(True),
+    StrategyId.PARTIAL_MIN_MLE: _kernel_mle(False),
+    StrategyId.PARTIAL_UNIFORM: _kernel_uniform,
+    StrategyId.PARTIAL_TWO_PHASE: _kernel_two_phase,
+    StrategyId.PARTIAL_LADDER: _kernel_ladder,
 }
 
 
 def make_strategy(
     spec: StrategySpec, deck: DeckSpec, rng: np.random.Generator | None = None
-) -> Strategy:
-    """Instantiate a strategy for one game, validating parameters against the deck.
+) -> Callable[[np.ndarray], np.ndarray]:
+    """The strategy's kernel bound to its parameters resolved on ``deck``:
+    a function from an array of deck words, one per row, to each row's score.
 
+    Raises ValueError naming a parameter that does not fit the deck.
     Randomized strategies draw from ``rng`` when given, else from a fresh
-    stream seeded by ``spec.seed``.
+    stream seeded by ``spec.seed``; each call continues the stream.
     """
     params = spec.resolve(deck)
-    if not spec.deterministic:
-        params["rng"] = rng
-    return _STRATEGIES[spec.id].build(deck, **params)
+    if not spec.deterministic and rng is None:
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([params["seed"]])))
+    return lambda decks: _KERNELS[spec.id](deck, params, decks, rng)
 
 
 def compatible(spec: StrategySpec, model: FeedbackModel) -> bool:

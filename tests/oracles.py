@@ -5,20 +5,26 @@ package; size guards keep those inputs tiny on purpose.  ``replayed_decks``
 draws seeded shuffles one at a time from ``rng_stream``, the layout the
 chunked deck sampler must reproduce.  The recursive
 value DPs are the package's earlier Fraction-valued solvers,
-kept as references for the integer-weighted ones, and the Fraction-valued
-partial-mle posterior and guesser references the integer-count one.  They
-import only the arrangement counter ``_count``, ``DeckSpec``, two result
-records and ``PartialMle``, whose tallies the reference guesser reuses.
+kept as references for the integer-weighted ones.  They import only the
+arrangement counter ``_count``, ``DeckSpec`` and two result records.
+
+The package's earlier per-game strategy classes, its feedback function
+``observe`` and its play loop ``play`` are the references for the
+strategy kernels: ``make_oracle`` builds one strategy instance per game
+from a ``StrategySpec``, and the tests require the kernels to give the
+same score on every deck.  ``PartialMle`` shares the package's best-pair
+cache; the Fraction-valued partial-mle posterior and
+``ReferencePartialMle`` check it independently.
 The package's earlier Fraction-valued pointwise sweep and hypergeometric
 tail are kept as references for the integer ones; they read the package's
-``last_card_fraction`` and constraint grid, and the tail sums the
-hypergeometric pmf ``hypergeom_pmf`` kept here.
+``last_card_fraction`` and constraint grid, and the tail sums
+``brute_hypergeom``.
 
 The last section holds references that once lived in the package: a
 recursive arrangement enumerator, a replayer of solved partial policies,
 the expectimax search over feedback histories (an independent route to the
 partial-feedback optimum) and ``brute_value``, which scores any strategy
-factory over every shuffle with ``core.play``.
+factory over every shuffle with ``play``.
 """
 
 from __future__ import annotations
@@ -27,7 +33,10 @@ import itertools
 import math
 from collections import Counter
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Iterator
+
+import numpy as np
 
 from guessbench.combinatorics import (
     ConstraintState,
@@ -35,7 +44,7 @@ from guessbench.combinatorics import (
     last_card_fraction,
     shuffle_count,
 )
-from guessbench.core import DeckSpec, FeedbackModel, play
+from guessbench.core import DeckSpec, FeedbackModel
 from guessbench.exact import (
     PartialSolution,
     PersistenceViolation,
@@ -45,7 +54,12 @@ from guessbench.exact import (
     iter_shuffles,
 )
 from guessbench.montecarlo import rng_stream
-from guessbench.strategies import PartialMle
+from guessbench.strategies import (
+    _BEST_PAIRS,
+    StrategyId,
+    StrategySpec,
+    _counts_by_pair,
+)
 
 ORACLE_CARD_LIMIT = 9
 
@@ -340,6 +354,207 @@ def recursive_probe_persistence(
     return violations
 
 
+# ===== per-game strategies and the play loop (references for the kernels) =====
+# The package's earlier per-game strategy classes and play loop, moved here
+# unchanged; make_oracle builds one for a game as make_strategy once did.
+
+Observation = None | bool | int
+
+
+def observe(model: FeedbackModel, guess: int, true_card: int) -> Observation:
+    """Feedback payload for one turn.
+
+    NONE yields nothing, PARTIAL yields the correctness bit, COMPLETE yields
+    the drawn card itself.
+    """
+    if model is FeedbackModel.NONE:
+        return None
+    if model is FeedbackModel.PARTIAL:
+        return guess == true_card
+    if model is FeedbackModel.COMPLETE:
+        return true_card
+    raise ValueError(f"unknown feedback model: {model!r}")
+
+
+def play(strategy, model: FeedbackModel, deck) -> int:
+    """Score of one strategy instance guessing its way through ``deck``.
+
+    The strategy sees only the feedback ``model`` gives after each card, so
+    playing a prefix of a deck equals stopping the game after that prefix.
+    """
+    score = 0
+    for card in deck:
+        guess = strategy.next_guess()
+        if guess == card:
+            score += 1
+        strategy.observe(observe(model, guess, card))
+    return score
+
+
+class Strategy:
+    """Base: one game's worth of guessing state."""
+
+    def __init__(self, deck: DeckSpec):
+        self.deck = deck
+
+    def next_guess(self) -> int:
+        raise NotImplementedError
+
+    def observe(self, obs: Observation) -> None:
+        pass
+
+
+class CompleteGreedy(Strategy):
+    """Guess a most (or least) plentiful remaining type; ties to lowest index."""
+
+    def __init__(self, deck: DeckSpec, maximize: bool):
+        super().__init__(deck)
+        self.maximize = maximize
+        self.counts = [deck.multiplicity] * deck.num_types
+
+    def next_guess(self) -> int:
+        pick = max if self.maximize else min
+        best = pick(self.counts)
+        return self.counts.index(best) + 1
+
+    def observe(self, obs: Observation) -> None:
+        self.counts[obs - 1] -= 1
+
+
+class FixedSequence(Strategy):
+    """Guess along a sequence fixed before the game; feedback changes nothing."""
+
+    def __init__(self, deck: DeckSpec, guesses: Iterator[int]):
+        super().__init__(deck)
+        self.guesses = guesses
+
+    def next_guess(self) -> int:
+        return next(self.guesses)
+
+
+def _uniform(deck: DeckSpec, seed: int, rng: np.random.Generator | None) -> FixedSequence:
+    """Uniform guesses from ``rng``, else from a fresh stream of ``seed``."""
+    if rng is None:
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([seed])))
+    # One bulk draw per game keeps the stream layout identical to the
+    # vectorized simulation kernel.
+    return FixedSequence(deck, iter(rng.integers(1, deck.num_types + 1, size=deck.total).tolist()))
+
+
+class PartialMle(Strategy):
+    """Guess a most (or least) likely next card under the exact posterior.
+
+    Tracks, per type, the copies still to come and the wrong guesses of it.
+    Probabilities share the denominator N(s), so comparing the integer
+    counts N(s - e_i) suffices; ties go to the lowest type index.
+    """
+
+    def __init__(self, deck: DeckSpec, maximize: bool):
+        super().__init__(deck)
+        self.maximize = maximize
+        self.remaining = [deck.multiplicity] * deck.num_types
+        self.wrong = [0] * deck.num_types
+        self._last_guess: int | None = None
+        self._best = _BEST_PAIRS[maximize]
+
+    def next_guess(self) -> int:
+        pairs = list(zip(self.remaining, self.wrong))
+        state = tuple(sorted(pairs))
+        best = self._best.get(state)
+        if best is None:
+            by_pair = _counts_by_pair(state)
+            top = (max if self.maximize else min)(by_pair.values())
+            best = self._best[state] = frozenset(p for p, c in by_pair.items() if c == top)
+        for guess, pair in enumerate(pairs, start=1):
+            if pair in best:
+                break
+        self._last_guess = guess
+        return guess
+
+    def observe(self, obs: Observation) -> None:
+        g = self._last_guess
+        if g is None:
+            raise ValueError("observation before any guess")
+        if obs:
+            self.remaining[g - 1] -= 1
+        else:
+            self.wrong[g - 1] += 1
+        self._last_guess = None
+
+
+class PartialTwoPhase(Strategy):
+    """Guess 1 for a fixed phase, then maybe commit to 2.
+
+    After ``phase`` guesses of type 1, switch to guessing 2 for the rest iff
+    the number of corrects so far reaches ``threshold``; otherwise keep
+    guessing 1 forever.
+    """
+
+    def __init__(self, deck: DeckSpec, phase: int, threshold: float):
+        super().__init__(deck)
+        self.phase = phase
+        self.threshold = threshold
+        self.t = 0
+        self.hits = 0
+        self.switched = False
+
+    def next_guess(self) -> int:
+        if self.t < self.phase:
+            return 1
+        if self.t == self.phase:
+            self.switched = self.hits >= self.threshold
+        return 2 if self.switched else 1
+
+    def observe(self, obs: Observation) -> None:
+        if self.t < self.phase and obs:
+            self.hits += 1
+        self.t += 1
+
+
+class PartialLadder(Strategy):
+    """Guess k until a guess of k is correct, then advance to k + 1.
+
+    After type n is hit the target caps and n is guessed forever.
+    """
+
+    def __init__(self, deck: DeckSpec):
+        super().__init__(deck)
+        self.target = 1
+
+    def next_guess(self) -> int:
+        return min(self.target, self.deck.num_types)
+
+    def observe(self, obs: Observation) -> None:
+        if obs and self.target <= self.deck.num_types:
+            self.target += 1
+
+
+_ORACLES = {
+    StrategyId.COMPLETE_GREEDY_MAX: partial(CompleteGreedy, maximize=True),
+    StrategyId.COMPLETE_GREEDY_MIN: partial(CompleteGreedy, maximize=False),
+    StrategyId.NOFB_CONSTANT: lambda deck, card: FixedSequence(deck, itertools.repeat(card)),
+    StrategyId.NOFB_CYCLIC:
+        lambda deck: FixedSequence(deck, itertools.cycle(range(1, deck.num_types + 1))),
+    StrategyId.PARTIAL_MLE: partial(PartialMle, maximize=True),
+    StrategyId.PARTIAL_MIN_MLE: partial(PartialMle, maximize=False),
+    StrategyId.PARTIAL_UNIFORM: _uniform,
+    StrategyId.PARTIAL_TWO_PHASE: PartialTwoPhase,
+    StrategyId.PARTIAL_LADDER: PartialLadder,
+}
+
+
+def make_oracle(
+    spec: StrategySpec, deck: DeckSpec, rng: np.random.Generator | None = None
+) -> Strategy:
+    """The reference strategy for one game, with the parameters the package
+    resolves on ``deck``.  Randomized strategies draw from ``rng`` when
+    given, else from a fresh stream seeded by ``spec.seed``."""
+    params = spec.resolve(deck)
+    if not spec.deterministic:
+        params["rng"] = rng
+    return _ORACLES[spec.id](deck, **params)
+
+
 # ===== Fraction-valued partial-mle posterior (reference for strategies.py) =====
 
 _REFERENCE_CACHE: dict[tuple[tuple[int, int], ...], dict[tuple[int, int], Fraction]] = {}
@@ -419,28 +634,12 @@ def reference_verify_pointwise(
     return PointwiseReport(best, tuple(witnesses), witness_count, checked)
 
 
-def hypergeom_pmf(population: int, good: int, draws: int, k: int) -> Fraction:
-    """P[exactly k good cards among ``draws`` of ``population``], exact.
-
-    Normalized by C(population, good): choose where the good cards sit, then
-    count placements putting k of them inside the drawn prefix.
-    """
-    if population < 0 or not 0 <= good <= population or not 0 <= draws <= population:
-        raise ValueError("need 0 <= good, draws <= population")
-    if k < max(0, good + draws - population) or k > min(good, draws):
-        return Fraction(0)
-    return Fraction(
-        math.comb(draws, k) * math.comb(population - draws, good - k),
-        math.comb(population, good),
-    )
-
-
 def reference_hyp_single_tail_exact(population: int, good: int, draws: int, lam: float) -> Fraction:
     """Exact P[S_draws > (1+lam) * draws * good / population]."""
     threshold = (1 + Fraction(lam)) * draws * good / population
     k_min = math.floor(threshold) + 1
     return sum(
-        (hypergeom_pmf(population, good, draws, k) for k in range(k_min, min(draws, good) + 1)),
+        (brute_hypergeom(population, good, draws, k) for k in range(k_min, min(draws, good) + 1)),
         Fraction(0),
     )
 

@@ -529,6 +529,8 @@ def test_unread_strategy_parameter_exits_2(capsys):
         ("partial-two-phase:phase=abc", "phase"),
         ("nofb-constant:card=2,card=3", "card"),
         ("partial-two-phase:threshold=nan", "threshold"),
+        ("partial-two-phase:threshold=inf", "threshold"),
+        ("partial-two-phase:threshold=1e400", "threshold"),
     ],
 )
 def test_bad_strategy_value_exits_2_naming_it(capsys, strategy, name):

@@ -16,9 +16,7 @@ from oracles import (
     all_shuffles,
     brute_binomial,
     brute_count,
-    brute_hypergeom,
     brute_last_card,
-    hypergeom_pmf,
     iter_arrangements,
     satisfying_words,
     small_constraint_states,
@@ -165,18 +163,6 @@ def test_shuffle_count():
     assert shuffle_count(DeckSpec(1, 4)) == 24
     for m, n in [(2, 3), (3, 2), (2, 4)]:
         assert shuffle_count(DeckSpec(m, n)) == len(all_shuffles(m, n))
-
-
-def test_hypergeom_pmf():
-    for population, good, draws in [(10, 4, 3), (6, 6, 2), (5, 0, 3), (8, 3, 8)]:
-        total = Fraction(0)
-        for k in range(draws + 1):
-            value = hypergeom_pmf(population, good, draws, k)
-            assert value == brute_hypergeom(population, good, draws, k)
-            total += value
-        assert total == 1
-    assert hypergeom_pmf(10, 4, 3, 5) == 0
-    assert hypergeom_pmf(10, 4, 3, -1) == 0
 
 
 def test_binomial_pmf():

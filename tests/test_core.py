@@ -4,9 +4,8 @@ from guessbench.core import (
     DeckSpec,
     FeedbackModel,
     chain_length,
-    observe,
 )
-from oracles import all_shuffles, brute_chain
+from oracles import all_shuffles, brute_chain, observe
 
 
 def test_deck_spec_basics():

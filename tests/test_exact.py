@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -19,13 +20,15 @@ from guessbench.exact import (
     solve_partial,
     verify_pointwise,
 )
-from guessbench.strategies import StrategyId, StrategySpec
+from guessbench.strategies import _STRATEGIES, StrategyId, StrategySpec, compatible
 from oracles import (
     PolicyPlayer,
     all_shuffles,
     brute_chain,
     brute_value,
     expectimax_value,
+    make_oracle,
+    play,
     recursive_optimal_complete,
     recursive_probe_persistence,
     recursive_solve_partial,
@@ -35,6 +38,15 @@ from oracles import (
 
 GREEDY_MAX = StrategySpec(StrategyId.COMPLETE_GREEDY_MAX)
 GREEDY_MIN = StrategySpec(StrategyId.COMPLETE_GREEDY_MIN)
+
+
+def deterministic_strategies(spec):
+    """Every deterministic strategy, at its defaults, that plays on ``spec``."""
+    return [
+        StrategySpec(sid)
+        for sid, kind in _STRATEGIES.items()
+        if StrategySpec(sid).deterministic and spec.num_types >= kind.min_types
+    ]
 
 
 def test_iter_shuffles_lexicographic():
@@ -203,6 +215,31 @@ def test_first_third_distribution_known_points():
     assert pmf == {0: Fraction(2, 3), 1: Fraction(1, 3)}
     for strategy in (StrategySpec(StrategyId.PARTIAL_MLE), StrategySpec(StrategyId.PARTIAL_LADDER)):
         assert sum(first_third_distribution(DeckSpec(2, 3), strategy).values()) == 1
+
+
+def test_first_third_distribution_matches_reference_prefix_play():
+    # the kernels score prefixes: cyclic sizes its pattern by the prefix and
+    # two-phase counts a non-switching row's late 1s rather than returning m
+    specs = [s for s in enumerable_specs(720) if s.num_types >= 2]
+    for spec in specs:
+        decks = list(iter_shuffles(spec))
+        cutoff = spec.total // 3
+        for sspec in deterministic_strategies(spec):
+            hist = Counter(
+                play(make_oracle(sspec, spec), sspec.native_model, deck[:cutoff]) for deck in decks
+            )
+            want = {k: Fraction(hist[k], len(decks)) for k in sorted(hist)}
+            assert first_third_distribution(spec, sspec) == want, (spec, sspec.label())
+
+
+def test_exact_value_matches_reference_play_under_every_model():
+    specs = [DeckSpec(m, n) for m in range(1, 9) for n in range(1, 8 // m + 1)]
+    for spec in specs:
+        for sspec in deterministic_strategies(spec):
+            for model in FeedbackModel:
+                if compatible(sspec, model):
+                    want = brute_value(spec, lambda deck: make_oracle(sspec, deck), model)
+                    assert exact_value(spec, sspec, model) == want, (spec, sspec.label(), model)
 
 
 def test_first_third_distribution_rejects_randomized():

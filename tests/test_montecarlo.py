@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 import guessbench.montecarlo as mc
-from guessbench.core import DeckSpec, FeedbackModel, chain_length, play
-from guessbench.exact import exact_chain_mean, solve_partial
+from guessbench.core import DeckSpec, FeedbackModel, chain_length
+from guessbench.exact import exact_chain_mean, exact_value, solve_partial
 from guessbench.montecarlo import (
     StatSummary,
     deck_chunks,
@@ -22,6 +22,8 @@ from oracles import (
     ReferencePartialMle,
     all_shuffles,
     brute_distinct_prefix,
+    make_oracle,
+    play,
     replayed_decks,
 )
 
@@ -77,8 +79,11 @@ def test_play_game_record():
     # a strategy sees only the cards drawn, so a prefix stops the game early
     spec = DeckSpec(2, 2)
     greedy = StrategySpec(StrategyId.COMPLETE_GREEDY_MAX)
-    assert play(make_strategy(greedy, spec), FeedbackModel.COMPLETE, (1, 2, 2, 1)) == 3
-    assert play(make_strategy(greedy, spec), FeedbackModel.COMPLETE, (1, 2, 2, 1)[:2]) == 2
+    assert play(make_oracle(greedy, spec), FeedbackModel.COMPLETE, (1, 2, 2, 1)) == 3
+    assert play(make_oracle(greedy, spec), FeedbackModel.COMPLETE, (1, 2, 2, 1)[:2]) == 2
+    decks = np.array([(1, 2, 2, 1)], dtype=np.int16)
+    assert make_strategy(greedy, spec)(decks).tolist() == [3]
+    assert make_strategy(greedy, spec)(decks[:, :2]).tolist() == [2]
 
 
 KERNEL_CASES = [
@@ -91,18 +96,36 @@ KERNEL_CASES = [
     (StrategySpec(StrategyId.PARTIAL_TWO_PHASE), DeckSpec(3, 4)),
     (StrategySpec(StrategyId.PARTIAL_TWO_PHASE, phase=5, threshold=2), DeckSpec(3, 4)),
     (StrategySpec(StrategyId.PARTIAL_LADDER), DeckSpec(2, 4)),
+    (StrategySpec(StrategyId.PARTIAL_MLE), DeckSpec(3, 3)),
+    (StrategySpec(StrategyId.PARTIAL_MIN_MLE), DeckSpec(3, 3)),
 ]
 
 
 @pytest.mark.parametrize(
     "sspec,deck", KERNEL_CASES, ids=[s.label() for s, _ in KERNEL_CASES]
 )
-def test_kernel_matches_generic_path(monkeypatch, sspec, deck):
-    trials, seed = 2048, 42
-    fast = estimate_value(deck, None, sspec, trials, seed)
-    monkeypatch.setattr(mc, "_KERNELS", {})
-    slow = estimate_value(deck, None, sspec, trials, seed)
-    assert fast.histogram == slow.histogram
+def test_kernel_matches_generic_path(sspec, deck):
+    # the kernels against the generic play loop of tests/oracles.py, game by
+    # game; two blocks, the second cut short, so block and chunk edges show
+    trials, seed = 5000, 42
+    fast = np.concatenate(
+        [mc._block_scores(deck, sspec, count, seed, b) for b, count in mc._blocks(trials)]
+    )
+    word = np.array(deck.canonical_word(), dtype=np.int16)
+    decks = replayed_decks(word, trials, seed, mc._DECK_TAG, mc.BLOCK_SIZE)
+    streams = {}
+    if not sspec.deterministic:
+        # one strategy stream per block, drawn game after game
+        strategy_seed = sspec.resolve(deck)["seed"]
+        for b, _ in mc._blocks(trials):
+            streams[b] = mc.rng_stream(strategy_seed, mc._STRATEGY_TAG, b)
+    slow = [
+        play(make_oracle(sspec, deck, streams.get(t // mc.BLOCK_SIZE)), sspec.native_model, d)
+        for t, d in enumerate(decks)
+    ]
+    assert fast.tolist() == slow
+    summary = estimate_value(deck, None, sspec, trials, seed)
+    assert summary.histogram == tuple(sorted(Counter(slow).items()))
 
 
 INVALID_CASES = [
@@ -120,15 +143,16 @@ INVALID_CASES = [
     INVALID_CASES,
     ids=["card=0", "card=n+1", "phase=-1", "phase=mn+1", "two-phase-at-n=1", "seed=-1"],
 )
-def test_invalid_spec_fails_alike_with_and_without_kernels(monkeypatch, sid, params, deck, message):
-    def estimate():
+def test_invalid_spec_fails_alike_with_and_without_kernels(sid, params, deck, message):
+    # simulation, enumeration and the kernel's own builder reject alike
+    def failure(call):
         with pytest.raises(ValueError, match=message) as caught:
-            estimate_value(deck, None, StrategySpec(sid, **params), 10, 0)
+            call(StrategySpec(sid, **params))
         return str(caught.value)
 
-    fast = estimate()
-    monkeypatch.setattr(mc, "_KERNELS", {})
-    assert estimate() == fast
+    simulated = failure(lambda sspec: estimate_value(deck, None, sspec, 10, 0))
+    assert failure(lambda sspec: exact_value(deck, sspec)) == simulated
+    assert failure(lambda sspec: make_strategy(sspec, deck)) == simulated
 
 
 def test_workers_do_not_change_results():

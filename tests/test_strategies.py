@@ -5,28 +5,38 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from guessbench.core import DeckSpec, FeedbackModel, observe
+from guessbench.core import DeckSpec, FeedbackModel
 from guessbench.exact import solve_partial
 from guessbench.strategies import (
+    _KERNELS,
     _STRATEGIES,
     StrategyId,
     StrategySpec,
+    _mle_guess,
     compatible,
     make_strategy,
     parse_strategy,
     posterior_by_pair,
 )
-from oracles import all_shuffles, reference_posterior_by_pair
+from oracles import all_shuffles, make_oracle, observe, reference_posterior_by_pair
 
 
-def play(spec, model, strat, deck):
+def play(spec, model, sspec, deck):
+    """Guesses and score of the reference strategy on ``deck``; the score
+    must equal the package kernel's."""
+    strat = make_oracle(sspec, spec)
     guesses, score = [], 0
     for card in deck:
         g = strat.next_guess()
         guesses.append(g)
         score += g == card
         strat.observe(observe(model, g, card))
+    assert score == kernel_scores(sspec, spec, [deck])[0]
     return guesses, score
+
+
+def kernel_scores(sspec, spec, decks):
+    return make_strategy(sspec, spec)(np.array(decks, dtype=np.int16)).tolist()
 
 
 @pytest.mark.parametrize(
@@ -87,6 +97,8 @@ def test_parameters_a_strategy_does_not_read_are_rejected(text):
         ("nofb-constant:card=2,card=3", "strategy parameter card is given twice"),
         ("partial-two-phase:threshold=auto,threshold=3", "parameter threshold is given twice"),
         ("partial-two-phase:threshold=nan", "threshold must be a number, not nan"),
+        ("partial-two-phase:threshold=inf", "threshold must be finite"),
+        ("partial-two-phase:threshold=-1e400", "threshold must be finite"),
         ("partial-uniform:seed=-1", "seed must be nonnegative"),
     ],
 )
@@ -125,8 +137,9 @@ def test_native_models_and_determinism():
 
 def test_greedy_max_trace_on_1212():
     deck = DeckSpec(2, 2)
-    strat = make_strategy(StrategySpec(StrategyId.COMPLETE_GREEDY_MAX), deck)
-    guesses, score = play(deck, FeedbackModel.COMPLETE, strat, (1, 2, 1, 2))
+    guesses, score = play(
+        deck, FeedbackModel.COMPLETE, StrategySpec(StrategyId.COMPLETE_GREEDY_MAX), (1, 2, 1, 2)
+    )
     assert guesses == [1, 2, 1, 2]
     assert score == 4
 
@@ -134,18 +147,18 @@ def test_greedy_max_trace_on_1212():
 def test_greedy_max_per_deck_scores():
     # all six decks of (2,2) in lexicographic order, traced by hand
     deck = DeckSpec(2, 2)
-    scores = []
-    for word in all_shuffles(2, 2):
-        strat = make_strategy(StrategySpec(StrategyId.COMPLETE_GREEDY_MAX), deck)
-        scores.append(play(deck, FeedbackModel.COMPLETE, strat, word)[1])
+    greedy = StrategySpec(StrategyId.COMPLETE_GREEDY_MAX)
+    scores = kernel_scores(greedy, deck, all_shuffles(2, 2))
+    assert [play(deck, FeedbackModel.COMPLETE, greedy, w)[1] for w in all_shuffles(2, 2)] == scores
     assert scores == [3, 4, 3, 3, 2, 2]
     assert Fraction(sum(scores), 6) == Fraction(17, 6)
 
 
 def test_greedy_min_dodges_exhausted_types():
     deck = DeckSpec(1, 3)
-    strat = make_strategy(StrategySpec(StrategyId.COMPLETE_GREEDY_MIN), deck)
-    guesses, score = play(deck, FeedbackModel.COMPLETE, strat, (2, 1, 3))
+    guesses, score = play(
+        deck, FeedbackModel.COMPLETE, StrategySpec(StrategyId.COMPLETE_GREEDY_MIN), (2, 1, 3)
+    )
     # after seeing card 2 the min count is type 2's zero, a guaranteed miss;
     # once type 1 is also spent the tie reverts to the lowest index
     assert guesses == [1, 2, 1]
@@ -154,12 +167,14 @@ def test_greedy_min_dodges_exhausted_types():
 
 def test_nofb_constant_and_cyclic():
     deck = DeckSpec(2, 3)
-    strat = make_strategy(StrategySpec(StrategyId.NOFB_CONSTANT), deck)
-    assert [strat.next_guess() for _ in range(3)] == [1, 1, 1]
-    strat = make_strategy(StrategySpec(StrategyId.NOFB_CONSTANT, card=3), deck)
-    assert strat.next_guess() == 3
-    strat = make_strategy(StrategySpec(StrategyId.NOFB_CYCLIC), deck)
-    assert [strat.next_guess() for _ in range(6)] == [1, 2, 3, 1, 2, 3]
+    word = (1, 2, 3, 3, 2, 1)
+    model = FeedbackModel.NONE
+    assert play(deck, model, StrategySpec(StrategyId.NOFB_CONSTANT), word) == ([1] * 6, 2)
+    assert play(deck, model, StrategySpec(StrategyId.NOFB_CONSTANT, card=3), word) == ([3] * 6, 2)
+    assert play(deck, model, StrategySpec(StrategyId.NOFB_CYCLIC), word) == ([1, 2, 3] * 2, 4)
+    # the cyclic pattern restarts with each deck and is cut to the prefix
+    cyclic = StrategySpec(StrategyId.NOFB_CYCLIC)
+    assert kernel_scores(cyclic, deck, [word[:4], word[2:6]]) == [3, 1]
 
 
 def test_posterior_by_pair_known_points():
@@ -191,84 +206,90 @@ def test_mle_matches_reference_on_solver_states():
                 wrong = [p[1] for p in labelled]
                 expected = reference_posterior_by_pair(remaining, wrong)
                 assert posterior_by_pair(remaining, wrong) == expected
-                for sid, pick in ((StrategyId.PARTIAL_MLE, max),
-                                  (StrategyId.PARTIAL_MIN_MLE, min)):
-                    strat = make_strategy(StrategySpec(sid), spec)
-                    strat.remaining, strat.wrong = list(remaining), list(wrong)
-                    assert strat.next_guess() == expected.index(pick(expected)) + 1
+                for maximize, pick in ((True, max), (False, min)):
+                    guess = _mle_guess(list(labelled), maximize)
+                    assert guess == expected.index(pick(expected))
             checked += 1
     assert checked > 10_000
 
 
 def test_mle_picks_posterior_mode_and_persists():
     deck = DeckSpec(2, 2)
-    strat = make_strategy(StrategySpec(StrategyId.PARTIAL_MLE), deck)
-    assert strat.next_guess() == 1
-    strat.observe(False)
+    assert _mle_guess([(2, 0), (2, 0)], True) == 0
     # a missed type stays the most likely next card here
-    assert strat.next_guess() == 1
-    strat.observe(True)
-    assert strat.remaining == [1, 2]
-    assert strat.wrong == [1, 0]
+    assert _mle_guess([(2, 1), (2, 0)], True) == 0
+    mle = StrategySpec(StrategyId.PARTIAL_MLE)
+    guesses, score = play(deck, FeedbackModel.PARTIAL, mle, (2, 1, 2, 1))
+    assert guesses == [1, 1, 1, 1]
+    assert score == 2
 
 
 def test_min_mle_picks_least_likely():
-    deck = DeckSpec(1, 3)
-    strat = make_strategy(StrategySpec(StrategyId.PARTIAL_MIN_MLE), deck)
-    strat.next_guess()
-    strat.observe(False)
+    assert _mle_guess([(1, 0), (1, 0), (1, 0)], False) == 0
     # type 1 missed once: its posterior 1/2 beats 1/4, so min play avoids it
-    assert strat.next_guess() == 2
+    assert _mle_guess([(1, 1), (1, 0), (1, 0)], False) == 1
+    guesses, score = play(
+        DeckSpec(1, 3), FeedbackModel.PARTIAL, StrategySpec(StrategyId.PARTIAL_MIN_MLE), (2, 1, 3)
+    )
+    assert guesses[:2] == [1, 2]
 
 
 def test_uniform_strategy_draws_from_stream():
     deck = DeckSpec(2, 3)
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([5])))
-    strat = make_strategy(StrategySpec(StrategyId.PARTIAL_UNIFORM), deck, rng)
-    guesses = [strat.next_guess() for _ in range(deck.total)]
-    assert all(1 <= g <= 3 for g in guesses)
-    rng2 = np.random.Generator(np.random.Philox(np.random.SeedSequence([5])))
-    strat2 = make_strategy(StrategySpec(StrategyId.PARTIAL_UNIFORM), deck, rng2)
-    assert [strat2.next_guess() for _ in range(deck.total)] == guesses
+    uniform = StrategySpec(StrategyId.PARTIAL_UNIFORM)
+    decks = np.array(all_shuffles(2, 3), dtype=np.int16)
+
+    def stream():
+        return np.random.Generator(np.random.Philox(np.random.SeedSequence([5])))
+
+    scores = make_strategy(uniform, deck, stream())(decks)
+    assert scores.min() >= 0 and scores.max() <= deck.total
+    # the same stream gives the same scores, one game's draws after another
+    rng = stream()
+    oracle = [
+        sum(g == c for g, c in zip(make_oracle(uniform, deck, rng).guesses, word))
+        for word in decks.tolist()
+    ]
+    assert scores.tolist() == oracle
+    # without a stream, each call continues a fresh one of the spec's seed
+    score = make_strategy(StrategySpec(StrategyId.PARTIAL_UNIFORM, seed=5), deck)
+    assert np.concatenate([score(decks[:40]), score(decks[40:])]).tolist() == oracle
 
 
 def test_two_phase_defaults_never_switch_at_small_m():
     # threshold m/2 + sqrt(m) exceeds the phase hit maximum here, so the
     # strategy keeps guessing type 1 and scores exactly m on every deck
     deck = DeckSpec(2, 2)
+    two_phase = StrategySpec(StrategyId.PARTIAL_TWO_PHASE)
     for word in all_shuffles(2, 2):
-        strat = make_strategy(StrategySpec(StrategyId.PARTIAL_TWO_PHASE), deck)
-        assert play(deck, FeedbackModel.PARTIAL, strat, word)[1] == 2
+        assert play(deck, FeedbackModel.PARTIAL, two_phase, word)[1] == 2
+    assert kernel_scores(two_phase, deck, all_shuffles(2, 2)) == [2] * 6
 
 
 def test_two_phase_explicit_switch():
     deck = DeckSpec(1, 2)
     spec = StrategySpec(StrategyId.PARTIAL_TWO_PHASE, phase=1, threshold=1.0)
-    strat = make_strategy(spec, deck)
-    guesses, score = play(deck, FeedbackModel.PARTIAL, strat, (1, 2))
+    guesses, score = play(deck, FeedbackModel.PARTIAL, spec, (1, 2))
     assert guesses == [1, 2]
     assert score == 2
-    strat = make_strategy(spec, deck)
-    guesses, score = play(deck, FeedbackModel.PARTIAL, strat, (2, 1))
+    guesses, score = play(deck, FeedbackModel.PARTIAL, spec, (2, 1))
     assert guesses == [1, 1]
     assert score == 1
 
 
 def test_ladder_traces():
+    ladder = StrategySpec(StrategyId.PARTIAL_LADDER)
     deck = DeckSpec(1, 2)
-    strat = make_strategy(StrategySpec(StrategyId.PARTIAL_LADDER), deck)
-    guesses, score = play(deck, FeedbackModel.PARTIAL, strat, (1, 2))
+    guesses, score = play(deck, FeedbackModel.PARTIAL, ladder, (1, 2))
     assert guesses == [1, 2]
     assert score == 2
 
     deck = DeckSpec(2, 2)
-    strat = make_strategy(StrategySpec(StrategyId.PARTIAL_LADDER), deck)
-    guesses, score = play(deck, FeedbackModel.PARTIAL, strat, (2, 2, 1, 1))
+    guesses, score = play(deck, FeedbackModel.PARTIAL, ladder, (2, 2, 1, 1))
     assert guesses == [1, 1, 1, 2]
     assert score == 1
     # the target caps at n: once type n is found it stays the guess
-    strat = make_strategy(StrategySpec(StrategyId.PARTIAL_LADDER), deck)
-    guesses, score = play(deck, FeedbackModel.PARTIAL, strat, (1, 2, 1, 2))
+    guesses, score = play(deck, FeedbackModel.PARTIAL, ladder, (1, 2, 1, 2))
     assert guesses == [1, 2, 2, 2]
     assert score == 3
 
@@ -296,3 +317,12 @@ def test_compatibility_rules():
     greedy = StrategySpec(StrategyId.COMPLETE_GREEDY_MAX)
     assert compatible(greedy, FeedbackModel.COMPLETE)
     assert not compatible(greedy, FeedbackModel.PARTIAL)
+
+
+def test_one_kernel_table_serves_every_strategy():
+    # every strategy has exactly one implementation, and simulation reads
+    # the same table that make_strategy does
+    import guessbench.montecarlo as mc
+
+    assert list(_KERNELS) == list(StrategyId) == list(_STRATEGIES)
+    assert mc._KERNELS is _KERNELS
