@@ -7,6 +7,13 @@ the counter-based stream (seed, 0, b) and any strategy randomness from
 estimates are bit-identical for a given (seed, trials) no matter how many
 workers run the blocks.
 
+A strategy whose kernel compares cards only against types 1..k
+(partial-two-phase, k = 2) is dealt reduced decks: each row draws only the
+positions of those km cards and holds 0 in every other cell, 800 of 20,000
+cards per deck at (400, 50).  Every other strategy, and every other sampler,
+shuffles the whole deck.  The reduced layout changed two-phase's stream,
+which is why ``RNG_FAMILY`` moved from ``philox4x64`` to ``philox4x64-r2``.
+
 Each chunk of decks is scored by the strategy's kernel through
 ``strategies.make_strategy``, the same path exact enumeration takes.  The
 tests replay the same decks and strategy streams game by game through the
@@ -29,9 +36,16 @@ from .core import DeckSpec, FeedbackModel
 
 # _KERNELS is not read here; perfbench/tracer.py wraps the simulation
 # kernels through this name, and it is the same dict make_strategy reads.
-from .strategies import _KERNELS, StrategySpec, _resolve_model, make_strategy  # noqa: F401
+from .strategies import (  # noqa: F401
+    _KERNELS,
+    _STRATEGIES,
+    StrategyId,
+    StrategySpec,
+    _resolve_model,
+    make_strategy,
+)
 
-RNG_FAMILY = "philox4x64"
+RNG_FAMILY = "philox4x64-r2"
 BLOCK_SIZE = 4096
 _CHUNK = 512
 _DECK_TAG = 0
@@ -90,19 +104,39 @@ def _blocks(trials: int, size: int = BLOCK_SIZE) -> list[tuple[int, int]]:
     return [(b, min(size, trials - b * size)) for b in range((trials + size - 1) // size)]
 
 
+def _deck_word(spec: DeckSpec) -> np.ndarray:
+    """The sorted word of ``spec`` as an array: int16 up to 32,767 types,
+    int32 above."""
+    dtype = np.int16 if spec.num_types <= np.iinfo(np.int16).max else np.int32
+    return np.array(spec.canonical_word(), dtype=dtype)
+
+
 def deck_chunks(
-    word: np.ndarray, blocks: list[tuple[int, int]], seed: int, tag: int = _DECK_TAG
+    word: np.ndarray,
+    blocks: list[tuple[int, int]],
+    seed: int,
+    tag: int = _DECK_TAG,
+    reads: int | None = None,
 ) -> Iterator[np.ndarray]:
     """Shuffles of ``word`` for each (block id, rows) pair of ``blocks``.
 
     Block b draws its shuffles in order from ``rng_stream(seed, tag, b)``;
-    they come out stacked in arrays of at most ``_CHUNK`` rows.
+    they come out stacked in arrays of at most ``_CHUNK`` rows.  With
+    ``reads``, each row instead draws ``reads`` distinct positions, in
+    order, and holds ``word[:reads]`` there and 0 in every other cell, so
+    those cards lie where a uniform shuffle would put them.
     """
     for block_id, count in blocks:
         rng = rng_stream(seed, tag, block_id)
         for done in range(0, count, _CHUNK):
             step = min(_CHUNK, count - done)
-            yield rng.permuted(np.tile(word, (step, 1)), axis=1)
+            if reads is None:
+                yield rng.permuted(np.tile(word, (step, 1)), axis=1)
+                continue
+            decks = np.zeros((step, len(word)), dtype=word.dtype)
+            for row in decks:
+                row[rng.choice(len(word), size=reads, replace=False)] = word[:reads]
+            yield decks
 
 
 def _block_scores(
@@ -112,14 +146,35 @@ def _block_scores(
     if not sspec.deterministic:
         strat_rng = rng_stream(sspec.resolve(spec)["seed"], _STRATEGY_TAG, block_id)
     score = make_strategy(sspec, spec, strat_rng)
-    word = np.array(spec.canonical_word(), dtype=np.int16)
-    return np.concatenate([score(decks) for decks in deck_chunks(word, [(block_id, count)], seed)])
+    reads_types = _STRATEGIES[sspec.id].reads_types
+    reads = None if reads_types is None else reads_types * spec.multiplicity
+    chunks = deck_chunks(_deck_word(spec), [(block_id, count)], seed, reads=reads)
+    return np.concatenate([score(decks) for decks in chunks])
 
 
 def _score_block_job(payload) -> list[tuple[int, int]]:
     m, n, sspec, count, seed, block_id = payload
     scores = _block_scores(DeckSpec(m, n), sspec, count, seed, block_id)
     return sorted(Counter(scores.tolist()).items())
+
+
+def _score_histogram(
+    spec: DeckSpec, strategy: StrategySpec, trials: int, seed: int, workers: int = 1
+) -> Counter[int]:
+    """Scores of ``trials`` simulated games as a histogram, block by block."""
+    jobs = [
+        (spec.multiplicity, spec.num_types, strategy, count, seed, block_id)
+        for block_id, count in _blocks(trials)
+    ]
+    hist: Counter[int] = Counter()
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            for items in pool.map(_score_block_job, jobs):
+                hist.update(dict(items))
+    else:
+        for job in jobs:
+            hist.update(dict(_score_block_job(job)))
+    return hist
 
 
 def estimate_value(
@@ -140,19 +195,7 @@ def estimate_value(
     # validated only: a compatible model other than the strategy's own never
     # changes a score, since only no-feedback strategies run under one
     _resolve_model(strategy, model)
-    jobs = [
-        (spec.multiplicity, spec.num_types, strategy, count, seed, block_id)
-        for block_id, count in _blocks(trials)
-    ]
-    hist: Counter[int] = Counter()
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for items in pool.map(_score_block_job, jobs):
-                hist.update(dict(items))
-    else:
-        for job in jobs:
-            hist.update(dict(_score_block_job(job)))
-    return StatSummary.from_counter(hist)
+    return StatSummary.from_counter(_score_histogram(spec, strategy, trials, seed, workers))
 
 
 # ===== waiting times and chain statistic =====
@@ -181,16 +224,19 @@ def estimate_repeat_time(spec: DeckSpec, j: int, trials: int, seed: int) -> Repe
         raise ValueError(f"j must lie in 1..{spec.multiplicity}")
     if trials < 1:
         raise ValueError("trials must be positive")
-    word = np.array(spec.canonical_word(), dtype=np.int16)
     hist: Counter[int] = Counter()
-    for decks in deck_chunks(word, _blocks(trials), seed):
-        for deck in decks.tolist():
-            seen = [0] * spec.num_types
-            for t, card in enumerate(deck, start=1):
-                seen[card - 1] += 1
-                if seen[card - 1] == j:
-                    hist[t] += 1
-                    break
+    for decks in deck_chunks(_deck_word(spec), _blocks(trials), seed):
+        rows = np.arange(decks.shape[0])
+        seen = np.zeros((decks.shape[0], spec.num_types + 1), dtype=np.int32)
+        first = np.zeros(decks.shape[0], dtype=np.int64)
+        # every type holds m >= j cards, so each row reaches j by the last column
+        for t in range(decks.shape[1]):
+            cards = decks[:, t]
+            seen[rows, cards] += 1
+            first[(first == 0) & (seen[rows, cards] == j)] = t + 1
+            if first.all():
+                break
+        hist.update(first.tolist())
     return RepeatTimeEstimate(spec, j, trials, tuple(sorted(hist.items())))
 
 
@@ -211,15 +257,16 @@ def exact_distinct_prefix_probability(spec: DeckSpec, t: int) -> Fraction:
 
 
 def estimate_chain(spec: DeckSpec, trials: int, seed: int) -> StatSummary:
-    """Simulated distribution of the initial increasing-chain length."""
+    """Simulated distribution of the initial increasing-chain length.
+
+    The ladder guesses 1, 2, ..., n in turn, each until it hits, then keeps
+    guessing n: its score is the chain length plus the n's after the chain
+    completes, so the chain length is the ladder's score capped at n.
+    """
     if trials < 1:
         raise ValueError("trials must be positive")
-    word = np.array(spec.canonical_word(), dtype=np.int16)
+    scores = _score_histogram(spec, StrategySpec(StrategyId.PARTIAL_LADDER), trials, seed)
     hist: Counter[int] = Counter()
-    for decks in deck_chunks(word, _blocks(trials), seed):
-        target = np.ones(decks.shape[0], dtype=np.int64)
-        for t in range(spec.total):
-            # comparison against the raw target self-limits at n + 1
-            target += decks[:, t] == target
-        hist.update((target - 1).tolist())
+    for score, count in scores.items():
+        hist[min(score, spec.num_types)] += count
     return StatSummary.from_counter(hist)

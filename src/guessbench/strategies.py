@@ -216,7 +216,7 @@ def _kernel_constant(spec, params, decks, strat_rng):
 
 
 def _kernel_cyclic(spec, params, decks, strat_rng):
-    pattern = np.array([t % spec.num_types + 1 for t in range(decks.shape[1])], dtype=np.int16)
+    pattern = (np.arange(decks.shape[1]) % spec.num_types + 1).astype(decks.dtype)
     return (decks == pattern).sum(axis=1)
 
 
@@ -256,26 +256,30 @@ def _kernel_two_phase(spec, params, decks, strat_rng):
 
 
 def _kernel_ladder(spec, params, decks, strat_rng):
-    # Guess k until a guess of k hits, then k + 1; the target caps at n.
-    n = spec.num_types
-    target = np.ones(decks.shape[0], dtype=np.int64)
+    # Guess k until a guess of k hits, then k + 1; the guess caps at n.
+    guess = np.ones(decks.shape[0], dtype=decks.dtype)
     scores = np.zeros(decks.shape[0], dtype=np.int64)
     for t in range(decks.shape[1]):
-        hit = decks[:, t] == np.minimum(target, n)
+        hit = decks[:, t] == guess
         scores += hit
-        target += hit & (target <= n)
+        guess += hit & (guess < spec.num_types)
     return scores
 
 
 class _Kind(NamedTuple):
     """One strategy: its native model, each parameter it reads with its
     default on a deck, and what the deck must satisfy: bounds on parameters
-    and a least number of types.  Its kernel is its entry in ``_KERNELS``."""
+    and a least number of types.  Its kernel is its entry in ``_KERNELS``.
+
+    ``reads_types`` = k says the kernel compares cards only against types
+    1..k, so simulation may deal it decks holding only those km cards, with
+    0 in every other cell; None means it reads every card."""
 
     model: FeedbackModel
     defaults: dict[str, Callable[[DeckSpec], int | float]] = {}
     bounds: dict[str, Callable[[DeckSpec], tuple[int, int]]] = {}
     min_types: int = 1
+    reads_types: int | None = None
 
 
 _STRATEGIES = {
@@ -298,6 +302,7 @@ _STRATEGIES = {
         },
         bounds={"phase": lambda deck: (0, deck.total)},
         min_types=2,
+        reads_types=2,
     ),
     StrategyId.PARTIAL_LADDER: _Kind(FeedbackModel.PARTIAL),
 }

@@ -2,8 +2,8 @@
 
 Most of this file enumerates and filters and shares no code with the
 package; size guards keep those inputs tiny on purpose.  ``replayed_decks``
-draws seeded shuffles one at a time from ``rng_stream``, the layout the
-chunked deck sampler must reproduce.  The recursive
+draws seeded shuffles one at a time from ``rng_stream``, in the full or the
+reduced layout, which the chunked deck sampler must reproduce.  The recursive
 value DPs are the package's earlier Fraction-valued solvers,
 kept as references for the integer-weighted ones.  They import only the
 arrangement counter ``_count``, ``DeckSpec`` and two result records.
@@ -161,16 +161,30 @@ def brute_hypergeom(population: int, good: int, draws: int, k: int) -> Fraction:
 
 
 def replayed_decks(
-    word, trials: int, seed: int, tag: int, block_size: int
+    word, trials: int, seed: int, tag: int, block_size: int, reads: int | None = None
 ) -> list[tuple[int, ...]]:
     """Trial t's deck is row t % block_size of block t // block_size, and
     block b draws its rows in order, one permutation each, from
-    rng_stream(seed, tag, b)."""
+    rng_stream(seed, tag, b).
+
+    With ``reads``, each row instead draws ``reads`` distinct positions in
+    order and puts the first ``reads`` cards of ``word`` there; the rest of
+    ``word`` fills the other positions in order, so every deck is a full
+    shuffle that agrees with the reduced row on those cards.
+    """
     decks = []
     for block in range(-(-trials // block_size)):
         rng = rng_stream(seed, tag, block)
         for _ in range(min(block_size, trials - block * block_size)):
-            decks.append(tuple(int(c) for c in rng.permutation(word)))
+            if reads is None:
+                decks.append(tuple(int(c) for c in rng.permutation(word)))
+                continue
+            positions = rng.choice(len(word), size=reads, replace=False).tolist()
+            others = sorted(set(range(len(word))) - set(positions))
+            deck = [0] * len(word)
+            for position, card in zip(positions + others, word):
+                deck[position] = int(card)
+            decks.append(tuple(deck))
     return decks
 
 

@@ -215,6 +215,7 @@ def test_criterion_10_two_phase_gain_and_chain_bounds():
         10,
         "two-phase gain grows with m; ladder dominates the chain statistic pointwise",
         started,
+        60.0,
     )
 
 

@@ -239,6 +239,21 @@ def test_tj_exact_column(capsys):
     assert sum(int(d["count"]) for d in data) == 500
 
 
+def test_decks_past_int16_types_simulate(capsys):
+    # 40,000 types do not fit the int16 deck word; the sampler widens it
+    code, out, _ = run_cli(
+        capsys, "simulate", "-m", "1", "-n", "40000", "--strategy", "nofb-constant",
+        "--trials", "1",
+    )
+    assert code == 0
+    data = dict(zip(*read_csv(out)))
+    assert data["mean"] == "1.000000"
+    code, out, _ = run_cli(capsys, "tj", "-m", "1", "-n", "40000", "-j", "1", "--trials", "1")
+    assert code == 0
+    rows = read_csv(out)
+    assert [dict(zip(rows[0], r))["t"] for r in rows[1:]] == ["1"]
+
+
 def test_persistence_subcommand(capsys):
     code, out, _ = run_cli(capsys, "persistence", "-m", "2", "-n", "2")
     assert code == 0

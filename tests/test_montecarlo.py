@@ -16,7 +16,7 @@ from guessbench.montecarlo import (
     exact_distinct_prefix_probability,
     rng_stream,
 )
-from guessbench.strategies import StrategyId, StrategySpec, make_strategy
+from guessbench.strategies import _STRATEGIES, StrategyId, StrategySpec, make_strategy
 from oracles import (
     PolicyPlayer,
     ReferencePartialMle,
@@ -28,6 +28,7 @@ from oracles import (
 )
 
 CONSTANT = StrategySpec(StrategyId.NOFB_CONSTANT)
+TWO_PHASE = StrategySpec(StrategyId.PARTIAL_TWO_PHASE)
 
 
 def test_rng_stream_reproducible_and_tag_separated():
@@ -53,6 +54,39 @@ def test_sample_shuffle_is_valid_and_uniform():
     chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
     # 5 degrees of freedom; 20.5 is the 0.999 quantile
     assert chi2 < 20.5
+
+
+def test_reduced_layout_places_types_1_and_2_uniformly():
+    # at (2,3) the two 1s and two 2s fill 4 of 6 cells: 15 * 6 = 90 patterns
+    word = mc._deck_word(DeckSpec(2, 3))
+    trials = 45_000
+    chunks = list(deck_chunks(word, mc._blocks(trials), 5, reads=4))
+    counts = Counter(tuple(deck) for decks in chunks for deck in decks.tolist())
+    assert sum(counts.values()) == trials
+    expected_patterns = {
+        tuple(0 if c == 3 else c for c in deck) for deck in all_shuffles(2, 3)
+    }
+    assert len(expected_patterns) == 90
+    assert set(counts) == expected_patterns
+    expected = trials / 90
+    chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
+    # 89 degrees of freedom; 136.0 is the 0.999 quantile
+    assert chi2 < 136.0
+
+
+def test_reduced_layout_over_the_whole_deck_is_a_shuffle():
+    # at n = 2 two-phase reads both types, so each row is a full shuffle
+    spec = DeckSpec(3, 2)
+    word = mc._deck_word(spec)
+    trials = 20_000
+    decks = np.concatenate(list(deck_chunks(word, mc._blocks(trials), 9, reads=spec.total)))
+    assert (np.sort(decks, axis=1) == word).all()
+    counts = Counter(map(tuple, decks.tolist()))
+    assert sorted(counts) == all_shuffles(3, 2)
+    expected = trials / 20
+    chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
+    # 19 degrees of freedom; 43.8 is the 0.999 quantile
+    assert chi2 < 43.8
 
 
 def test_play_game_record():
@@ -95,6 +129,7 @@ KERNEL_CASES = [
     (StrategySpec(StrategyId.PARTIAL_UNIFORM, seed=3), DeckSpec(3, 3)),
     (StrategySpec(StrategyId.PARTIAL_TWO_PHASE), DeckSpec(3, 4)),
     (StrategySpec(StrategyId.PARTIAL_TWO_PHASE, phase=5, threshold=2), DeckSpec(3, 4)),
+    (StrategySpec(StrategyId.PARTIAL_TWO_PHASE, phase=3, threshold=1), DeckSpec(3, 2)),
     (StrategySpec(StrategyId.PARTIAL_LADDER), DeckSpec(2, 4)),
     (StrategySpec(StrategyId.PARTIAL_MLE), DeckSpec(3, 3)),
     (StrategySpec(StrategyId.PARTIAL_MIN_MLE), DeckSpec(3, 3)),
@@ -111,8 +146,12 @@ def test_kernel_matches_generic_path(sspec, deck):
     fast = np.concatenate(
         [mc._block_scores(deck, sspec, count, seed, b) for b, count in mc._blocks(trials)]
     )
-    word = np.array(deck.canonical_word(), dtype=np.int16)
-    decks = replayed_decks(word, trials, seed, mc._DECK_TAG, mc.BLOCK_SIZE)
+    # strategies that read only types 1..k replay the reduced layout
+    reads_types = _STRATEGIES[sspec.id].reads_types
+    reads = None if reads_types is None else reads_types * deck.multiplicity
+    decks = replayed_decks(
+        mc._deck_word(deck), trials, seed, mc._DECK_TAG, mc.BLOCK_SIZE, reads
+    )
     streams = {}
     if not sspec.deterministic:
         # one strategy stream per block, drawn game after game
@@ -161,6 +200,12 @@ def test_workers_do_not_change_results():
     two = estimate_value(spec, None, CONSTANT, 5000, 11, workers=2)
     assert one.histogram == two.histogram
     assert one.trials == 5000
+    # two-phase deals reduced decks; each block still draws from its own stream
+    spec = DeckSpec(3, 5)
+    one = estimate_value(spec, None, TWO_PHASE, 9000, 11, workers=1)
+    two = estimate_value(spec, None, TWO_PHASE, 9000, 11, workers=2)
+    assert one.histogram == two.histogram
+    assert one.trials == 9000
 
 
 def test_single_trial_and_validation():

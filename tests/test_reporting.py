@@ -88,5 +88,5 @@ def test_emit_table_validation_and_path(tmp_path):
 def test_provenance_fields():
     stamp = provenance()
     assert set(stamp) == {"version", "rng", "timestamp"}
-    assert stamp["rng"] == "philox4x64"
+    assert stamp["rng"] == "philox4x64-r2"
     assert set(provenance(with_timestamp=False)) == {"version", "rng"}
