@@ -3,17 +3,8 @@ three feedback models, seeded large-scale simulation, and numeric stress
 tests for the tail bounds the asymptotics lean on."""
 
 from ._version import __version__
-from .combinatorics import (
-    ConstraintState,
-    binomial_pmf,
-    last_card_fraction,
-    shuffle_count,
-)
-from .core import (
-    DeckSpec,
-    FeedbackModel,
-    chain_length,
-)
+from .combinatorics import ConstraintState, binomial_pmf, shuffle_count
+from .core import DeckSpec, FeedbackModel
 from .exact import (
     PartialSolution,
     PersistenceViolation,
@@ -59,7 +50,6 @@ __all__ = [
     "StrategyId",
     "StrategySpec",
     "binomial_pmf",
-    "chain_length",
     "compatible",
     "enumerable_specs",
     "estimate_chain",
@@ -70,7 +60,6 @@ __all__ = [
     "exact_value",
     "first_third_distribution",
     "iter_shuffles",
-    "last_card_fraction",
     "make_strategy",
     "optimal_complete",
     "optimal_partial",

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -223,17 +223,15 @@ def hyp_tail_report(
     )
 
 
-def single_tail_grid(
-    max_population: int = 60, lams: Sequence[float] = (0.25, 0.5, 1.0, 2.0)
-) -> list[BoundReport]:
+def single_tail_grid(max_population: int = 60) -> list[BoundReport]:
     """Every single-draw tail report with population <= max_population that
-    meets the population >= good^2+good hypothesis."""
+    meets the population >= good^2+good hypothesis, at lam 0.25, 0.5, 1 and 2."""
     reports = []
     for population in range(1, max_population + 1):
         good = 1
         while good * good + good <= population:
             for draws in range(population + 1):
-                for lam in lams:
+                for lam in (0.25, 0.5, 1.0, 2.0):
                     reports.append(hyp_tail_report(population, good, draws, lam))
             good += 1
     return reports
@@ -300,23 +298,20 @@ def first_third_pmf(spec: DeckSpec, strategy: StrategySpec) -> dict[int, Fractio
     prefix = spec.total // 3
     if strategy.id is StrategyId.PARTIAL_UNIFORM:
         return binomial_pmf_map(prefix, Fraction(1, spec.num_types))
-    return dict(first_third_distribution(spec, strategy))
+    return first_third_distribution(spec, strategy)
 
 
-def first_third_dominance_reports(
-    size_limit: int = 10**4, min_types: int = 3, strategies: Iterable[StrategySpec] | None = None
-) -> list[DominanceReport]:
+def first_third_dominance_reports(size_limit: int = 10**4) -> list[DominanceReport]:
     """Check Binomial(floor(mn/3), 3/n) >= first-third score for the whole
-    strategy zoo on every enumerable spec with at least min_types types."""
-    if strategies is None:
-        strategies = [StrategySpec(sid) for sid in StrategyId]
+    strategy zoo on every enumerable spec with at least three types."""
     out = []
     for spec in enumerable_specs(size_limit):
-        if spec.num_types < min_types:
+        if spec.num_types < 3:
             continue
         prefix = spec.total // 3
         envelope = binomial_pmf_map(prefix, Fraction(3, spec.num_types))
-        for sspec in strategies:
+        for sid in StrategyId:
+            sspec = StrategySpec(sid)
             result = check_dominance(envelope, first_third_pmf(spec, sspec))
             out.append(DominanceReport(spec, sspec.label(), prefix, result))
     return out

@@ -367,11 +367,17 @@ def _cmd_lstat(config: RunConfig):
     return 0, [{**row, **provenance()}]
 
 
-def _partial_value_or_none(spec: DeckSpec, sense: str, state_limit: int):
+def _partial_values_or_none(spec: DeckSpec, state_limit: int) -> dict[str, Fraction | None]:
+    """The partial optimum per sense, or None in both once the first solve
+    hits the state limit: both senses expand the same states in the same
+    order, so the limit trips for both or for neither."""
     try:
-        return exact.optimal_partial(spec, sense, state_limit=state_limit)
+        return {
+            sense: exact.optimal_partial(spec, sense, state_limit=state_limit)
+            for sense in ("max", "min")
+        }
     except RuntimeError:
-        return None
+        return {"max": None, "min": None}
 
 
 def _cmd_table(config: RunConfig):
@@ -388,8 +394,7 @@ def _cmd_table(config: RunConfig):
                 raise UsageError(str(err)) from None
             row = {"m": m, "n": n, "shuffles": shuffle_count(spec)}
             row.update(exact_cells("nofb", Fraction(m)))
-            for sense in ("max", "min"):
-                value = _partial_value_or_none(spec, sense, state_limit)
+            for sense, value in _partial_values_or_none(spec, state_limit).items():
                 if value is None:
                     row[f"partial_{sense}"] = row[f"partial_{sense}_decimal"] = None
                 else:

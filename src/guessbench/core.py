@@ -1,4 +1,4 @@
-"""Decks, shuffles, feedback models, and the increasing-chain statistic.
+"""Decks, shuffles, and feedback models.
 
 A deck holds ``num_types`` card types with ``multiplicity`` copies each; a
 shuffle is a word over ``1..num_types`` in which every type appears exactly
@@ -41,15 +41,3 @@ class DeckSpec:
         return tuple(
             t for t in range(1, self.num_types + 1) for _ in range(self.multiplicity)
         )
-
-
-def chain_length(word: tuple[int, ...]) -> int:
-    """Largest p such that 1, 2, ..., p appear at increasing positions.
-
-    Single greedy left-to-right scan: match 1 first, then 2, and so on.
-    """
-    target = 1
-    for card in word:
-        if card == target:
-            target += 1
-    return target - 1

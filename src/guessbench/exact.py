@@ -28,8 +28,8 @@ from .combinatorics import (  # noqa: F401
     next_card_counts,
     shuffle_count,
 )
-from .core import DeckSpec, FeedbackModel, chain_length
-from .strategies import StrategySpec, _resolve_model, make_strategy
+from .core import DeckSpec, FeedbackModel
+from .strategies import StrategyId, StrategySpec, _resolve_model, make_strategy
 
 Sense = Literal["max", "min"]
 
@@ -67,26 +67,40 @@ def iter_shuffles(spec: DeckSpec) -> Iterator[tuple[int, ...]]:
         word[i + 1 :] = reversed(word[i + 1 :])
 
 
-def enumerable_specs(size_limit: int = 10**4, max_total: int = 16) -> list[DeckSpec]:
-    """Deck specs whose full shuffle set fits under ``size_limit``."""
+def enumerable_specs(size_limit: int = 10**4) -> list[DeckSpec]:
+    """Deck specs with at most 16 cards whose full shuffle set fits under
+    ``size_limit``."""
     out = []
-    for m in range(1, max_total + 1):
-        for n in range(1, max_total // m + 1):
+    for m in range(1, 17):
+        for n in range(1, 16 // m + 1):
             spec = DeckSpec(m, n)
             if shuffle_count(spec) <= size_limit:
                 out.append(spec)
     return out
 
 
-def _enumerated_scores(spec: DeckSpec, strategy: StrategySpec, prefix: int) -> Counter[int]:
-    """Histogram of the strategy's score over the first ``prefix`` cards of
-    every shuffle, scored by its kernel in int16 chunks of shuffles."""
+def _score_pmf(
+    spec: DeckSpec, strategy: StrategySpec, prefix: int, limit: int
+) -> dict[int, Fraction]:
+    """Exact pmf of a deterministic strategy's score over the first
+    ``prefix`` cards, by scoring every shuffle with its kernel in int16
+    chunks.  The one enumeration behind every exact strategy statistic.
+
+    Randomized specs are rejected; estimate those by simulation.
+    """
+    if not strategy.deterministic:
+        raise ValueError(f"{strategy.label()} is randomized; use montecarlo.estimate_value")
+    size = shuffle_count(spec)
+    if size > limit:
+        raise ValueError(
+            f"{size} shuffles exceed the enumeration limit {limit}; raise it or simulate"
+        )
     score = make_strategy(strategy, spec)
     shuffles = iter_shuffles(spec)
     hist: Counter[int] = Counter()
     while chunk := list(itertools.islice(shuffles, _SCORE_CHUNK)):
         hist.update(score(np.array(chunk, dtype=np.int16)[:, :prefix]).tolist())
-    return hist
+    return {k: Fraction(hist[k], size) for k in sorted(hist)}
 
 
 def exact_value(
@@ -95,20 +109,10 @@ def exact_value(
     model: FeedbackModel | None = None,
     limit: int = DEFAULT_ENUM_LIMIT,
 ) -> Fraction:
-    """Expected score of a deterministic strategy by full enumeration.
-
-    Randomized specs are rejected; estimate those by simulation.
-    """
-    if not strategy.deterministic:
-        raise ValueError(f"{strategy.label()} is randomized; use montecarlo.estimate_value")
+    """Expected score of a deterministic strategy over the whole deck."""
     _resolve_model(strategy, model)  # a compatible model never changes a score
-    size = shuffle_count(spec)
-    if size > limit:
-        raise ValueError(
-            f"{size} shuffles exceed the enumeration limit {limit}; raise it or simulate"
-        )
-    hist = _enumerated_scores(spec, strategy, spec.total)
-    return Fraction(sum(score * count for score, count in hist.items()), size)
+    pmf = _score_pmf(spec, strategy, spec.total, limit)
+    return sum(k * p for k, p in pmf.items())
 
 
 # ===== complete feedback: integer weights on count multisets =====
@@ -356,26 +360,20 @@ def probe_persistence(
 
 
 def exact_chain_mean(spec: DeckSpec, limit: int = DEFAULT_ENUM_LIMIT) -> Fraction:
-    """Mean initial increasing-chain length over all shuffles."""
-    size = shuffle_count(spec)
-    if size > limit:
-        raise ValueError(f"{size} shuffles exceed the enumeration limit {limit}")
-    return Fraction(sum(chain_length(deck) for deck in iter_shuffles(spec)), size)
+    """Mean initial increasing-chain length over all shuffles: the largest p
+    with 1, ..., p at increasing positions.
+
+    The ladder's target and the chain's rise on the same cards until the
+    ladder reaches type n, so the chain length is the ladder's score capped
+    at n.
+    """
+    pmf = _score_pmf(spec, StrategySpec(StrategyId.PARTIAL_LADDER), spec.total, limit)
+    return sum(min(k, spec.num_types) * p for k, p in pmf.items())
 
 
-def first_third_distribution(
-    spec: DeckSpec,
-    strategy: StrategySpec,
-    limit: int = 10**4,
-) -> dict[int, Fraction]:
+def first_third_distribution(spec: DeckSpec, strategy: StrategySpec) -> dict[int, Fraction]:
     """Exact pmf of corrects among the first floor(mn/3) guesses."""
-    if not strategy.deterministic:
-        raise ValueError("exact early-game pmf needs a deterministic strategy")
-    size = shuffle_count(spec)
-    if size > limit:
-        raise ValueError(f"{size} shuffles exceed the enumeration limit {limit}")
-    hist = _enumerated_scores(spec, strategy, spec.total // 3)
-    return {k: Fraction(hist[k], size) for k in sorted(hist)}
+    return _score_pmf(spec, strategy, spec.total // 3, DEFAULT_ENUM_LIMIT)
 
 
 # ===== pointwise bound sweep =====
@@ -395,12 +393,6 @@ def _grid_vectors(
             for forbidden in itertools.product(*caps):
                 if sum(forbidden) < total:
                     yield remaining, forbidden
-
-
-def iter_constraint_grid(max_total: int, max_types: int = 4) -> Iterator[ConstraintState]:
-    """Every constraint state with at most ``max_types`` types and total ``max_total``."""
-    for remaining, forbidden in _grid_vectors(max_total, max_types):
-        yield ConstraintState(remaining, forbidden)
 
 
 @dataclass(frozen=True)

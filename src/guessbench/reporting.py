@@ -100,8 +100,9 @@ def emit_table(rows: list[dict], fmt: str = "csv", path: str | None = None) -> s
     return text
 
 
-def provenance(with_timestamp: bool = True) -> dict:
-    out = {"version": __version__, "rng": RNG_FAMILY}
-    if with_timestamp:
-        out["timestamp"] = datetime.now(timezone.utc).isoformat()
-    return out
+def provenance() -> dict:
+    return {
+        "version": __version__,
+        "rng": RNG_FAMILY,
+        "timestamp": datetime.now(timezone.utc).isoformat(),
+    }

@@ -50,7 +50,7 @@ from guessbench.exact import (
     PersistenceViolation,
     PointwiseReport,
     Sense,
-    iter_constraint_grid,
+    _grid_vectors,
     iter_shuffles,
 )
 from guessbench.montecarlo import rng_stream
@@ -614,6 +614,13 @@ class ReferencePartialMle(PartialMle):
 
 
 # ===== Fraction-valued verification sweeps (references for the integer ones) =====
+
+
+def iter_constraint_grid(max_total: int, max_types: int = 4) -> Iterator[ConstraintState]:
+    """Every constraint state with at most ``max_types`` types and total
+    ``max_total``, in the order ``verify_pointwise`` walks them."""
+    for remaining, forbidden in _grid_vectors(max_total, max_types):
+        yield ConstraintState(remaining, forbidden)
 
 
 def reference_verify_pointwise(

@@ -16,12 +16,11 @@ from guessbench.bounds import (
     single_tail_grid,
 )
 from guessbench.combinatorics import _count
-from guessbench.core import DeckSpec, chain_length
+from guessbench.core import DeckSpec
 from guessbench.exact import (
     enumerable_specs,
     exact_chain_mean,
     exact_value,
-    iter_constraint_grid,
     iter_shuffles,
     optimal_complete,
     optimal_partial,
@@ -34,7 +33,7 @@ from guessbench.montecarlo import (
 )
 from guessbench.cli import main
 from guessbench.strategies import StrategyId, StrategySpec, make_strategy
-from oracles import expectimax_value, iter_arrangements
+from oracles import brute_chain, expectimax_value, iter_arrangements, iter_constraint_grid
 
 GREEDY_MAX = StrategySpec(StrategyId.COMPLETE_GREEDY_MAX)
 GREEDY_MIN = StrategySpec(StrategyId.COMPLETE_GREEDY_MIN)
@@ -136,7 +135,7 @@ def test_criterion_05_pointwise_bound_and_counts_exhaustive():
 
 def test_criterion_06_first_third_binomial_domination():
     started = time.perf_counter()
-    reports = first_third_dominance_reports(size_limit=10**4, min_types=3)
+    reports = first_third_dominance_reports(size_limit=10**4)
     zoo_size = len(list(StrategyId))
     specs = {s for s in enumerable_specs(10**4) if s.num_types >= 3}
     assert len(reports) == zoo_size * len(specs)
@@ -206,14 +205,16 @@ def test_criterion_10_two_phase_gain_and_chain_bounds():
     assert gains[0] < gains[1] < gains[2]
 
     for spec in enumerable_specs(10**4):
-        ladder_value = exact_value(spec, LADDER)
-        assert exact_chain_mean(spec) <= ladder_value <= optimal_partial(spec, "max")
+        chain_mean = exact_chain_mean(spec)
+        assert chain_mean <= exact_value(spec, LADDER) <= optimal_partial(spec, "max")
         words = list(iter_shuffles(spec))
+        chains = [brute_chain(word) for word in words]
         hits = make_strategy(LADDER, spec)(np.array(words, dtype=np.int16))
-        assert all(h >= chain_length(word) for h, word in zip(hits.tolist(), words))
+        assert [min(h, spec.num_types) for h in hits.tolist()] == chains, spec
+        assert chain_mean == Fraction(sum(chains), len(words)), spec
     _report(
         10,
-        "two-phase gain grows with m; ladder dominates the chain statistic pointwise",
+        "two-phase gain grows with m; the chain statistic is the ladder's score capped at n",
         started,
         60.0,
     )

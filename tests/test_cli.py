@@ -396,6 +396,29 @@ def test_table_state_limit_flag(capsys):
     assert row["complete_min"] == "13/15"
 
 
+def test_table_solves_one_sense_when_the_state_limit_trips(capsys, monkeypatch):
+    # both senses expand the same states in the same order, so once the max
+    # solve trips the limit the min solve would too, and is not run
+    senses = []
+    solve = exact.solve_partial
+
+    def recording(spec, sense="max", **kwargs):
+        senses.append(sense)
+        return solve(spec, sense, **kwargs)
+
+    monkeypatch.setattr(exact, "solve_partial", recording)
+    code, out, err = run_cli(capsys, "table", "-m", "2", "-n", "7", "--state-limit", "500")
+    assert code == 0, err
+    row = dict(zip(*read_csv(out)))
+    for sense in ("max", "min"):
+        assert row[f"partial_{sense}"] == row[f"partial_{sense}_decimal"] == ""
+    assert senses == ["max"]
+    senses.clear()
+    code, out, err = run_cli(capsys, "table", "-m", "2", "-n", "3")
+    assert code == 0, err
+    assert senses == ["max", "min"]
+
+
 def test_table_requires_grid(capsys):
     assert run_cli(capsys, "table")[0] == 2
     assert run_cli(capsys, "table", "--m-grid", "1,x", "--n-grid", "2")[0] == 2

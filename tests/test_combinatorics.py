@@ -11,13 +11,13 @@ from guessbench.combinatorics import (
     shuffle_count,
 )
 from guessbench.core import DeckSpec
-from guessbench.exact import iter_constraint_grid
 from oracles import (
     all_shuffles,
     brute_binomial,
     brute_count,
     brute_last_card,
     iter_arrangements,
+    iter_constraint_grid,
     satisfying_words,
     small_constraint_states,
 )

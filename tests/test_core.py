@@ -1,11 +1,7 @@
 import pytest
 
-from guessbench.core import (
-    DeckSpec,
-    FeedbackModel,
-    chain_length,
-)
-from oracles import all_shuffles, brute_chain, observe
+from guessbench.core import DeckSpec, FeedbackModel
+from oracles import observe
 
 
 def test_deck_spec_basics():
@@ -27,17 +23,3 @@ def test_observe_payloads():
     assert observe(FeedbackModel.COMPLETE, 1, 2) == 2
     with pytest.raises(ValueError):
         observe("complete", 1, 2)
-
-
-def test_chain_length_examples():
-    assert chain_length((1, 2, 3)) == 3
-    assert chain_length((2, 1, 2)) == 2
-    assert chain_length((3, 2, 1)) == 1
-    assert chain_length((2, 2, 1, 1)) == 1
-    assert chain_length((1, 1, 2, 2)) == 2
-
-
-def test_chain_length_matches_brute_force():
-    for m, n in [(2, 3), (3, 2), (1, 4), (2, 4)]:
-        for word in all_shuffles(m, n):
-            assert chain_length(word) == brute_chain(word)

@@ -12,7 +12,6 @@ from guessbench.exact import (
     exact_chain_mean,
     exact_value,
     first_third_distribution,
-    iter_constraint_grid,
     iter_shuffles,
     optimal_complete,
     optimal_partial,
@@ -27,6 +26,7 @@ from oracles import (
     brute_chain,
     brute_value,
     expectimax_value,
+    iter_constraint_grid,
     make_oracle,
     play,
     recursive_optimal_complete,

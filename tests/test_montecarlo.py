@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import guessbench.montecarlo as mc
-from guessbench.core import DeckSpec, FeedbackModel, chain_length
+from guessbench.core import DeckSpec, FeedbackModel
 from guessbench.exact import exact_chain_mean, exact_value, solve_partial
 from guessbench.montecarlo import (
     StatSummary,
@@ -21,6 +21,7 @@ from oracles import (
     PolicyPlayer,
     ReferencePartialMle,
     all_shuffles,
+    brute_chain,
     brute_distinct_prefix,
     make_oracle,
     play,
@@ -273,7 +274,7 @@ def test_estimate_chain_matches_replayed_decks():
     summary = estimate_chain(spec, trials, seed)
     word = np.array(spec.canonical_word(), dtype=np.int16)
     decks = replayed_decks(word, trials, seed, mc._DECK_TAG, mc.BLOCK_SIZE)
-    hist = Counter(chain_length(deck) for deck in decks)
+    hist = Counter(brute_chain(deck) for deck in decks)
     assert summary.histogram == tuple(sorted(hist.items()))
     exact = float(exact_chain_mean(spec))
     assert abs(summary.mean - exact) <= 4 * max(summary.se, 1e-9)

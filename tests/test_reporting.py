@@ -89,4 +89,3 @@ def test_provenance_fields():
     stamp = provenance()
     assert set(stamp) == {"version", "rng", "timestamp"}
     assert stamp["rng"] == "philox4x64-r2"
-    assert set(provenance(with_timestamp=False)) == {"version", "rng"}

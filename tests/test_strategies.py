@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from guessbench.core import DeckSpec, FeedbackModel
-from guessbench.exact import solve_partial
+from guessbench.exact import enumerable_specs, exact_value, solve_partial
 from guessbench.strategies import (
     _KERNELS,
     _STRATEGIES,
@@ -264,6 +264,13 @@ def test_two_phase_defaults_never_switch_at_small_m():
     for word in all_shuffles(2, 2):
         assert play(deck, FeedbackModel.PARTIAL, two_phase, word)[1] == 2
     assert kernel_scores(two_phase, deck, all_shuffles(2, 2)) == [2] * 6
+    # so for every m <= 3, where m/2 + sqrt(m) > m, the exact value is m
+    specs = [s for s in enumerable_specs() if s.multiplicity <= 3 and s.num_types >= 2]
+    assert len(specs) == 11
+    for spec in specs:
+        assert exact_value(spec, two_phase) == spec.multiplicity, spec
+    # at m = 4 the threshold is exactly m, reached when the first half holds every 1
+    assert exact_value(DeckSpec(4, 2), two_phase) == Fraction(142, 35)
 
 
 def test_two_phase_explicit_switch():
