@@ -1,6 +1,10 @@
 """Card-guessing games over fixed-multiplicity decks: exact optima under
 three feedback models, seeded large-scale simulation, and numeric stress
-tests for the tail bounds the asymptotics lean on."""
+tests for the tail bounds the asymptotics lean on.
+
+numpy is imported inside the functions that run array code (the strategy
+kernels, the deck sampler, the enumerated score pmf and the simulated bound
+checks), so the pure-integer exact engines start without it."""
 
 from ._version import __version__
 from .combinatorics import ConstraintState, binomial_pmf, shuffle_count

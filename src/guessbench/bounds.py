@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-import numpy as np
-
 from .combinatorics import binomial_pmf
 from .core import DeckSpec
 from .exact import enumerable_specs, first_third_distribution
@@ -88,6 +86,8 @@ def empirical_maximal(
     against the union bound with c = 1/2, c' = 1."""
     if trials < 1:
         raise ValueError("trials must be positive")
+    import numpy as np
+
     rhs = union_bound_rhs(0.5, 1.0, lam, p, k0, k1)
     ks = np.arange(k0, k1 + 1, dtype=np.float64)
     cutoff = (1.0 + lam) * p * ks
@@ -190,6 +190,8 @@ def hyp_tail_report(
         raise ValueError("need b0 <= b1 <= population")
     if trials < 1:
         raise ValueError("trials must be positive")
+    import numpy as np
+
     # same union bound with c=1/2 (sign taken positive) and c_prime=3
     rhs = union_bound_rhs(0.5, 3.0, lam, good / population, b0, b1)
     deck = np.zeros(population, dtype=np.int8)

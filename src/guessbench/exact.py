@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Literal
 
-import numpy as np
-
 # last_card_fraction is unused here; perfbench/test_perfbench.py checks that
 # tracing rebinds exact.last_card_fraction, and perfbench/ is fixed with the
 # benchmark, so the name stays until the benchmark's next change.
@@ -95,6 +93,8 @@ def _score_pmf(
         raise ValueError(
             f"{size} shuffles exceed the enumeration limit {limit}; raise it or simulate"
         )
+    import numpy as np
+
     score = make_strategy(strategy, spec)
     shuffles = iter_shuffles(spec)
     hist: Counter[int] = Counter()
@@ -426,13 +426,19 @@ def _pointwise_ratios(
     }
 
 
-def verify_pointwise(max_total: int, max_types: int = 4, witness_cap: int = 64) -> PointwiseReport:
+def verify_pointwise(
+    max_total: int,
+    max_types: int = 4,
+    witness_cap: int = 64,
+    state_limit: int = DEFAULT_STATE_LIMIT,
+) -> PointwiseReport:
     """Check f_i <= m_i / (total - a_i) across the whole grid, exactly.
 
     Reports the largest ratio of the two sides and the states attaining it;
     the claim holds iff that maximum is at most one.  Ratios are compared as
     integer pairs by cross-multiplying, and each canonical pair multiset is
-    counted once per call.
+    counted once per call.  Raises RuntimeError as soon as the walk passes
+    ``state_limit`` grid states; the grid grows as about max_total**8.
     """
     best_num, best_den = 0, 1
     witnesses: list[tuple[ConstraintState, int]] = []
@@ -441,6 +447,10 @@ def verify_pointwise(max_total: int, max_types: int = 4, witness_cap: int = 64) 
     ratios_by_key: dict[PairState, dict[tuple[int, int], tuple[int, int]]] = {}
     for remaining, forbidden in _grid_vectors(max_total, max_types):
         checked += 1
+        if checked > state_limit:
+            raise RuntimeError(
+                f"the grid at max_total {max_total} has more than {state_limit} states"
+            )
         pairs = tuple(zip(remaining, forbidden))
         key = tuple(sorted(pairs))
         ratios = ratios_by_key.get(key)

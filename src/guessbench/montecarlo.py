@@ -25,12 +25,9 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator
 
 from .core import DeckSpec, FeedbackModel
 
@@ -45,15 +42,21 @@ from .strategies import (  # noqa: F401
     make_strategy,
 )
 
+if TYPE_CHECKING:  # annotations only; see the package docstring
+    import numpy as np
+
 RNG_FAMILY = "philox4x64-r2"
 BLOCK_SIZE = 4096
 _CHUNK = 512
+_CHUNK_CELLS = 2**20
 _DECK_TAG = 0
 _STRATEGY_TAG = 1
 
 
 def rng_stream(seed: int, *path: int) -> np.random.Generator:
     """Independent reproducible stream for (seed, path)."""
+    import numpy as np
+
     return np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, *path])))
 
 
@@ -107,6 +110,8 @@ def _blocks(trials: int, size: int = BLOCK_SIZE) -> list[tuple[int, int]]:
 def _deck_word(spec: DeckSpec) -> np.ndarray:
     """The sorted word of ``spec`` as an array: int16 up to 32,767 types,
     int32 above."""
+    import numpy as np
+
     dtype = np.int16 if spec.num_types <= np.iinfo(np.int16).max else np.int32
     return np.array(spec.canonical_word(), dtype=dtype)
 
@@ -120,16 +125,21 @@ def deck_chunks(
 ) -> Iterator[np.ndarray]:
     """Shuffles of ``word`` for each (block id, rows) pair of ``blocks``.
 
-    Block b draws its shuffles in order from ``rng_stream(seed, tag, b)``;
-    they come out stacked in arrays of at most ``_CHUNK`` rows.  With
-    ``reads``, each row instead draws ``reads`` distinct positions, in
-    order, and holds ``word[:reads]`` there and 0 in every other cell, so
-    those cards lie where a uniform shuffle would put them.
+    Block b draws its shuffles row by row, in order, from
+    ``rng_stream(seed, tag, b)``; they come out stacked in arrays of at most
+    ``_CHUNK`` rows and ``_CHUNK_CELLS`` cards (one row at least), so how
+    the rows are split never changes them.  With ``reads``, each row
+    instead draws ``reads`` distinct positions, in order, and holds
+    ``word[:reads]`` there and 0 in every other cell, so those cards lie
+    where a uniform shuffle would put them.
     """
+    import numpy as np
+
+    rows = min(_CHUNK, max(1, _CHUNK_CELLS // len(word)))
     for block_id, count in blocks:
         rng = rng_stream(seed, tag, block_id)
-        for done in range(0, count, _CHUNK):
-            step = min(_CHUNK, count - done)
+        for done in range(0, count, rows):
+            step = min(rows, count - done)
             if reads is None:
                 yield rng.permuted(np.tile(word, (step, 1)), axis=1)
                 continue
@@ -142,6 +152,8 @@ def deck_chunks(
 def _block_scores(
     spec: DeckSpec, sspec: StrategySpec, count: int, seed: int, block_id: int
 ) -> np.ndarray:
+    import numpy as np
+
     strat_rng = None
     if not sspec.deterministic:
         strat_rng = rng_stream(sspec.resolve(spec)["seed"], _STRATEGY_TAG, block_id)
@@ -168,6 +180,8 @@ def _score_histogram(
     ]
     hist: Counter[int] = Counter()
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for items in pool.map(_score_block_job, jobs):
                 hist.update(dict(items))
@@ -224,6 +238,8 @@ def estimate_repeat_time(spec: DeckSpec, j: int, trials: int, seed: int) -> Repe
         raise ValueError(f"j must lie in 1..{spec.multiplicity}")
     if trials < 1:
         raise ValueError("trials must be positive")
+    import numpy as np
+
     hist: Counter[int] = Counter()
     for decks in deck_chunks(_deck_word(spec), _blocks(trials), seed):
         rows = np.arange(decks.shape[0])

@@ -14,14 +14,15 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 # _count is unused here; perfbench/test_perfbench.py checks that tracing
 # rebinds it in this module too.
 from .combinatorics import _count, next_card_counts  # noqa: F401
 from .core import DeckSpec, FeedbackModel
+
+if TYPE_CHECKING:  # annotations only; see the package docstring
+    import numpy as np
 
 
 class StrategyId(str, enum.Enum):
@@ -198,6 +199,8 @@ def _mle_guess(pairs: list[tuple[int, int]], maximize: bool) -> int:
 
 def _kernel_greedy(maximize: bool):
     def kernel(spec: DeckSpec, params: dict, decks: np.ndarray, strat_rng) -> np.ndarray:
+        import numpy as np
+
         rows = np.arange(decks.shape[0])
         counts = np.full((decks.shape[0], spec.num_types), spec.multiplicity, dtype=np.int64)
         scores = np.zeros(decks.shape[0], dtype=np.int64)
@@ -216,12 +219,16 @@ def _kernel_constant(spec, params, decks, strat_rng):
 
 
 def _kernel_cyclic(spec, params, decks, strat_rng):
+    import numpy as np
+
     pattern = (np.arange(decks.shape[1]) % spec.num_types + 1).astype(decks.dtype)
     return (decks == pattern).sum(axis=1)
 
 
 def _kernel_mle(maximize: bool):
     def kernel(spec: DeckSpec, params: dict, decks: np.ndarray, strat_rng) -> np.ndarray:
+        import numpy as np
+
         scores = []
         for deck in decks.tolist():
             pairs = [(spec.multiplicity, 0)] * spec.num_types
@@ -248,6 +255,8 @@ def _kernel_uniform(spec, params, decks, strat_rng):
 def _kernel_two_phase(spec, params, decks, strat_rng):
     # Guess 1 for ``phase`` turns; then guess 2 for the rest iff the hits so
     # far reach ``threshold``, else keep guessing 1.
+    import numpy as np
+
     phase, threshold = params["phase"], params["threshold"]
     early_hits = (decks[:, :phase] == 1).sum(axis=1)
     switched = early_hits >= threshold
@@ -257,6 +266,8 @@ def _kernel_two_phase(spec, params, decks, strat_rng):
 
 def _kernel_ladder(spec, params, decks, strat_rng):
     # Guess k until a guess of k hits, then k + 1; the guess caps at n.
+    import numpy as np
+
     guess = np.ones(decks.shape[0], dtype=decks.dtype)
     scores = np.zeros(decks.shape[0], dtype=np.int64)
     for t in range(decks.shape[1]):
@@ -334,6 +345,8 @@ def make_strategy(
     """
     params = spec.resolve(deck)
     if not spec.deterministic and rng is None:
+        import numpy as np
+
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([params["seed"]])))
     return lambda decks: _KERNELS[spec.id](deck, params, decks, rng)
 

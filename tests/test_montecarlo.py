@@ -42,12 +42,34 @@ def test_rng_stream_reproducible_and_tag_separated():
     assert not np.array_equal(a, d)
 
 
+def whole_block_draw(word, seed, block_id, rows, reads=None):
+    """Block ``block_id``'s decks drawn in one array from its deck stream."""
+    rng = rng_stream(seed, 0, block_id)
+    if reads is None:
+        return rng.permuted(np.tile(word, (rows, 1)), axis=1)
+    decks = np.zeros((rows, len(word)), dtype=word.dtype)
+    for row in decks:
+        row[rng.choice(len(word), size=reads, replace=False)] = word[:reads]
+    return decks
+
+
 def test_sample_shuffle_is_valid_and_uniform():
     spec = DeckSpec(2, 2)
     word = np.array(spec.canonical_word(), dtype=np.int16)
     trials = 60_000
     chunks = list(deck_chunks(word, mc._blocks(trials), 123))
     assert all(1 <= len(decks) <= mc._CHUNK for decks in chunks)
+    # past 2,048 cards a chunk holds fewer rows; splitting a block's rows
+    # into chunks never changes them, in either layout
+    big = mc._deck_word(DeckSpec(3, 1000))
+    for reads in (None, 6):
+        for block_id, rows in ((0, 1000), (1, 700)):
+            parts = list(deck_chunks(big, [(block_id, rows)], 123, reads=reads))
+            assert len(parts) > 1
+            assert all(1 <= len(decks) and len(decks) * len(big) <= 2**20 for decks in parts)
+            assert np.array_equal(
+                np.concatenate(parts), whole_block_draw(big, 123, block_id, rows, reads)
+            )
     counts = Counter(tuple(deck) for decks in chunks for deck in decks.tolist())
     assert sum(counts.values()) == trials
     assert sorted(counts) == all_shuffles(2, 2)
