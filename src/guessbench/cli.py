@@ -229,11 +229,7 @@ def _cmd_simulate(config: RunConfig):
 
 def _cmd_verify_pointwise(config: RunConfig):
     max_total = _or_default(config.max_total, 8)
-    state_limit = _or_default(config.state_limit, exact.DEFAULT_STATE_LIMIT)
-    try:
-        report = exact.verify_pointwise(max_total, state_limit=state_limit)
-    except RuntimeError as err:
-        raise UsageError(f"{err}; raise --state-limit if intended") from None
+    report = exact.verify_pointwise(max_total)
     row = {
         "max_total": max_total,
         "states_checked": report.states_checked,
@@ -417,7 +413,7 @@ _COMMANDS = {
     "exact-value": (_cmd_exact_value, ("m", "n", "model", "strategy", "max_total")),
     "optimal": (_cmd_optimal, ("m", "n", "model", "sense", "state_limit")),
     "simulate": (_cmd_simulate, ("m", "n", "model", "strategy", "trials", "seed", "workers")),
-    "verify-pointwise": (_cmd_verify_pointwise, ("max_total", "state_limit")),
+    "verify-pointwise": (_cmd_verify_pointwise, ("max_total",)),
     "verify-bounds": (_cmd_verify_bounds, ("max_total", "trials", "seed")),
     "tj": (_cmd_tj, ("m", "n", "j", "trials", "seed")),
     "persistence": (_cmd_persistence, ("m", "n", "state_limit")),

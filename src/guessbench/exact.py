@@ -426,19 +426,13 @@ def _pointwise_ratios(
     }
 
 
-def verify_pointwise(
-    max_total: int,
-    max_types: int = 4,
-    witness_cap: int = 64,
-    state_limit: int = DEFAULT_STATE_LIMIT,
-) -> PointwiseReport:
+def verify_pointwise(max_total: int, max_types: int = 4, witness_cap: int = 64) -> PointwiseReport:
     """Check f_i <= m_i / (total - a_i) across the whole grid, exactly.
 
     Reports the largest ratio of the two sides and the states attaining it;
     the claim holds iff that maximum is at most one.  Ratios are compared as
     integer pairs by cross-multiplying, and each canonical pair multiset is
-    counted once per call.  Raises RuntimeError as soon as the walk passes
-    ``state_limit`` grid states; the grid grows as about max_total**8.
+    counted once per call.
     """
     best_num, best_den = 0, 1
     witnesses: list[tuple[ConstraintState, int]] = []
@@ -447,10 +441,6 @@ def verify_pointwise(
     ratios_by_key: dict[PairState, dict[tuple[int, int], tuple[int, int]]] = {}
     for remaining, forbidden in _grid_vectors(max_total, max_types):
         checked += 1
-        if checked > state_limit:
-            raise RuntimeError(
-                f"the grid at max_total {max_total} has more than {state_limit} states"
-            )
         pairs = tuple(zip(remaining, forbidden))
         key = tuple(sorted(pairs))
         ratios = ratios_by_key.get(key)

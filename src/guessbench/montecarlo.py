@@ -127,21 +127,25 @@ def deck_chunks(
 
     Block b draws its shuffles row by row, in order, from
     ``rng_stream(seed, tag, b)``; they come out stacked in arrays of at most
-    ``_CHUNK`` rows and ``_CHUNK_CELLS`` cards (one row at least), so how
-    the rows are split never changes them.  With ``reads``, each row
-    instead draws ``reads`` distinct positions, in order, and holds
-    ``word[:reads]`` there and 0 in every other cell, so those cards lie
-    where a uniform shuffle would put them.
+    ``_CHUNK`` rows, so how the rows are split never changes them.  With
+    ``reads``, each row instead draws ``reads`` distinct positions, in
+    order, and holds ``word[:reads]`` there and 0 in every other cell, so
+    those cards lie where a uniform shuffle would put them; these chunks
+    also hold at most ``_CHUNK_CELLS`` cards (one row at least), which
+    bounds their kernel's whole-array temporaries.  Full shuffles keep
+    ``_CHUNK`` rows, since the kernels that read every card loop over
+    columns and pay per chunk.
     """
     import numpy as np
 
-    rows = min(_CHUNK, max(1, _CHUNK_CELLS // len(word)))
+    rows = _CHUNK if reads is None else min(_CHUNK, max(1, _CHUNK_CELLS // len(word)))
     for block_id, count in blocks:
         rng = rng_stream(seed, tag, block_id)
         for done in range(0, count, rows):
             step = min(rows, count - done)
             if reads is None:
-                yield rng.permuted(np.tile(word, (step, 1)), axis=1)
+                decks = np.tile(word, (step, 1))
+                yield rng.permuted(decks, axis=1, out=decks)
                 continue
             decks = np.zeros((step, len(word)), dtype=word.dtype)
             for row in decks:

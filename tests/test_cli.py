@@ -284,22 +284,6 @@ def test_verify_pointwise_subcommand(capsys):
     assert int(data["states_checked"]) > 0
 
 
-def test_verify_pointwise_state_limit(capsys):
-    code, out, err = run_cli(
-        capsys, "verify-pointwise", "--max-total", "8", "--state-limit", "1000"
-    )
-    assert code == 2
-    assert out == ""
-    assert "more than 1000 states" in err
-    assert "--state-limit" in err
-    # the default limit of 400,000 states admits the 92,561 at --max-total 8
-    code, out, _ = run_cli(capsys, "verify-pointwise", "--max-total", "8")
-    assert code == 0
-    data = dict(zip(*read_csv(out)))
-    assert data["states_checked"] == "92561"
-    assert data["verdict"] == "PASS"
-
-
 def test_verify_bounds_subcommand(capsys):
     code, out, _ = run_cli(
         capsys, "verify-bounds", "--max-total", "12", "--trials", "300"
@@ -489,7 +473,7 @@ READS = {
     "exact-value": ("m", "n", "model", "strategy", "max_total"),
     "optimal": ("m", "n", "model", "sense", "state_limit"),
     "simulate": ("m", "n", "model", "strategy", "trials", "seed", "workers"),
-    "verify-pointwise": ("max_total", "state_limit"),
+    "verify-pointwise": ("max_total",),
     "verify-bounds": ("max_total", "trials", "seed"),
     "tj": ("m", "n", "j", "trials", "seed"),
     "persistence": ("m", "n", "state_limit"),
@@ -529,7 +513,7 @@ def test_each_subcommand_accepts_what_it_reads():
             for flag in SPELLINGS[key]:
                 assert getattr(parser.parse_args([name, flag, "7"]), key) in (7, "7")
             slots += 1
-    assert slots == 67
+    assert slots == 66
 
 
 def test_readme_flag_table_matches_cli():

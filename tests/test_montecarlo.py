@@ -59,14 +59,16 @@ def test_sample_shuffle_is_valid_and_uniform():
     trials = 60_000
     chunks = list(deck_chunks(word, mc._blocks(trials), 123))
     assert all(1 <= len(decks) <= mc._CHUNK for decks in chunks)
-    # past 2,048 cards a chunk holds fewer rows; splitting a block's rows
-    # into chunks never changes them, in either layout
+    # past 2,048 cards a chunk of the reads layout holds fewer rows, while
+    # full shuffles keep 512; splitting a block's rows into chunks never
+    # changes them, in either layout
     big = mc._deck_word(DeckSpec(3, 1000))
-    for reads in (None, 6):
+    for reads, cap in ((None, mc._CHUNK), (6, 2**20 // len(big))):
         for block_id, rows in ((0, 1000), (1, 700)):
             parts = list(deck_chunks(big, [(block_id, rows)], 123, reads=reads))
             assert len(parts) > 1
-            assert all(1 <= len(decks) and len(decks) * len(big) <= 2**20 for decks in parts)
+            assert [len(decks) for decks in parts[:-1]] == [cap] * (len(parts) - 1)
+            assert 1 <= len(parts[-1]) <= cap
             assert np.array_equal(
                 np.concatenate(parts), whole_block_draw(big, 123, block_id, rows, reads)
             )
