@@ -25,7 +25,6 @@ from .exact import (
     verify_pointwise,
 )
 from .montecarlo import (
-    RepeatTimeEstimate,
     StatSummary,
     estimate_chain,
     estimate_repeat_time,
@@ -49,7 +48,6 @@ __all__ = [
     "PartialSolution",
     "PersistenceViolation",
     "PointwiseReport",
-    "RepeatTimeEstimate",
     "StatSummary",
     "StrategyId",
     "StrategySpec",

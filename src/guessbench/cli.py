@@ -155,7 +155,7 @@ def _parse_grid(config: RunConfig, key: str) -> list[int]:
 
 
 # ===== subcommand handlers: (exit code, rows) =====
-# Each row lists its columns in report order and ends with provenance().
+# Each row lists its columns in report order; run() appends provenance().
 
 
 def _cmd_exact_value(config: RunConfig):
@@ -171,7 +171,6 @@ def _cmd_exact_value(config: RunConfig):
         "model": model.value,
         "strategy": sspec.label(),
         **dict(exact_cells("value", value)),
-        **provenance(),
     }
     return 0, [row]
 
@@ -196,7 +195,6 @@ def _cmd_optimal(config: RunConfig):
         "model": config.model,
         "sense": config.sense,
         **dict(exact_cells("value", value)),
-        **provenance(),
     }
     return 0, [row]
 
@@ -224,7 +222,7 @@ def _cmd_simulate(config: RunConfig):
     }
     if config.format == "json":
         row["histogram"] = [list(item) for item in summary.histogram]
-    return 0, [{**row, **provenance()}]
+    return 0, [row]
 
 
 def _cmd_verify_pointwise(config: RunConfig):
@@ -240,7 +238,6 @@ def _cmd_verify_pointwise(config: RunConfig):
             for state, card in report.witnesses
         ],
         "verdict": "PASS" if report.passed else "FAIL",
-        **provenance(),
     }
     return (0 if report.passed else 1), [row]
 
@@ -284,9 +281,6 @@ def _cmd_verify_bounds(config: RunConfig):
                 "notes": "" if dom.result.dominates else f"witness {dom.result.witness}",
             }
         )
-    stamp = provenance()
-    for row in rows:
-        row.update(stamp)
     failed = any(row["verdict"] == "FAIL" for row in rows)
     return (1 if failed else 0), rows
 
@@ -294,7 +288,6 @@ def _cmd_verify_bounds(config: RunConfig):
 def _cmd_tj(config: RunConfig):
     spec = _require_spec(config)
     estimate = montecarlo.estimate_repeat_time(spec, config.j, config.trials, config.seed)
-    stamp = provenance()
     rows = []
     for t, count in estimate.histogram:
         row = {
@@ -311,7 +304,7 @@ def _cmd_tj(config: RunConfig):
         if config.j == 2:
             exact_surv = montecarlo.exact_distinct_prefix_probability(spec, t)
             row.update(exact_cells("survival_exact", exact_surv))
-        rows.append({**row, **stamp})
+        rows.append(row)
     return 0, rows
 
 
@@ -320,7 +313,6 @@ def _cmd_persistence(config: RunConfig):
     violations = exact.probe_persistence(
         spec, state_limit=_or_default(config.state_limit, exact.DEFAULT_STATE_LIMIT)
     )
-    stamp = provenance()
     rows = [
         {
             "m": spec.multiplicity,
@@ -330,7 +322,6 @@ def _cmd_persistence(config: RunConfig):
             "state": None,
             "guess": None,
             "successor_optimal": None,
-            **stamp,
         }
     ]
     for v in violations:
@@ -343,7 +334,6 @@ def _cmd_persistence(config: RunConfig):
                 "state": [list(p) for p in v.state],
                 "guess": list(v.guess),
                 "successor_optimal": [list(p) for p in v.successor_optimal],
-                **stamp,
             }
         )
     return 0, rows
@@ -364,7 +354,7 @@ def _cmd_lstat(config: RunConfig):
     enum_limit = _or_default(config.max_total, 10**4)
     if shuffle_count(spec) <= enum_limit:
         row.update(exact_cells("mean_exact", exact.exact_chain_mean(spec, enum_limit)))
-    return 0, [{**row, **provenance()}]
+    return 0, [row]
 
 
 def _partial_values_or_none(spec: DeckSpec, state_limit: int) -> dict[str, Fraction | None]:
@@ -384,7 +374,6 @@ def _cmd_table(config: RunConfig):
     m_values = _parse_grid(config, "m")
     n_values = _parse_grid(config, "n")
     state_limit = _or_default(config.state_limit, exact.DEFAULT_STATE_LIMIT)
-    stamp = provenance()
     rows = []
     for m in m_values:
         for n in n_values:
@@ -402,7 +391,7 @@ def _cmd_table(config: RunConfig):
             for sense in ("max", "min"):
                 row.update(exact_cells(f"complete_{sense}", exact.optimal_complete(spec, sense)))
             row["asymptotic_error_forms"] = list(ASYMPTOTIC_ERROR_FORMS)
-            rows.append({**row, **stamp})
+            rows.append(row)
     return 0, rows
 
 
@@ -449,6 +438,9 @@ def run(config: RunConfig, subcommand: str) -> int:
     if subcommand not in _COMMANDS:
         raise UsageError(f"unknown subcommand {subcommand!r}")
     code, rows = _COMMANDS[subcommand][0](config)
+    stamp = provenance()
+    for row in rows:
+        row.update(stamp)
     text = emit_table(rows, fmt=config.format, path=config.out)
     if config.out is None:
         sys.stdout.write(text)
@@ -473,10 +465,7 @@ def main(argv=None) -> int:
         flag_values = {key: value for key, value in vars(args).items() if key in _KEYS}
         config = merge_config(args.subcommand, file_values, flag_values)
         return run(config, args.subcommand)
-    except UsageError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except (ValueError, RuntimeError) as err:
+    except (UsageError, ValueError, RuntimeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

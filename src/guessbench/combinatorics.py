@@ -128,36 +128,45 @@ def _count(remaining: tuple[int, ...], forbidden: tuple[int, ...]) -> int:
     return _arrangements(_product(remaining, forbidden), sum(remaining), den)
 
 
-def next_card_counts(remaining: tuple[int, ...], forbidden: tuple[int, ...]) -> list[int]:
-    """N(s - e_i) for every type i: the count of the state with one copy of
-    type i set aside, i.e. ``_count`` of each reduced state (0 where no copy
-    is left).  Needs sum(forbidden) < sum(remaining).
+# A state as one (remaining, forbidden) pair per type; sorted, the
+# canonical pair multiset.
+PairState = tuple[tuple[int, int], ...]
+
+
+def next_card_counts(pairs: PairState) -> dict[tuple[int, int], int]:
+    """N(s - e_i) for the state s with pair (m_i, a_i) for type i, by pair:
+    the count of the state with one copy of a type with that pair set aside,
+    i.e. ``_count`` of the reduced state (0 where no copy is left).  Types
+    with equal pairs share an entry, keyed by the caller's pair tuple.
+    Needs sum(a) < sum(m).
 
     The product of the per-type factors is built once; each distinct pair
     swaps its own factor F(m_i, a_i) for F(m_i - 1, a_i), so a state with d
     distinct pairs costs one product and d exact divisions.  The banned
     slots lead, so every word of the state ends in an unbanned slot, and
     dropping that last card leaves a word of exactly one reduced state: the
-    counts sum to ``_count(remaining, forbidden)``.
+    counts, taken once per type, sum to ``_count(remaining, forbidden)``.
     """
+    remaining, forbidden = zip(*pairs)
     total = sum(remaining)
     if sum(forbidden) >= total:
         raise ValueError("need sum(forbidden) < sum(remaining)")
     product = _product(remaining, forbidden)
     den = math.prod(math.factorial(m_i) for m_i in remaining)
     by_pair: dict[tuple[int, int], int] = {}
-    for m_i, a_i in zip(remaining, forbidden):
-        if (m_i, a_i) in by_pair:
+    for pair in pairs:
+        if pair in by_pair:
             continue
+        m_i, a_i = pair
         if m_i == 0:
-            by_pair[m_i, a_i] = 0
+            by_pair[pair] = 0
             continue
         poly = product
         if a_i:
             poly = _convolve(_divide(product, _factor(m_i, a_i)), _factor(m_i - 1, a_i))
         # the reduced state's denominator is den / m_i
-        by_pair[m_i, a_i] = _arrangements(poly, total - 1, den // m_i)
-    return [by_pair[pair] for pair in zip(remaining, forbidden)]
+        by_pair[pair] = _arrangements(poly, total - 1, den // m_i)
+    return by_pair
 
 
 def last_card_fraction(state: ConstraintState, card: int) -> Fraction:

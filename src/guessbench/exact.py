@@ -21,6 +21,7 @@ from typing import Iterator, Literal
 # benchmark, so the name stays until the benchmark's next change.
 from .combinatorics import (  # noqa: F401
     ConstraintState,
+    PairState,
     _count,
     last_card_fraction,
     next_card_counts,
@@ -30,8 +31,6 @@ from .core import DeckSpec, FeedbackModel
 from .strategies import StrategyId, StrategySpec, _resolve_model, make_strategy
 
 Sense = Literal["max", "min"]
-
-PairState = tuple[tuple[int, int], ...]
 
 DEFAULT_ENUM_LIMIT = 10**6
 DEFAULT_STATE_LIMIT = 400_000
@@ -240,10 +239,13 @@ def solve_partial(
     Each state s carries integers N(s), its number of arrangements, and
     W(s) = N(s) * V(s).  Since f = N(hit) / N(s) and N(s) = N(hit) + N(miss)
     for every guess, W(s) = opt over guesses of N(hit) + W(hit) + W(miss),
-    and ``_count`` runs only on terminal states, where W = 0.  States are
-    walked depth first on an explicit stack, so deep decks need no
-    recursion.  Raises RuntimeError once more than ``state_limit`` states
-    turn up, or at once when ``_partial_state_floor`` already exceeds it.
+    and ``_count`` runs only on terminal states, where W = 0.  Every guess
+    draws one card, so the states fall into levels by draws left, and level
+    0 holds exactly the terminal states.  One pass down finds each level's
+    states and their moves; one pass up solves each level from the one
+    below it, so deep decks need no recursion.  Raises RuntimeError once
+    more than ``state_limit`` states turn up, or at once when
+    ``_partial_state_floor`` already exceeds it.
     """
     _check_sense(sense)
     maximize = sense == "max"
@@ -252,55 +254,56 @@ def solve_partial(
     )
     if _partial_state_floor(spec) > state_limit:
         raise limit_error
-    weights: dict[PairState, tuple[int, int]] = {}
-    values: dict[PairState, Fraction] = {}
+    root: PairState = tuple((spec.multiplicity, 0) for _ in range(spec.num_types))
+    # one dict per level from the root down: a state maps to its one shared
+    # copy until its level is expanded, then to its moves as one flat
+    # (pair, hit, miss, pair, hit, miss, ...) tuple
+    levels: list[dict[PairState, tuple]] = []
+    level: dict[PairState, tuple] = {root: root}
+    found = 1
+    for _ in range(spec.total):
+        below: dict[PairState, tuple] = {}
+        for state in level:
+            flat: list = []
+            for pair, hit, miss in _partial_moves(state):
+                if hit is not None:
+                    hit = below.setdefault(hit, hit)
+                if miss is not None:
+                    miss = below.setdefault(miss, miss)
+                flat += (pair, hit, miss)
+            level[state] = tuple(flat)
+            if found + len(below) > state_limit:
+                raise limit_error
+        found += len(below)
+        levels.append(level)
+        level = below
+    # (N, W) by state of the level just solved; a successor missing from it
+    # has no arrangements
+    weights = {state: (_count(*zip(*state)), 0) for state in level}
+    values: dict[PairState, Fraction] = dict.fromkeys(level, Fraction(0))
     policy: dict[PairState, tuple[tuple[int, int], ...]] | None = (
         {} if track_policy else None
     )
-    expanded: dict[PairState, list[_Move]] = {}
-    empty = (0, 0)  # (N, W) of a successor with no arrangements
-    root: PairState = tuple((spec.multiplicity, 0) for _ in range(spec.num_types))
-    stack = [root]
-    while stack:
-        state = stack[-1]
-        if state in weights:
-            stack.pop()
-            continue
-        moves = expanded.get(state)
-        if moves is None:
-            if len(weights) + len(expanded) >= state_limit:
-                raise limit_error
-            moves = _partial_moves(state)
-            if not moves:
-                remaining, forbidden = zip(*state)
-                weights[state] = (_count(remaining, forbidden), 0)
-                values[state] = Fraction(0)
-                stack.pop()
-                continue
-            expanded[state] = moves
-            # successors are solved before this state comes back to the top
-            for _, hit, miss in moves:
-                if hit is not None and hit not in weights:
-                    stack.append(hit)
-                if miss is not None and miss not in weights:
-                    stack.append(miss)
-            continue
-        del expanded[state]
-        stack.pop()
-        best = None
-        for pair, hit, miss in moves:
-            n_hit, w_hit = weights[hit] if hit is not None else empty
-            n_miss, w_miss = weights[miss] if miss is not None else empty
-            act = n_hit + w_hit + w_miss
-            if best is None or (act > best if maximize else act < best):
-                best, actions = act, [pair]
-            elif act == best:
-                actions.append(pair)
-        arrangements = n_hit + n_miss  # the same for every guess
-        weights[state] = (arrangements, best)
-        values[state] = Fraction(best, arrangements)
-        if policy is not None:
-            policy[state] = tuple(actions)
+    empty = (0, 0)
+    while levels:
+        above: dict[PairState, tuple[int, int]] = {}
+        for state, flat in levels.pop().items():
+            best = None
+            it = iter(flat)
+            for pair, hit, miss in zip(it, it, it):
+                n_hit, w_hit = weights.get(hit, empty)
+                n_miss, w_miss = weights.get(miss, empty)
+                act = n_hit + w_hit + w_miss
+                if best is None or (act > best if maximize else act < best):
+                    best, actions = act, [pair]
+                elif act == best:
+                    actions.append(pair)
+            arrangements = n_hit + n_miss  # the same for every guess
+            above[state] = (arrangements, best)
+            values[state] = Fraction(best, arrangements)
+            if policy is not None:
+                policy[state] = tuple(actions)
+        weights = above
     return PartialSolution(spec, sense, values[root], root, values, policy)
 
 
@@ -407,21 +410,19 @@ class PointwiseReport:
         return self.max_ratio <= 1
 
 
-def _pointwise_ratios(
-    remaining: tuple[int, ...], forbidden: tuple[int, ...]
-) -> dict[tuple[int, int], tuple[int, int]]:
+def _pointwise_ratios(pairs: PairState) -> dict[tuple[int, int], tuple[int, int]]:
     """Per (m_i, a_i) pair with m_i > 0, the ratio f_i * (T - a_i) / m_i as
     the integer pair (N(s - e_i) * (T - a_i), N(s) * m_i), N(s) > 0.
 
     Both counts are symmetric in the types, so the ratios depend only on the
-    pair multiset; N(s) is the sum of the next-card counts.
+    pair multiset; N(s) is the sum of the next-card counts over the types.
     """
-    counts = next_card_counts(remaining, forbidden)
-    total = sum(remaining)
-    arrangements = sum(counts)
+    by_pair = next_card_counts(pairs)
+    total = sum(m_i for m_i, _ in pairs)
+    arrangements = sum(by_pair[pair] for pair in pairs)
     return {
         (m_i, a_i): (reduced * (total - a_i), arrangements * m_i)
-        for m_i, a_i, reduced in zip(remaining, forbidden, counts)
+        for (m_i, a_i), reduced in by_pair.items()
         if m_i
     }
 
@@ -445,7 +446,7 @@ def verify_pointwise(max_total: int, max_types: int = 4, witness_cap: int = 64) 
         key = tuple(sorted(pairs))
         ratios = ratios_by_key.get(key)
         if ratios is None:
-            ratios = ratios_by_key[key] = _pointwise_ratios(remaining, forbidden)
+            ratios = ratios_by_key[key] = _pointwise_ratios(key)
         for card, pair in enumerate(pairs, start=1):
             if not pair[0]:
                 continue

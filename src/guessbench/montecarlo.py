@@ -65,7 +65,8 @@ def rng_stream(seed: int, *path: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class StatSummary:
-    """Integer score histogram plus the moments derived from it."""
+    """Integer histogram of a simulated statistic (a score, a chain length or
+    a repeat time) plus the moments and tails derived from it."""
 
     trials: int
     histogram: tuple[tuple[int, int], ...]
@@ -100,6 +101,14 @@ class StatSummary:
     @property
     def max(self) -> int:
         return self.histogram[-1][0]
+
+    def survival(self, t: int) -> float:
+        """Share of trials whose value exceeds ``t``."""
+        return sum(c for v, c in self.histogram if v > t) / self.trials
+
+    def survival_se(self, t: int) -> float:
+        p = self.survival(t)
+        return math.sqrt(p * (1 - p) / self.trials)
 
 
 def _blocks(trials: int, size: int = BLOCK_SIZE) -> list[tuple[int, int]]:
@@ -219,25 +228,9 @@ def estimate_value(
 # ===== waiting times and chain statistic =====
 
 
-@dataclass(frozen=True)
-class RepeatTimeEstimate:
-    """Empirical distribution of the first time a type reaches j copies."""
-
-    spec: DeckSpec
-    j: int
-    trials: int
-    histogram: tuple[tuple[int, int], ...]
-
-    def survival(self, t: int) -> float:
-        return sum(c for v, c in self.histogram if v > t) / self.trials
-
-    def survival_se(self, t: int) -> float:
-        p = self.survival(t)
-        return math.sqrt(p * (1 - p) / self.trials)
-
-
-def estimate_repeat_time(spec: DeckSpec, j: int, trials: int, seed: int) -> RepeatTimeEstimate:
-    """Simulate the draw count at which some type first hits j occurrences."""
+def estimate_repeat_time(spec: DeckSpec, j: int, trials: int, seed: int) -> StatSummary:
+    """Simulated distribution of the draw count at which some type first
+    hits j occurrences."""
     if not 1 <= j <= spec.multiplicity:
         raise ValueError(f"j must lie in 1..{spec.multiplicity}")
     if trials < 1:
@@ -257,7 +250,7 @@ def estimate_repeat_time(spec: DeckSpec, j: int, trials: int, seed: int) -> Repe
             if first.all():
                 break
         hist.update(first.tolist())
-    return RepeatTimeEstimate(spec, j, trials, tuple(sorted(hist.items())))
+    return StatSummary.from_counter(hist)
 
 
 def exact_distinct_prefix_probability(spec: DeckSpec, t: int) -> Fraction:

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple
 
 # _count is unused here; perfbench/test_perfbench.py checks that tracing
 # rebinds it in this module too.
-from .combinatorics import _count, next_card_counts  # noqa: F401
+from .combinatorics import PairState, _count, next_card_counts  # noqa: F401
 from .core import DeckSpec, FeedbackModel
 
 if TYPE_CHECKING:  # annotations only; see the package docstring
@@ -136,8 +136,6 @@ def parse_strategy(text: str) -> StrategySpec:
     return StrategySpec(sid, **params)
 
 
-PairState = tuple[tuple[int, int], ...]
-
 # Integer next-card counts N(s - e_i) by (remaining, wrong) pair, one entry
 # per canonical pair multiset s.
 _DIST_CACHE: dict[PairState, dict[tuple[int, int], int]] = {}
@@ -148,8 +146,7 @@ _BEST_PAIRS: dict[bool, dict[PairState, frozenset[tuple[int, int]]]] = {True: {}
 def _counts_by_pair(pairs: PairState) -> dict[tuple[int, int], int]:
     by_pair = _DIST_CACHE.get(pairs)
     if by_pair is None:
-        remaining, wrong = zip(*pairs)
-        by_pair = _DIST_CACHE[pairs] = dict(zip(pairs, next_card_counts(remaining, wrong)))
+        by_pair = _DIST_CACHE[pairs] = next_card_counts(pairs)
     return by_pair
 
 

@@ -147,7 +147,10 @@ def test_next_card_counts_match_reduced_counts():
     # includes types with more banned slots than copies and exhausted types
     for state in iter_constraint_grid(8):
         remaining, forbidden = state.remaining, state.forbidden
-        counts = next_card_counts(remaining, forbidden)
+        pairs = tuple(zip(remaining, forbidden))
+        by_pair = next_card_counts(pairs)
+        assert set(by_pair) == set(pairs)
+        counts = [by_pair[pair] for pair in pairs]
         expected = [
             _count(remaining[:i] + (m_i - 1,) + remaining[i + 1 :], forbidden) if m_i else 0
             for i, m_i in enumerate(remaining)
@@ -155,7 +158,7 @@ def test_next_card_counts_match_reduced_counts():
         assert counts == expected
         assert sum(counts) == _count(remaining, forbidden)
     with pytest.raises(ValueError):
-        next_card_counts((1, 1), (1, 1))
+        next_card_counts(((1, 1), (1, 1)))
 
 
 def test_shuffle_count():

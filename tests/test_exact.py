@@ -109,6 +109,17 @@ def test_state_limits_fail_before_the_search():
     assert _partial_state_floor(DeckSpec(1, 1500)) == 1_127_250
 
 
+def test_state_limit_counts_every_state():
+    # floors of 207, 124 and 161 lie far below these counts, so the search
+    # itself, not the floor, decides where the limit trips
+    for spec in (DeckSpec(3, 4), DeckSpec(2, 5), DeckSpec(4, 3)):
+        states = len(solve_partial(spec).values)
+        assert _partial_state_floor(spec) < states - 1
+        assert solve_partial(spec, state_limit=states).values
+        with pytest.raises(RuntimeError, match=f"more than {states - 1} partial states"):
+            solve_partial(spec, state_limit=states - 1)
+
+
 def test_partial_pinned_values():
     assert optimal_partial(DeckSpec(1, 2)) == Fraction(3, 2)
     assert optimal_partial(DeckSpec(1, 3)) == Fraction(5, 3)
