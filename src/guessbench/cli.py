@@ -358,16 +358,14 @@ def _cmd_lstat(config: RunConfig):
 
 
 def _partial_values_or_none(spec: DeckSpec, state_limit: int) -> dict[str, Fraction | None]:
-    """The partial optimum per sense, or None in both once the first solve
-    hits the state limit: both senses expand the same states in the same
-    order, so the limit trips for both or for neither."""
+    """The partial optimum per sense, or None in both when the state limit
+    trips.  One down pass serves both senses: the max solve keeps its
+    levels, and the min optimum is one more up pass over them."""
     try:
-        return {
-            sense: exact.optimal_partial(spec, sense, state_limit=state_limit)
-            for sense in ("max", "min")
-        }
+        best = exact.solve_partial(spec, "max", state_limit=state_limit)
     except RuntimeError:
         return {"max": None, "min": None}
+    return {"max": best.value, "min": exact._sweep_up(best._sweep, "min").value}
 
 
 def _cmd_table(config: RunConfig):

@@ -1,18 +1,24 @@
 """Exact engines: enumeration, backward induction, and verification sweeps.
 
 Values are Fractions throughout; the two value DPs reach them through
-integer weights (arrangement count times value) and divide once per state.
-``solve_partial`` runs backward induction on canonical tally states; the
-tests check it against an expectimax search over the raw tree of
-observable histories, which needs no state reduction.
+integer weights (arrangement count times value).  ``solve_partial`` runs
+backward induction on canonical tally states, swept as ranked level lists:
+a move names its successors by their index in the next level's list, and
+the pass up reads flat lists of those weights.  Only the root's value is
+divided out unless ``PartialSolution.values`` is read.  The tests check it
+against an expectimax search over the raw tree of observable histories,
+which needs no state reduction.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
+import operator
 from collections import Counter
-from dataclasses import dataclass
+from collections.abc import Mapping
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Literal
 
@@ -160,54 +166,122 @@ def optimal_complete(spec: DeckSpec, sense: Sense = "max") -> Fraction:
 # ===== partial feedback: integer weights on (remaining, wrong) pair multisets =====
 
 
+# A partial state in the sweep: the codes m_i * radix + a_i of its pairs,
+# sorted, with radix = mn + 1.  Codes sort as their pairs do.
+_Codes = tuple[int, ...]
+
+
+def _pairs(state: _Codes, radix: int) -> PairState:
+    return tuple(map(divmod, state, itertools.repeat(radix)))
+
+
+@dataclass(frozen=True)
+class _Sweep:
+    """A down pass: per level from the root down, its states in rank order
+    and, per state, its moves as one flat (hit, miss, hit, miss, ...) tuple
+    of successor ranks in the next level's list, -1 where the successor has
+    no arrangements."""
+
+    spec: DeckSpec
+    radix: int
+    states: list[list[_Codes]]
+    moves: list[list[tuple[int, ...]]]
+
+
+class _SweptValues(Mapping):
+    """State -> W / N of one up pass over a sweep, as a dict of Fractions
+    built the first time anything but its size is read."""
+
+    def __init__(self, sweep: _Sweep, weights: list[tuple[list[int], list[int]]]):
+        self._sweep = sweep
+        self._weights = weights  # (N, W) per level from the terminal level up
+        self._built: dict[PairState, Fraction] | None = None
+
+    def _values(self) -> dict[PairState, Fraction]:
+        if self._built is None:
+            radix = self._sweep.radix
+            self._built = {
+                _pairs(state, radix): Fraction(w, n)
+                for states, (ns, ws) in zip(reversed(self._sweep.states), self._weights)
+                for state, n, w in zip(states, ns, ws)
+            }
+        return self._built
+
+    def __len__(self) -> int:
+        return sum(map(len, self._sweep.states))
+
+    def __getitem__(self, state: PairState) -> Fraction:
+        return self._values()[state]
+
+    def __iter__(self) -> Iterator[PairState]:
+        return iter(self._values())
+
+    def __repr__(self) -> str:
+        return repr(self._values())
+
+
 @dataclass(frozen=True)
 class PartialSolution:
     spec: DeckSpec
     sense: Sense
     value: Fraction
     root: PairState
-    values: dict[PairState, Fraction]
+    values: Mapping[PairState, Fraction]
     policy: dict[PairState, tuple[tuple[int, int], ...]] | None
+    # the down pass behind ``values``; another sense is one more up pass over it
+    _sweep: _Sweep | None = field(default=None, repr=False, compare=False)
 
 
-_Move = tuple[tuple[int, int], PairState | None, PairState | None]
-
-
-def _partial_moves(state: PairState) -> list[_Move]:
-    """(pair, hit successor, miss successor) for each distinct pair of a state.
+def _partial_moves(state: _Codes, radix: int, left: int) -> list[tuple[int, int, int, int]]:
+    """(code, first, hit_at, miss_at) for each distinct code of a state with
+    ``left`` draws to come, in code order.
 
     Guessing a type with pair (m_i, a_i) leaves (m_i - 1, a_i) on a hit and
-    (m_i, a_i + 1) on a miss.  A successor is None when no arrangement is
-    consistent with it, and a terminal state (as many banned positions as
-    remaining copies) has no moves.  ``state`` itself must have arrangements.
-    By Hall's condition (see ConstraintState) N(m, a) > 0 iff
-    sum(a) <= sum(m) and a_j + m_j <= sum(m) for every j.  With M = sum(m)
-    here, a miss therefore stays possible iff m_i + a_i < M, and a hit iff
-    m_i > 0 and no other type has m_j + a_j = M.  At most one type can be
-    that tight, since two would need sum(a) >= M.
+    (m_i, a_i + 1) on a miss.  ``first`` is the index of the code's first
+    copy; a hit lowers that copy by ``radix`` and moves it to ``hit_at`` (the
+    lowered code's place in the prefix before it), and a miss raises the copy
+    at ``miss_at`` (the last of the run) by one, so neither successor needs
+    sorting (see ``_moved``).  ``hit_at`` or ``miss_at`` is -1 when no
+    arrangement is consistent with that successor, and a terminal state
+    (as many banned positions as remaining copies, so ``left`` is 0) has no
+    moves.  ``state`` itself must have arrangements.  By Hall's condition
+    (see ConstraintState) N(m, a) > 0 iff sum(a) <= sum(m) and
+    a_j + m_j <= sum(m) for every j.  With M = sum(m) here, a miss therefore
+    stays possible iff m_i + a_i < M, and a hit iff m_i > 0 and no other
+    type has m_j + a_j = M.  At most one type can be that tight, since two
+    would need sum(a) >= M.
     """
-    total = sum([p[0] for p in state])
-    if sum([p[1] for p in state]) == total:
+    if not left:
         return []
-    tight = None
-    for p in state:
-        if p[0] + p[1] == total:
-            tight = p
-            break
-    moves: list[_Move] = []
-    prev = None
-    for idx, pair in enumerate(state):
-        if pair == prev:
-            continue
-        prev = pair
-        mi, ai = pair
-        rest = state[:idx] + state[idx + 1 :]
-        hit = None
-        if mi and (tight is None or tight == pair):
-            hit = tuple(sorted(rest + ((mi - 1, ai),)))
-        miss = tuple(sorted(rest + ((mi, ai + 1),))) if mi + ai < total else None
-        moves.append((pair, hit, miss))
+    # sum(codes) = radix * M + sum(a) and left = M - sum(a)
+    total = (sum(state) + left) // (radix + 1)
+    moves = []
+    tight = -1
+    size = len(state)
+    first = 0
+    while first < size:
+        code = state[first]
+        last = first
+        while last + 1 < size and state[last + 1] == code:
+            last += 1
+        mi, ai = divmod(code, radix)
+        hit_at = bisect.bisect_left(state, code - radix, 0, first) if mi else -1
+        if mi + ai == total:
+            tight = code
+            moves.append((code, first, hit_at, -1))
+        else:
+            moves.append((code, first, hit_at, last))
+        first = last + 1
+    if tight >= 0:
+        # only the tight type can still be hit
+        moves = [mv if mv[0] == tight else (mv[0], mv[1], -1, mv[3]) for mv in moves]
     return moves
+
+
+def _moved(state: _Codes, src: int, dst: int, code: int) -> _Codes:
+    """``state`` with the code at ``src`` replaced by ``code`` at ``dst`` <= src,
+    the codes in between shifting up one place."""
+    return state[:dst] + (code,) + state[dst:src] + state[src + 1 :]
 
 
 def _partial_state_floor(spec: DeckSpec) -> int:
@@ -220,6 +294,110 @@ def _partial_state_floor(spec: DeckSpec) -> int:
     """
     m, n = spec.multiplicity, spec.num_types
     return math.comb(n + 2 * m, n) - m
+
+
+def _sweep_down(spec: DeckSpec, state_limit: int) -> _Sweep:
+    """Every state reachable from the root, level by level, with its moves
+    as successor ranks.  A successor is deduplicated by an exact positional
+    key, its codes as the digits of one integer in base (m + 1)(mn + 1),
+    which a move updates in a few adds; its tuple is built only the first
+    time its key turns up.  Raises RuntimeError once more than
+    ``state_limit`` states turn up, or at once when ``_partial_state_floor``
+    already exceeds it.
+    """
+    limit_error = RuntimeError(
+        f"more than {state_limit} partial states; raise state_limit if intended"
+    )
+    if _partial_state_floor(spec) > state_limit:
+        raise limit_error
+    m, n = spec.multiplicity, spec.num_types
+    radix = spec.total + 1
+    powers = [((m + 1) * radix) ** k for k in range(n + 1)]
+    drops = [radix * p for p in powers]
+    steps = [b - a for a, b in itertools.pairwise(powers)]
+    root = (m * radix,) * n
+    # key -> rank, in rank order, for the level being expanded
+    ranks = {sum(code * p for code, p in zip(root, powers)): 0}
+    states = [root]
+    sweep = _Sweep(spec, radix, [], [])
+    found = 1
+    for left in range(spec.total, 0, -1):
+        below: list[_Codes] = []
+        below_ranks: dict[int, int] = {}
+        rank_of = below_ranks.setdefault
+        level_moves = []
+        size = 0  # len(below)
+        for key, state in zip(ranks, states):
+            flat = []
+            for code, first, hit_at, miss_at in _partial_moves(state, radix, left):
+                hit = miss = -1
+                if hit_at >= 0:
+                    if hit_at == first:
+                        k = key - drops[first]
+                    else:
+                        k = key + (code - radix) * powers[hit_at] - code * powers[first]
+                        for i in range(hit_at, first):
+                            k += state[i] * steps[i]
+                    hit = rank_of(k, size)
+                    if hit == size:
+                        below.append(_moved(state, first, hit_at, code - radix))
+                        size += 1
+                if miss_at >= 0:
+                    miss = rank_of(key + powers[miss_at], size)
+                    if miss == size:
+                        below.append(_moved(state, miss_at, miss_at, code + 1))
+                        size += 1
+                flat += (hit, miss)
+            level_moves.append(tuple(flat))
+            if found + size > state_limit:
+                raise limit_error
+        found += size
+        sweep.states.append(states)
+        sweep.moves.append(level_moves)
+        states, ranks = below, below_ranks
+    sweep.states.append(states)
+    return sweep
+
+
+def _sweep_up(sweep: _Sweep, sense: Sense, track_policy: bool = False) -> PartialSolution:
+    """Solve every level of a down pass from the terminal level up."""
+    pick = max if sense == "max" else min
+    radix = sweep.radix
+    # N and W by rank of the level just solved, with a 0 at rank -1 for the
+    # successors that have no arrangements
+    ns = [_count(*zip(*_pairs(state, radix))) for state in sweep.states[-1]] + [0]
+    ws = [0] * len(ns)
+    weights = [(ns, ws)]
+    policy: dict[PairState, tuple[tuple[int, int], ...]] | None = (
+        {} if track_policy else None
+    )
+    for states, level_moves in zip(reversed(sweep.states[:-1]), reversed(sweep.moves)):
+        nws = list(map(operator.add, ns, ws))
+        above_n = []
+        above_w = []
+        for state, flat in zip(states, level_moves):
+            # N(hit) + W(hit) + W(miss) per guess; the two inner maps take
+            # turns drawing from one iterator, so they read hit and miss
+            ranks = iter(flat)
+            acts = map(operator.add, map(nws.__getitem__, ranks), map(ws.__getitem__, ranks))
+            if policy is None:
+                best = pick(acts)
+            else:
+                acts = list(acts)
+                best = pick(acts)
+                pairs = _pairs(state, radix)
+                policy[pairs] = tuple(
+                    pair for pair, act in zip(dict.fromkeys(pairs), acts) if act == best
+                )
+            above_n.append(ns[flat[0]] + ns[flat[1]])  # the same for every guess
+            above_w.append(best)
+        ns = above_n + [0]
+        ws = above_w + [0]
+        weights.append((ns, ws))
+    root = _pairs(sweep.states[0][0], radix)
+    value = Fraction(ws[0], ns[0])
+    values = _SweptValues(sweep, weights)
+    return PartialSolution(sweep.spec, sense, value, root, values, policy, sweep)
 
 
 def solve_partial(
@@ -241,70 +419,16 @@ def solve_partial(
     for every guess, W(s) = opt over guesses of N(hit) + W(hit) + W(miss),
     and ``_count`` runs only on terminal states, where W = 0.  Every guess
     draws one card, so the states fall into levels by draws left, and level
-    0 holds exactly the terminal states.  One pass down finds each level's
-    states and their moves; one pass up solves each level from the one
-    below it, so deep decks need no recursion.  Raises RuntimeError once
-    more than ``state_limit`` states turn up, or at once when
-    ``_partial_state_floor`` already exceeds it.
+    0 holds exactly the terminal states.  One pass down lists each level's
+    states and names each move's successors by their rank in the next
+    level's list; one pass up solves each level from flat lists of N and W
+    by rank of the level below, so deep decks need no recursion.  Only the
+    root's value is a Fraction until ``values`` is read.  Raises
+    RuntimeError once more than ``state_limit`` states turn up, or at once
+    when ``_partial_state_floor`` already exceeds it.
     """
     _check_sense(sense)
-    maximize = sense == "max"
-    limit_error = RuntimeError(
-        f"more than {state_limit} partial states; raise state_limit if intended"
-    )
-    if _partial_state_floor(spec) > state_limit:
-        raise limit_error
-    root: PairState = tuple((spec.multiplicity, 0) for _ in range(spec.num_types))
-    # one dict per level from the root down: a state maps to its one shared
-    # copy until its level is expanded, then to its moves as one flat
-    # (pair, hit, miss, pair, hit, miss, ...) tuple
-    levels: list[dict[PairState, tuple]] = []
-    level: dict[PairState, tuple] = {root: root}
-    found = 1
-    for _ in range(spec.total):
-        below: dict[PairState, tuple] = {}
-        for state in level:
-            flat: list = []
-            for pair, hit, miss in _partial_moves(state):
-                if hit is not None:
-                    hit = below.setdefault(hit, hit)
-                if miss is not None:
-                    miss = below.setdefault(miss, miss)
-                flat += (pair, hit, miss)
-            level[state] = tuple(flat)
-            if found + len(below) > state_limit:
-                raise limit_error
-        found += len(below)
-        levels.append(level)
-        level = below
-    # (N, W) by state of the level just solved; a successor missing from it
-    # has no arrangements
-    weights = {state: (_count(*zip(*state)), 0) for state in level}
-    values: dict[PairState, Fraction] = dict.fromkeys(level, Fraction(0))
-    policy: dict[PairState, tuple[tuple[int, int], ...]] | None = (
-        {} if track_policy else None
-    )
-    empty = (0, 0)
-    while levels:
-        above: dict[PairState, tuple[int, int]] = {}
-        for state, flat in levels.pop().items():
-            best = None
-            it = iter(flat)
-            for pair, hit, miss in zip(it, it, it):
-                n_hit, w_hit = weights.get(hit, empty)
-                n_miss, w_miss = weights.get(miss, empty)
-                act = n_hit + w_hit + w_miss
-                if best is None or (act > best if maximize else act < best):
-                    best, actions = act, [pair]
-                elif act == best:
-                    actions.append(pair)
-            arrangements = n_hit + n_miss  # the same for every guess
-            above[state] = (arrangements, best)
-            values[state] = Fraction(best, arrangements)
-            if policy is not None:
-                policy[state] = tuple(actions)
-        weights = above
-    return PartialSolution(spec, sense, values[root], root, values, policy)
+    return _sweep_up(_sweep_down(spec, state_limit), sense, track_policy)
 
 
 def optimal_partial(
@@ -336,26 +460,32 @@ def probe_persistence(
     action set.  An empty list means persistence holds for this spec.
     """
     solution = solve_partial(spec, "max", track_policy=True, state_limit=state_limit)
-    policy = solution.policy
-    assert policy is not None
+    policy, sweep = solution.policy, solution._sweep
+    assert policy is not None and sweep is not None
+    radix = sweep.radix
     violations: list[PersistenceViolation] = []
-    seen: set[PairState] = set()
-    stack: list[PairState] = [solution.root]
+    seen: set[_Codes] = set()
+    # (state, draws left)
+    stack: list[tuple[_Codes, int]] = [(sweep.states[0][0], spec.total)]
     while stack:
-        state = stack.pop()
+        state, left = stack.pop()
         if state in seen:
             continue
         seen.add(state)
-        for pair, hit, miss in _partial_moves(state):
-            if pair not in policy[state]:
+        pairs = _pairs(state, radix)
+        for code, first, hit_at, miss_at in _partial_moves(state, radix, left):
+            pair = divmod(code, radix)
+            if pair not in policy[pairs]:
                 continue
-            if hit is not None:
-                stack.append(hit)
-            if miss is not None:
-                stack.append(miss)
-                after = policy.get(miss)  # None at terminal states
+            if hit_at >= 0:
+                stack.append((_moved(state, first, hit_at, code - radix), left - 1))
+            if miss_at >= 0:
+                miss = _moved(state, miss_at, miss_at, code + 1)
+                stack.append((miss, left - 1))
+                successor = _pairs(miss, radix)
+                after = policy.get(successor)  # None at terminal states
                 if after is not None and (pair[0], pair[1] + 1) not in after:
-                    violations.append(PersistenceViolation(state, pair, miss, after))
+                    violations.append(PersistenceViolation(pairs, pair, successor, after))
     return violations
 
 

@@ -396,27 +396,27 @@ def test_table_state_limit_flag(capsys):
     assert row["complete_min"] == "13/15"
 
 
-def test_table_solves_one_sense_when_the_state_limit_trips(capsys, monkeypatch):
-    # both senses expand the same states in the same order, so once the max
-    # solve trips the limit the min solve would too, and is not run
-    senses = []
-    solve = exact.solve_partial
+def test_table_runs_one_down_pass_per_cell(capsys, monkeypatch):
+    # both senses of a cell share its down pass, so a cell whose down pass
+    # trips the state limit leaves both partial cells empty
+    specs = []
+    sweep_down = exact._sweep_down
 
-    def recording(spec, sense="max", **kwargs):
-        senses.append(sense)
-        return solve(spec, sense, **kwargs)
+    def recording(spec, state_limit):
+        specs.append((spec.multiplicity, spec.num_types))
+        return sweep_down(spec, state_limit)
 
-    monkeypatch.setattr(exact, "solve_partial", recording)
+    monkeypatch.setattr(exact, "_sweep_down", recording)
     code, out, err = run_cli(capsys, "table", "-m", "2", "-n", "7", "--state-limit", "500")
     assert code == 0, err
     row = dict(zip(*read_csv(out)))
     for sense in ("max", "min"):
         assert row[f"partial_{sense}"] == row[f"partial_{sense}_decimal"] == ""
-    assert senses == ["max"]
-    senses.clear()
-    code, out, err = run_cli(capsys, "table", "-m", "2", "-n", "3")
+    assert specs == [(2, 7)]
+    specs.clear()
+    code, out, err = run_cli(capsys, "table", "--m-grid", "1,2", "--n-grid", "2,3")
     assert code == 0, err
-    assert senses == ["max", "min"]
+    assert specs == [(1, 2), (1, 3), (2, 2), (2, 3)]
 
 
 def test_table_requires_grid(capsys):

@@ -1,12 +1,19 @@
+import hashlib
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 from fractions import Fraction
 
 import pytest
 
+from guessbench.cli import _partial_values_or_none
 from guessbench.combinatorics import shuffle_count
 from guessbench.core import DeckSpec, FeedbackModel
 from guessbench.exact import (
+    DEFAULT_STATE_LIMIT,
     _partial_state_floor,
     enumerable_specs,
     exact_chain_mean,
@@ -96,11 +103,77 @@ def test_integer_dps_match_recursive_references():
                 assert optimal_complete(spec, sense) == recursive_optimal_complete(spec, sense)
 
 
+REPO_ROOT = Path(__file__).resolve().parents[1]
+
+# sha256 of repr(sorted(values.items())) and of repr(sorted(policy.items()))
+# from solve_partial(spec, sense, track_policy=True), taken from the
+# level sweep that searched sorted pair tuples, before states became ranked
+# code tuples; they pin values, policies and tie order beyond the oracle's
+# mn <= 12 specs
+PINNED_PARTIAL_DIGESTS = {
+    (10, 3, "max"): (
+        "8ba6e2917866a5d71e3b04f3fb8c0a05b57b52a61b511eae9883fedaa4d9e0d3",
+        "5a9737d7fb29621a233330852b8dd33ccad27b36772b7c48f04f8ae9e959abac",
+    ),
+    (10, 3, "min"): (
+        "a56fa511998294f571c09a58cc8a21461554a41859f1b5cfe6317453f8345a1f",
+        "2dc36072e412085c2b07311f667abd8d6c3593c7dbe9149c525c445bb80633d6",
+    ),
+    (5, 4, "max"): (
+        "a4f10f3a5eaa657397680776d1105609b99505dd29c0998181da18fc3637fcd1",
+        "729e382a9ced2f62722a88b5dba56ba5f4588427a25dfbf949677d8815807e92",
+    ),
+    (5, 4, "min"): (
+        "a05de446c13d50be81941c8e05c37143e9cabad6ef7ecd3cea7af5b3f4b09ea1",
+        "334dcf865fabe6baa54213632b3b4a281b472d81d7fc73935774c54e27ddde2d",
+    ),
+}
+
+
+def _digest(mapping) -> str:
+    return hashlib.sha256(repr(sorted(mapping.items())).encode()).hexdigest()
+
+
+def test_partial_solutions_match_pinned_digests():
+    for (m, n, sense), digests in PINNED_PARTIAL_DIGESTS.items():
+        solution = solve_partial(DeckSpec(m, n), sense, track_policy=True)
+        assert (_digest(solution.values), _digest(solution.policy)) == digests
+
+
+def test_value_only_solves_equal_the_full_solve():
+    for m in range(1, 17):
+        for n in range(1, 16 // m + 1):
+            spec = DeckSpec(m, n)
+            values = {sense: solve_partial(spec, sense).value for sense in ("max", "min")}
+            assert {sense: optimal_partial(spec, sense) for sense in values} == values
+            assert _partial_values_or_none(spec, DEFAULT_STATE_LIMIT) == values
+
+
+DEEP_PARTIAL_SCRIPT = """
+from guessbench import DeckSpec, optimal_partial
+print(*(optimal_partial(DeckSpec(1200, 1), sense) for sense in ("max", "min")))
+"""
+
+
 def test_deep_decks_need_no_recursion():
     harmonic = sum(Fraction(1, k) for k in range(1, 1501))
     assert optimal_complete(DeckSpec(1, 1500), "max") == harmonic
-    assert optimal_partial(DeckSpec(1200, 1), "max") == 1200
-    assert optimal_partial(DeckSpec(1200, 1), "min") == 1200
+    # in a subprocess under a wall-clock budget, so that a solver whose cost
+    # grows with the number of possible pairs, (m + 1)(mn + 1) here, fails
+    # instead of stalling the suite
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", DEEP_PARTIAL_SCRIPT],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["1200", "1200"]
 
 
 def test_state_limits_fail_before_the_search():
