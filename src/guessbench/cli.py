@@ -360,7 +360,8 @@ def _cmd_lstat(config: RunConfig):
 def _partial_values_or_none(spec: DeckSpec, state_limit: int) -> dict[str, Fraction | None]:
     """The partial optimum per sense, or None in both when the state limit
     trips.  One down pass serves both senses: the max solve keeps its
-    levels, and the min optimum is one more up pass over them."""
+    levels and the terminal level's counts, so the min optimum is one more
+    up pass over them that counts nothing again but its root check."""
     try:
         best = exact.solve_partial(spec, "max", state_limit=state_limit)
     except RuntimeError:

@@ -4,8 +4,11 @@ Values are Fractions throughout; the two value DPs reach them through
 integer weights (arrangement count times value).  ``solve_partial`` runs
 backward induction on canonical tally states, swept as ranked level lists:
 a move names its successors by their index in the next level's list, and
-the pass up reads flat lists of those weights.  Only the root's value is
-divided out unless ``PartialSolution.values`` is read.  The tests check it
+the pass up reads flat lists of those weights.  The terminal level's
+arrangement counts come from a recurrence within that level, once per down
+pass; each pass up checks the root's count against one inclusion-exclusion
+``_count``.  Only the root's value is divided out unless
+``PartialSolution.values`` is read.  The tests check it
 against an expectimax search over the raw tree of observable histories,
 which needs no state reduction.
 """
@@ -180,12 +183,14 @@ class _Sweep:
     """A down pass: per level from the root down, its states in rank order
     and, per state, its moves as one flat (hit, miss, hit, miss, ...) tuple
     of successor ranks in the next level's list, -1 where the successor has
-    no arrangements."""
+    no arrangements; and ``counts``, N by rank of the terminal level then a
+    0 for rank -1, shared by every up pass over the sweep."""
 
     spec: DeckSpec
     radix: int
     states: list[list[_Codes]]
     moves: list[list[tuple[int, ...]]]
+    counts: list[int]
 
 
 class _SweptValues(Mapping):
@@ -319,7 +324,8 @@ def _sweep_down(spec: DeckSpec, state_limit: int) -> _Sweep:
     # key -> rank, in rank order, for the level being expanded
     ranks = {sum(code * p for code, p in zip(root, powers)): 0}
     states = [root]
-    sweep = _Sweep(spec, radix, [], [])
+    levels: list[list[_Codes]] = []
+    moves: list[list[tuple[int, ...]]] = []
     found = 1
     for left in range(spec.total, 0, -1):
         below: list[_Codes] = []
@@ -352,20 +358,86 @@ def _sweep_down(spec: DeckSpec, state_limit: int) -> _Sweep:
             if found + size > state_limit:
                 raise limit_error
         found += size
-        sweep.states.append(states)
-        sweep.moves.append(level_moves)
+        levels.append(states)
+        moves.append(level_moves)
         states, ranks = below, below_ranks
-    sweep.states.append(states)
-    return sweep
+    levels.append(states)
+    counts = _terminal_counts(states, ranks, radix, powers, steps)
+    return _Sweep(spec, radix, levels, moves, counts)
+
+
+def _terminal_counts(
+    states: list[_Codes], ranks: dict[int, int], radix: int, powers: list[int],
+    steps: list[int],
+) -> list[int]:
+    """N by rank of the terminal level, then a 0 for rank -1; ``ranks`` maps
+    each state's positional key to its rank.
+
+    A terminal state s has every remaining card in a banned slot.  Take the
+    first type j with a_j > 0 and fill its first banned slot with a card of
+    any other type k: the rest of the word is a word of the state with
+    a_j - 1 and m_k - 1, so N(s) = sum over k != j with m_k > 0 of those
+    states' N.  Each is terminal with one card fewer.  Every state with
+    arrangements and at most m copies per type is reached from the root
+    (undo its misses, then its hits), so each such state lies in the level,
+    and a missing key, a state with no arrangements, reads the 0 at rank -1.
+    The state with no cards has N = 1.  Lowering a_j, the first copy of its
+    code, keeps the codes sorted, and lowering m_k is a hit move, so each
+    lookup is one key update.  States are solved in order of their card
+    count M, which is sum(codes) / (radix + 1) at level 0.
+    """
+    counts = [0] * (len(states) + 1)
+    by_cards: list[list[int]] = [[] for _ in range(radix)]
+    for rank, state in enumerate(states):
+        by_cards[sum(state) // (radix + 1)].append(rank)
+    for rank in by_cards[0]:
+        counts[rank] = 1
+    keys = list(ranks)
+    rank_of = ranks.get
+    size = len(states[0])
+    for level in by_cards[1:]:
+        for rank in level:
+            state = states[rank]
+            j = 0
+            while not state[j] % radix:
+                j += 1
+            # s with a_j - 1; its hits give the states on the right
+            middle = state[:j] + (state[j] - 1,) + state[j + 1 :]
+            key = keys[rank] - powers[j]
+            total = 0
+            first = 0
+            while first < size:
+                code = middle[first]
+                end = first + 1
+                while end < size and middle[end] == code:
+                    end += 1
+                # the types holding this code, j left out
+                copies = end - first - (first <= j < end)
+                if code >= radix and copies:
+                    hit_at = bisect.bisect_left(middle, code - radix, 0, first)
+                    # the down pass's key update for a hit
+                    k = key + (code - radix) * powers[hit_at] - code * powers[first]
+                    for i in range(hit_at, first):
+                        k += middle[i] * steps[i]
+                    total += copies * counts[rank_of(k, -1)]
+                first = end
+            counts[rank] = total
+    return counts
 
 
 def _sweep_up(sweep: _Sweep, sense: Sense, track_policy: bool = False) -> PartialSolution:
-    """Solve every level of a down pass from the terminal level up."""
+    """Solve every level of a down pass from the terminal level up.
+
+    The terminal level starts from the sweep's ``counts`` with W = 0, so
+    another sense over the same sweep counts nothing again.  The root's N
+    is then checked against ``_count`` of the root, the pass's one
+    inclusion-exclusion count; a mismatch raises AssertionError.
+    """
     pick = max if sense == "max" else min
     radix = sweep.radix
     # N and W by rank of the level just solved, with a 0 at rank -1 for the
     # successors that have no arrangements
-    ns = [_count(*zip(*_pairs(state, radix))) for state in sweep.states[-1]] + [0]
+    ns = sweep.counts
     ws = [0] * len(ns)
     weights = [(ns, ws)]
     policy: dict[PairState, tuple[tuple[int, int], ...]] | None = (
@@ -395,6 +467,9 @@ def _sweep_up(sweep: _Sweep, sense: Sense, track_policy: bool = False) -> Partia
         ws = above_w + [0]
         weights.append((ns, ws))
     root = _pairs(sweep.states[0][0], radix)
+    # the solve's one inclusion-exclusion count checks the terminal recurrence
+    if ns[0] != _count(*zip(*root)):
+        raise AssertionError(f"terminal counts give {ns[0]} shuffles at {root}")
     value = Fraction(ws[0], ns[0])
     values = _SweptValues(sweep, weights)
     return PartialSolution(sweep.spec, sense, value, root, values, policy, sweep)
@@ -416,13 +491,15 @@ def solve_partial(
 
     Each state s carries integers N(s), its number of arrangements, and
     W(s) = N(s) * V(s).  Since f = N(hit) / N(s) and N(s) = N(hit) + N(miss)
-    for every guess, W(s) = opt over guesses of N(hit) + W(hit) + W(miss),
-    and ``_count`` runs only on terminal states, where W = 0.  Every guess
-    draws one card, so the states fall into levels by draws left, and level
-    0 holds exactly the terminal states.  One pass down lists each level's
-    states and names each move's successors by their rank in the next
-    level's list; one pass up solves each level from flat lists of N and W
-    by rank of the level below, so deep decks need no recursion.  Only the
+    for every guess, W(s) = opt over guesses of N(hit) + W(hit) + W(miss).
+    Every guess draws one card, so the states fall into levels by draws
+    left, and level 0 holds exactly the terminal states, where W = 0.  One
+    pass down lists each level's states, names each move's successors by
+    their rank in the next level's list, and counts level 0's arrangements
+    by a recurrence within the level (``_terminal_counts``); one pass up
+    solves each level from flat lists of N and W by rank of the level below,
+    so deep decks need no recursion, and checks the root's N against one
+    ``_count``, the solve's only inclusion-exclusion count.  Only the
     root's value is a Fraction until ``values`` is read.  Raises
     RuntimeError once more than ``state_limit`` states turn up, or at once
     when ``_partial_state_floor`` already exceeds it.

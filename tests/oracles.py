@@ -323,6 +323,32 @@ def recursive_solve_partial(
     return PartialSolution(spec, sense, top, root, values, policy)
 
 
+def terminal_states(spec: DeckSpec) -> list[PairState]:
+    """Every terminal pair multiset of ``spec`` with arrangements, listed
+    directly rather than reached by play: n sorted pairs (m_i, a_i) with
+    m_i <= m and sum(a) = sum(m) = M.  By Hall's condition such a state has
+    arrangements iff m_i + a_i <= M for every type."""
+    m, n = spec.multiplicity, spec.num_types
+
+    def banned(ms: tuple[int, ...], i: int, low: int, left: int):
+        # a_i, ..., a_{n-1} summing to ``left``, a_i >= low when m_i = m_{i-1}
+        cap = sum(ms) - ms[i]
+        if i == n - 1:
+            if low <= left <= cap:
+                yield (left,)
+            return
+        for ai in range(low, min(left, cap) + 1):
+            nxt = ai if ms[i + 1] == ms[i] else 0
+            for rest in banned(ms, i + 1, nxt, left - ai):
+                yield (ai,) + rest
+
+    return [
+        tuple(zip(ms, a_s))
+        for ms in itertools.combinations_with_replacement(range(m + 1), n)
+        for a_s in banned(ms, 0, 0, sum(ms))
+    ]
+
+
 def recursive_probe_persistence(
     spec: DeckSpec, state_limit: int = 400_000
 ) -> list[PersistenceViolation]:

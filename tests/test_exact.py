@@ -1,4 +1,6 @@
 import hashlib
+import itertools
+import operator
 import os
 import random
 import subprocess
@@ -9,8 +11,9 @@ from fractions import Fraction
 
 import pytest
 
+from guessbench import exact
 from guessbench.cli import _partial_values_or_none
-from guessbench.combinatorics import shuffle_count
+from guessbench.combinatorics import _count, shuffle_count
 from guessbench.core import DeckSpec, FeedbackModel
 from guessbench.exact import (
     DEFAULT_STATE_LIMIT,
@@ -41,6 +44,7 @@ from oracles import (
     recursive_solve_partial,
     reference_verify_pointwise,
     small_constraint_states,
+    terminal_states,
 )
 
 GREEDY_MAX = StrategySpec(StrategyId.COMPLETE_GREEDY_MAX)
@@ -191,6 +195,62 @@ def test_state_limit_counts_every_state():
         assert solve_partial(spec, state_limit=states).values
         with pytest.raises(RuntimeError, match=f"more than {states - 1} partial states"):
             solve_partial(spec, state_limit=states - 1)
+
+
+# n = 1 decks, (1, n), and wider and deeper decks whose terminal levels hold
+# exhausted types with banned slots
+TERMINAL_SPECS = (
+    [(m, 1) for m in range(1, 17)]
+    + [(1, n) for n in range(2, 13)]
+    + [(2, 8), (3, 5), (4, 4), (5, 4), (10, 3)]
+)
+
+
+def test_terminal_recurrence_matches_inclusion_exclusion():
+    for m, n in TERMINAL_SPECS:
+        spec = DeckSpec(m, n)
+        level = terminal_states(spec)
+        assert ((0, 0),) * n in level
+        if n > 1:
+            assert any(mi == 0 < ai for state in level for mi, ai in state)
+        radix = spec.total + 1
+        states = [tuple(mi * radix + ai for mi, ai in state) for state in level]
+        # the down pass's positional key: codes as digits in base (m + 1) * radix
+        powers = [((m + 1) * radix) ** k for k in range(n + 1)]
+        steps = [b - a for a, b in itertools.pairwise(powers)]
+        ranks = {sum(map(operator.mul, state, powers)): rank for rank, state in enumerate(states)}
+        got = exact._terminal_counts(states, ranks, radix, powers, steps)
+        assert got == [_count(*zip(*state)) for state in level] + [0]
+        if spec.total <= 12:
+            sweep = exact._sweep_down(spec, DEFAULT_STATE_LIMIT)
+            assert sorted(sweep.states[-1]) == sorted(states)
+            assert sweep.counts[-1] == 0
+            assert dict(zip(sweep.states[-1], sweep.counts)) == dict(zip(states, got))
+
+
+def test_partial_solves_count_terminal_states_once(monkeypatch):
+    # the _count cache is process-global and unbounded, so a fallback to it
+    # per terminal state, or a recount per sense, must show
+    _count.cache_clear()
+    best = solve_partial(DeckSpec(3, 5)).value
+    assert _count.cache_info().currsize <= 1
+    spied = Counter()
+
+    def spy(name):
+        real = getattr(exact, name)
+
+        def wrapper(*args):
+            spied[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(exact, name, wrapper)
+
+    spy("_terminal_counts")
+    spy("_count")
+    values = _partial_values_or_none(DeckSpec(3, 5), DEFAULT_STATE_LIMIT)
+    # one count of level 0 for both senses, and one root check per up pass
+    assert spied == {"_terminal_counts": 1, "_count": 2}
+    assert values["max"] == best
 
 
 def test_partial_pinned_values():
