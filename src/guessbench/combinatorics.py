@@ -10,9 +10,17 @@ Counting is by inclusion-exclusion over violated banned positions.  Choosing
 k_i banned positions of type i to violate contributes
 (-1)^{|k|} * prod C(a_i, k_i) * (T - |k|)! / prod (m_i - k_i)!  with
 T = sum(m).  Grouping terms by |k| turns each type into an integer polynomial
-sum_k (-1)^k C(a_i, k) m_i!/(m_i-k)! z^k; the count is then
-sum_K [z^K](prod poly_i) * (T - K)! / prod m_i!, all in exact integers.
-``next_card_counts`` builds that product once per state and swaps one factor
+F(m_i, a_i) = sum_k (-1)^k C(a_i, k) m_i!/(m_i-k)! z^k; the count is then
+sum_K [z^K](prod F_i) * (T - K)! / prod m_i!, all in exact integers.
+
+Each polynomial is held as one Python int (Kronecker substitution): the
+coefficient sizes |[z^k]| are its base-2^B digits, i.e. F(-z) evaluated at
+z = 2^B.  Every F(-z) has nonnegative coefficients, so a product of
+factors does too, as does that product with one factor divided out.  With
+B chosen per state to exceed every such coefficient no digit carries: a
+product costs one multiplication per factor, and dividing a factor out one
+exact ``//``.
+``next_card_counts`` builds the product once per state and swaps one factor
 per type to count every state with one card set aside.
 
 Everything here returns ints or fractions.Fraction, never floats.
@@ -65,56 +73,58 @@ class ConstraintState:
         return sum(self.remaining)
 
 
-def _convolve(p: list[int], q: tuple[int, ...]) -> list[int]:
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                out[i + j] += a * b
-    return out
-
-
 @lru_cache(maxsize=None)
 def _factor(m_i: int, a_i: int) -> tuple[int, ...]:
-    """One type's inclusion-exclusion polynomial F(m, a):
-    [z^k] = (-1)^k C(a, k) m!/(m-k)! for k = 0..min(a, m).  Its constant
-    term is 1."""
-    return tuple(
-        (-1) ** k * math.comb(a_i, k) * math.perm(m_i, k) for k in range(min(a_i, m_i) + 1)
-    )
+    """The sizes of one type's inclusion-exclusion coefficients:
+    |[z^k] F(m, a)| = C(a, k) m!/(m-k)! for k = 0..min(a, m); the sign of
+    [z^k] F is (-1)^k, and the constant term is 1."""
+    return tuple(math.comb(a_i, k) * math.perm(m_i, k) for k in range(min(a_i, m_i) + 1))
 
 
-def _product(remaining: tuple[int, ...], forbidden: tuple[int, ...]) -> list[int]:
-    """prod_i F(m_i, a_i), skipping the factors that are 1."""
-    poly = [1]
-    for m_i, a_i in zip(remaining, forbidden):
-        if m_i and a_i:
-            poly = _convolve(poly, _factor(m_i, a_i))
-    return poly
+def _pack(coeffs: tuple[int, ...], shift: int) -> int:
+    """sum_k coeffs[k] * 2^(shift * k)."""
+    packed = 0
+    for coeff in reversed(coeffs):
+        packed = (packed << shift) | coeff
+    return packed
 
 
-def _divide(p: list[int], f: tuple[int, ...]) -> list[int]:
-    """p / f for an f with constant term 1 that divides p exactly."""
-    rest = list(p)
-    size = len(p) - len(f) + 1
-    for k in range(size):
-        coeff = rest[k]
-        if coeff:
-            for j in range(1, len(f)):
-                rest[k + j] -= coeff * f[j]
-    return rest[:size]
+def _packing(
+    remaining: tuple[int, ...], forbidden: tuple[int, ...]
+) -> tuple[int, dict[tuple[int, int], int], int]:
+    """The state's digit width B, each nontrivial pair's packed factor, and
+    the packed product over the types.
 
-
-def _arrangements(poly: list[int], total: int, den: int) -> int:
-    """sum_K [z^K]poly * (total - K)! / den, checked to be a count.
-
-    Horner form: with d = deg poly, the sum is (total - d)! times the
-    nested ((c_0 * total + c_1) * (total - 1) + c_2) ... + c_d.
+    The coefficients of the product, of the product with F(m_i, a_i)
+    divided out and of that times F(m_i - 1, a_i) are all at most
+    prod_i sum_k |[z^k] F(m_i, a_i)|, since F(m_i - 1, a_i) has no larger
+    coefficients than F(m_i, a_i).  B is the bit length of that bound plus
+    one, so every digit stays below 2^(B - 1).
     """
+    factors = [pair for pair in zip(remaining, forbidden) if pair[0] and pair[1]]
+    shift = math.prod(sum(_factor(*pair)) for pair in factors).bit_length() + 1
+    packs = {pair: _pack(_factor(*pair), shift) for pair in set(factors)}
+    return shift, packs, math.prod(packs[pair] for pair in factors)
+
+
+def _arrangements(packed: int, shift: int, total: int, den: int) -> int:
+    """sum_K (-1)^K d_K * (total - K)! / den for the base-2^shift digits
+    d_K of ``packed``, checked to be a count.
+
+    Horner form, digits low first: with D the degree, the sum is
+    (total - D)! times ((d_0 * total - d_1) * (total - 1) + d_2) ... ± d_D;
+    the loop flips the sign at every step and restores it once at the end.
+    """
+    mask = (1 << shift) - 1
     num = 0
-    for k, coeff in enumerate(poly):
-        num = num * (total - k + 1) + coeff
-    num *= math.factorial(total - len(poly) + 1)
+    low = total + 1
+    while packed:
+        num = (packed & mask) - num * low
+        packed >>= shift
+        low -= 1
+    if (total - low) & 1:
+        num = -num
+    num *= math.factorial(low)
     count, rem = divmod(num, den)
     if rem or count < 0:
         raise AssertionError(f"inclusion-exclusion produced a non-count: {num}/{den}")
@@ -124,8 +134,9 @@ def _arrangements(poly: list[int], total: int, den: int) -> int:
 @lru_cache(maxsize=None)
 def _count(remaining: tuple[int, ...], forbidden: tuple[int, ...]) -> int:
     """Inclusion-exclusion count; allows sum(forbidden) == sum(remaining)."""
-    den = math.prod(math.factorial(m_i) for m_i in remaining)
-    return _arrangements(_product(remaining, forbidden), sum(remaining), den)
+    shift, _, product = _packing(remaining, forbidden)
+    den = math.prod(map(math.factorial, remaining))
+    return _arrangements(product, shift, sum(remaining), den)
 
 
 # A state as one (remaining, forbidden) pair per type; sorted, the
@@ -140,19 +151,20 @@ def next_card_counts(pairs: PairState) -> dict[tuple[int, int], int]:
     with equal pairs share an entry, keyed by the caller's pair tuple.
     Needs sum(a) < sum(m).
 
-    The product of the per-type factors is built once; each distinct pair
-    swaps its own factor F(m_i, a_i) for F(m_i - 1, a_i), so a state with d
-    distinct pairs costs one product and d exact divisions.  The banned
-    slots lead, so every word of the state ends in an unbanned slot, and
-    dropping that last card leaves a word of exactly one reduced state: the
-    counts, taken once per type, sum to ``_count(remaining, forbidden)``.
+    The packed product of the per-type factors is built once; each
+    distinct pair swaps its own factor F(m_i, a_i) for F(m_i - 1, a_i) by
+    one exact integer division and one multiplication, so a state with d
+    distinct pairs costs one product and d quotients.  The banned slots
+    lead, so every word of the state ends in an unbanned slot, and dropping
+    that last card leaves a word of exactly one reduced state: the counts,
+    taken once per type, sum to ``_count(remaining, forbidden)``.
     """
     remaining, forbidden = zip(*pairs)
     total = sum(remaining)
     if sum(forbidden) >= total:
         raise ValueError("need sum(forbidden) < sum(remaining)")
-    product = _product(remaining, forbidden)
-    den = math.prod(math.factorial(m_i) for m_i in remaining)
+    shift, packs, product = _packing(remaining, forbidden)
+    den = math.prod(map(math.factorial, remaining))
     by_pair: dict[tuple[int, int], int] = {}
     for pair in pairs:
         if pair in by_pair:
@@ -161,11 +173,11 @@ def next_card_counts(pairs: PairState) -> dict[tuple[int, int], int]:
         if m_i == 0:
             by_pair[pair] = 0
             continue
-        poly = product
+        packed = product
         if a_i:
-            poly = _convolve(_divide(product, _factor(m_i, a_i)), _factor(m_i - 1, a_i))
+            packed = product // packs[pair] * _pack(_factor(m_i - 1, a_i), shift)
         # the reduced state's denominator is den / m_i
-        by_pair[pair] = _arrangements(poly, total - 1, den // m_i)
+        by_pair[pair] = _arrangements(packed, shift, total - 1, den // m_i)
     return by_pair
 
 

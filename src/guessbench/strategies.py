@@ -137,10 +137,12 @@ def parse_strategy(text: str) -> StrategySpec:
 
 
 # Integer next-card counts N(s - e_i) by (remaining, wrong) pair, one entry
-# per canonical pair multiset s.
+# per canonical pair multiset s; posterior_by_pair and every memo miss of
+# the partial-mle kernels read it.
 _DIST_CACHE: dict[PairState, dict[tuple[int, int], int]] = {}
-# Per sense (True for max), the pairs whose count attains the optimum.
-_BEST_PAIRS: dict[bool, dict[PairState, frozenset[tuple[int, int]]]] = {True: {}, False: {}}
+# Per (m, n, maximize), partial-mle's guessed type index by labelled-state
+# key (see _state_keys).
+_GUESS_MEMO: dict[tuple[int, int, bool], dict[int, int]] = {}
 
 
 def _counts_by_pair(pairs: PairState) -> dict[tuple[int, int], int]:
@@ -168,20 +170,11 @@ def _mle_guess(pairs: list[tuple[int, int]], maximize: bool) -> int:
     ``maximize``), given each type's (remaining, wrong) pair.
 
     Probabilities share the denominator N(s), so comparing the integer
-    counts N(s - e_i) suffices.  The pairs attaining the optimum are cached
-    per canonical state and sense; ties go to the lowest type index.
+    counts N(s - e_i) suffices; ties go to the lowest type index.
     """
-    cache = _BEST_PAIRS[maximize]
-    state = tuple(sorted(pairs))
-    best = cache.get(state)
-    if best is None:
-        by_pair = _counts_by_pair(state)
-        top = (max if maximize else min)(by_pair.values())
-        best = cache[state] = frozenset(p for p, c in by_pair.items() if c == top)
-    for i, pair in enumerate(pairs):
-        if pair in best:
-            return i
-    raise AssertionError("no type attains the optimum")
+    by_pair = _counts_by_pair(tuple(sorted(pairs)))
+    counts = [by_pair[pair] for pair in pairs]
+    return counts.index((max if maximize else min)(counts))
 
 
 # ===== kernels: one implementation per strategy =====
@@ -222,22 +215,55 @@ def _kernel_cyclic(spec, params, decks, strat_rng):
     return (decks == pattern).sum(axis=1)
 
 
+def _state_keys(
+    spec: DeckSpec,
+) -> tuple[int, list[int], list[int], Callable[[int], list[tuple[int, int]]]]:
+    """The partial-mle kernel's integer keys for labelled states on ``spec``:
+    the start key, each type's hit and miss steps, and the decoder from a
+    key back to the list of (remaining, wrong) pairs.
+
+    Type i's pair is the digit remaining * (mn + 1) + wrong, in radix
+    (m + 1)(mn + 1), at place i.  A hit on type i subtracts hits[i] from the
+    key and a miss adds misses[i].  Decoded pairs are shared tuples, one
+    per digit, so they are not copied into every ``_DIST_CACHE`` key.
+    """
+    m, n = spec.multiplicity, spec.num_types
+    width = spec.total + 1
+    radix = (m + 1) * width
+    misses = [radix**i for i in range(n)]
+    hits = [width * step for step in misses]
+    pair_of = [divmod(code, width) for code in range(radix)]
+
+    def decode(key: int) -> list[tuple[int, int]]:
+        pairs = []
+        for _ in range(n):
+            key, code = divmod(key, radix)
+            pairs.append(pair_of[code])
+        return pairs
+
+    return m * width * sum(misses), hits, misses, decode
+
+
 def _kernel_mle(maximize: bool):
+    # Each row walks its game by integer steps on its state key; the memo
+    # for the deck spec and sense gives every guess after a state's first.
     def kernel(spec: DeckSpec, params: dict, decks: np.ndarray, strat_rng) -> np.ndarray:
         import numpy as np
 
+        start, hits, misses, decode = _state_keys(spec)
+        memo = _GUESS_MEMO.setdefault((spec.multiplicity, spec.num_types, maximize), {})
         scores = []
         for deck in decks.tolist():
-            pairs = [(spec.multiplicity, 0)] * spec.num_types
-            score = 0
+            key, score = start, 0
             for card in deck:
-                i = _mle_guess(pairs, maximize)
-                remaining, wrong = pairs[i]
+                i = memo.get(key)
+                if i is None:
+                    i = memo[key] = _mle_guess(decode(key), maximize)
                 if card == i + 1:
                     score += 1
-                    pairs[i] = (remaining - 1, wrong)
+                    key -= hits[i]
                 else:
-                    pairs[i] = (remaining, wrong + 1)
+                    key += misses[i]
             scores.append(score)
         return np.array(scores, dtype=np.int64)
 

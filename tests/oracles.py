@@ -12,13 +12,18 @@ The package's earlier per-game strategy classes, its feedback function
 ``observe`` and its play loop ``play`` are the references for the
 strategy kernels: ``make_oracle`` builds one strategy instance per game
 from a ``StrategySpec``, and the tests require the kernels to give the
-same score on every deck.  ``PartialMle`` shares the package's best-pair
-cache; the Fraction-valued partial-mle posterior and
-``ReferencePartialMle`` check it independently.
+same score on every deck.  ``PartialMle`` picks its best pairs from
+``_count`` of each reduced state, apart from the package's caches; the
+Fraction-valued partial-mle posterior and ``ReferencePartialMle`` check it
+independently.
 The package's earlier Fraction-valued pointwise sweep and hypergeometric
 tail are kept as references for the integer ones; they read the package's
 ``last_card_fraction`` and constraint grid, and the tail sums
 ``brute_hypergeom``.
+
+The list-polynomial inclusion-exclusion counter (convolution and long
+division of signed coefficient lists) is the reference for the packed-integer
+one in ``combinatorics``.
 
 The last section holds references that once lived in the package: a
 recursive arrangement enumerator, a replayer of solved partial policies,
@@ -54,12 +59,7 @@ from guessbench.exact import (
     iter_shuffles,
 )
 from guessbench.montecarlo import rng_stream
-from guessbench.strategies import (
-    _BEST_PAIRS,
-    StrategyId,
-    StrategySpec,
-    _counts_by_pair,
-)
+from guessbench.strategies import StrategyId, StrategySpec
 
 ORACLE_CARD_LIMIT = 9
 
@@ -199,6 +199,83 @@ def small_constraint_states(max_total: int, max_types: int):
             for forbidden in itertools.product(range(total + 1), repeat=ntypes):
                 if sum(forbidden) <= total:
                     yield remaining, forbidden
+
+
+# ===== list-polynomial inclusion-exclusion (reference for combinatorics.py) =====
+# The package's earlier counter: each type's factor F(m, a) with
+# [z^k] = (-1)^k C(a, k) m!/(m-k)! as a list of signed coefficients,
+# multiplied by convolution and divided by long division.
+
+
+def _signed_factor(m_i: int, a_i: int) -> list[int]:
+    return [(-1) ** k * math.comb(a_i, k) * math.perm(m_i, k) for k in range(min(a_i, m_i) + 1)]
+
+
+def _convolve(p: list[int], q: list[int]) -> list[int]:
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        if a:
+            for j, b in enumerate(q):
+                out[i + j] += a * b
+    return out
+
+
+def _divide(p: list[int], f: list[int]) -> list[int]:
+    """p / f for an f with constant term 1 that divides p exactly."""
+    rest = list(p)
+    size = len(p) - len(f) + 1
+    for k in range(size):
+        coeff = rest[k]
+        if coeff:
+            for j in range(1, len(f)):
+                rest[k + j] -= coeff * f[j]
+    if any(rest[size:]):
+        raise AssertionError("inexact polynomial division")
+    return rest[:size]
+
+
+def _list_product(remaining: tuple[int, ...], forbidden: tuple[int, ...]) -> list[int]:
+    poly = [1]
+    for m_i, a_i in zip(remaining, forbidden):
+        poly = _convolve(poly, _signed_factor(m_i, a_i))
+    return poly
+
+
+def _list_arrangements(poly: list[int], total: int, den: int) -> int:
+    num = sum(c * math.factorial(total - k) for k, c in enumerate(poly))
+    count, rem = divmod(num, den)
+    assert rem == 0 and count >= 0
+    return count
+
+
+def reference_polynomials(pairs: tuple[tuple[int, int], ...]) -> dict:
+    """The state's product P and, for each distinct pair (m_i, a_i) with
+    m_i > 0, the reduced state's product P / F(m_i, a_i) * F(m_i - 1, a_i),
+    keyed by None and by pair."""
+    remaining, forbidden = zip(*pairs)
+    product = _list_product(remaining, forbidden)
+    polys = {None: product}
+    for m_i, a_i in pairs:
+        if m_i and (m_i, a_i) not in polys:
+            quotient = _divide(product, _signed_factor(m_i, a_i))
+            polys[m_i, a_i] = _convolve(quotient, _signed_factor(m_i - 1, a_i))
+    return polys
+
+
+def reference_count(remaining: tuple[int, ...], forbidden: tuple[int, ...]) -> int:
+    den = math.prod(math.factorial(m_i) for m_i in remaining)
+    return _list_arrangements(_list_product(remaining, forbidden), sum(remaining), den)
+
+
+def reference_next_card_counts(pairs: tuple[tuple[int, int], ...]) -> dict[tuple[int, int], int]:
+    remaining, _ = zip(*pairs)
+    total = sum(remaining)
+    den = math.prod(math.factorial(m_i) for m_i in remaining)
+    polys = reference_polynomials(pairs)
+    return {
+        (m_i, a_i): _list_arrangements(polys[m_i, a_i], total - 1, den // m_i) if m_i else 0
+        for m_i, a_i in pairs
+    }
 
 
 # ===== recursive Fraction-valued DPs (references for exact.py) =====
@@ -486,7 +563,10 @@ class PartialMle(Strategy):
 
     Tracks, per type, the copies still to come and the wrong guesses of it.
     Probabilities share the denominator N(s), so comparing the integer
-    counts N(s - e_i) suffices; ties go to the lowest type index.
+    counts N(s - e_i), each the ``_count`` of the reduced state, suffices;
+    ties go to the lowest type index.  The pairs attaining the optimum are
+    kept per canonical state in the instance, apart from the package's
+    caches.
     """
 
     def __init__(self, deck: DeckSpec, maximize: bool):
@@ -495,16 +575,24 @@ class PartialMle(Strategy):
         self.remaining = [deck.multiplicity] * deck.num_types
         self.wrong = [0] * deck.num_types
         self._last_guess: int | None = None
-        self._best = _BEST_PAIRS[maximize]
+        self._best: dict[tuple[tuple[int, int], ...], frozenset[tuple[int, int]]] = {}
+
+    def _best_pairs(self, state: tuple[tuple[int, int], ...]) -> frozenset[tuple[int, int]]:
+        remaining, forbidden = zip(*state)
+        by_pair = {}
+        for i, (m_i, a_i) in enumerate(state):
+            if (m_i, a_i) not in by_pair:
+                reduced = remaining[:i] + (m_i - 1,) + remaining[i + 1 :]
+                by_pair[m_i, a_i] = _count(reduced, forbidden) if m_i else 0
+        top = (max if self.maximize else min)(by_pair.values())
+        return frozenset(p for p, c in by_pair.items() if c == top)
 
     def next_guess(self) -> int:
         pairs = list(zip(self.remaining, self.wrong))
         state = tuple(sorted(pairs))
         best = self._best.get(state)
         if best is None:
-            by_pair = _counts_by_pair(state)
-            top = (max if self.maximize else min)(by_pair.values())
-            best = self._best[state] = frozenset(p for p, c in by_pair.items() if c == top)
+            best = self._best[state] = self._best_pairs(state)
         for guess, pair in enumerate(pairs, start=1):
             if pair in best:
                 break

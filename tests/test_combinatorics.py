@@ -1,23 +1,32 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+import guessbench.montecarlo as mc
 from guessbench.combinatorics import (
     ConstraintState,
     _count,
+    _packing,
     binomial_pmf,
     last_card_fraction,
     next_card_counts,
     shuffle_count,
 )
 from guessbench.core import DeckSpec
+from guessbench.exact import solve_partial
 from oracles import (
+    PartialMle,
     all_shuffles,
     brute_binomial,
     brute_count,
     brute_last_card,
     iter_arrangements,
     iter_constraint_grid,
+    reference_count,
+    reference_next_card_counts,
+    reference_polynomials,
+    replayed_decks,
     satisfying_words,
     small_constraint_states,
 )
@@ -159,6 +168,62 @@ def test_next_card_counts_match_reduced_counts():
         assert sum(counts) == _count(remaining, forbidden)
     with pytest.raises(ValueError):
         next_card_counts(((1, 1), (1, 1)))
+
+
+def mle_states(spec, trials, seed):
+    """Every state partial-mle and partial-min-mle meet on the replayed decks."""
+    word = np.array(spec.canonical_word(), dtype=np.int16)
+    states = set()
+    for deck in replayed_decks(word, trials, seed, mc._DECK_TAG, mc.BLOCK_SIZE):
+        for maximize in (True, False):
+            player = PartialMle(spec, maximize)
+            for card in deck:
+                states.add(tuple(sorted(zip(player.remaining, player.wrong))))
+                player.observe(player.next_guess() == card)
+    return states
+
+
+def wide_states():
+    """States whose inclusion-exclusion coefficients are large for their size."""
+    states = set()
+    for m in range(1, 17):
+        states.update(solve_partial(DeckSpec(m, 1), "max").values)
+    for n in range(1, 13):
+        states.update(solve_partial(DeckSpec(1, n), "max").values)
+    for n in range(2, 21):
+        states |= mle_states(DeckSpec(1, n), 3, n)
+        # every wrong guess on one type, and one on each type but the last
+        states.add(tuple(sorted(((1, n - 1),) + ((1, 0),) * (n - 1))))
+        states.add(tuple(sorted(((1, 1),) * (n - 1) + ((1, 0),))))
+    # a type with few copies left and many more misses (a_i >> m_i)
+    for m_i in (1, 2, 3):
+        for a_i in (10, 25, 50):
+            states.add(((m_i, a_i), (m_i, a_i // 2), (a_i + a_i // 2 + 1, 0)))
+            states.add(((m_i, a_i), (a_i, 0)))
+            states.add(((1, a_i),) * 3 + ((3 * a_i, 0),))
+    return states
+
+
+@pytest.mark.parametrize("source", ["mle-4x13", "mle-2x20", "wide"])
+def test_packed_counts_match_list_polynomials(source):
+    # the packed digits must never carry: every coefficient of the product,
+    # of each quotient and of each reduced product stays below 2^(B - 1)
+    if source == "wide":
+        states = wide_states()
+    else:
+        m, n = (4, 13) if source == "mle-4x13" else (2, 20)
+        states = mle_states(DeckSpec(m, n), 20, 5)
+    checked = 0
+    for pairs in states:
+        remaining, forbidden = zip(*pairs)
+        shift = _packing(remaining, forbidden)[0]
+        polys = reference_polynomials(pairs)
+        assert max(abs(c) for poly in polys.values() for c in poly) < 2 ** (shift - 1)
+        assert _count(remaining, forbidden) == reference_count(remaining, forbidden)
+        if sum(forbidden) < sum(remaining):
+            assert next_card_counts(pairs) == reference_next_card_counts(pairs)
+            checked += 1
+    assert checked > 500
 
 
 def test_shuffle_count():

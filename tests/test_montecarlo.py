@@ -231,6 +231,12 @@ def test_workers_do_not_change_results():
     two = estimate_value(spec, None, TWO_PHASE, 9000, 11, workers=2)
     assert one.histogram == two.histogram
     assert one.trials == 9000
+    # each worker builds its own partial-mle guess memo
+    mle = StrategySpec(StrategyId.PARTIAL_MLE)
+    one = estimate_value(DeckSpec(3, 4), None, mle, 9000, 11, workers=1)
+    two = estimate_value(DeckSpec(3, 4), None, mle, 9000, 11, workers=2)
+    assert one.histogram == two.histogram
+    assert one.trials == 9000
 
 
 def test_single_trial_and_validation():

@@ -5,20 +5,31 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import guessbench.montecarlo as mc
 from guessbench.core import DeckSpec, FeedbackModel
 from guessbench.exact import enumerable_specs, exact_value, solve_partial
 from guessbench.strategies import (
+    _GUESS_MEMO,
     _KERNELS,
     _STRATEGIES,
     StrategyId,
     StrategySpec,
     _mle_guess,
+    _state_keys,
     compatible,
     make_strategy,
     parse_strategy,
     posterior_by_pair,
 )
-from oracles import all_shuffles, make_oracle, observe, reference_posterior_by_pair
+from oracles import (
+    ReferencePartialMle,
+    all_shuffles,
+    make_oracle,
+    observe,
+    reference_posterior_by_pair,
+    replayed_decks,
+)
+from oracles import play as reference_play
 
 
 def play(spec, model, sspec, deck):
@@ -232,6 +243,41 @@ def test_min_mle_picks_least_likely():
         DeckSpec(1, 3), FeedbackModel.PARTIAL, StrategySpec(StrategyId.PARTIAL_MIN_MLE), (2, 1, 3)
     )
     assert guesses[:2] == [1, 2]
+
+
+@pytest.mark.parametrize(
+    "sid, maximize",
+    [(StrategyId.PARTIAL_MLE, True), (StrategyId.PARTIAL_MIN_MLE, False)],
+)
+def test_mle_kernel_matches_reference_past_64_bit_keys(sid, maximize):
+    # radix 5 * 53 = 265 at (4,13), so state keys run up to 265^13 > 2^104
+    spec = DeckSpec(4, 13)
+    word = np.array(spec.canonical_word(), dtype=np.int16)
+    decks = replayed_decks(word, 20, 23, mc._DECK_TAG, mc.BLOCK_SIZE)
+    expected = [
+        reference_play(ReferencePartialMle(spec, maximize), FeedbackModel.PARTIAL, deck)
+        for deck in decks
+    ]
+    assert _state_keys(spec)[0] > 2**64
+    assert kernel_scores(StrategySpec(sid), spec, decks) == expected
+
+
+def test_state_keys_round_trip_when_misses_pile_on_one_type():
+    spec = DeckSpec(1, 30)
+    start, hits, misses, decode = _state_keys(spec)
+    assert decode(start) == [(1, 0)] * 30
+    # all 29 misses on the last type, whose place is the key's highest
+    key = start + 29 * misses[29] - hits[0]
+    assert key > 2**64
+    assert decode(key) == [(0, 0)] + [(1, 0)] * 28 + [(1, 29)]
+    # partial-mle keeps guessing a type while it misses, so a deck with
+    # type 1 last piles every miss on type 1 and hits with the last card
+    deck = tuple(range(2, 31)) + (1,)
+    mle = StrategySpec(StrategyId.PARTIAL_MLE)
+    assert play(spec, FeedbackModel.PARTIAL, mle, deck) == ([1] * 30, 1)
+    piled = start + 29 * misses[0]
+    assert decode(piled) == [(1, 29)] + [(1, 0)] * 29
+    assert _GUESS_MEMO[1, 30, True][piled] == 0
 
 
 def test_uniform_strategy_draws_from_stream():
