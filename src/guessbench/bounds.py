@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from .combinatorics import binomial_pmf
 from .core import DeckSpec
@@ -120,21 +120,68 @@ def empirical_maximal(
 # ===== hypergeometric tails =====
 
 
-def hyp_single_tail_exact(population: int, good: int, draws: int, lam: float) -> Fraction:
-    """Exact P[S_draws > (1+lam) * draws * good / population].
+def _single_tails(population: int, good: int, draws: int, ratios) -> Iterator[tuple[int, int]]:
+    """Exact P[S_draws > (1+lam) * draws * good / population] as a reduced
+    (numerator, denominator) pair for each lam = p/q in ``ratios``.
 
-    With lam = p/q exactly, the smallest count past the threshold is
-    floor((q + p) * draws * good / (q * population)) + 1, and the tail sums
-    the integers C(draws, k) * C(population - draws, good - k) before one
-    division by C(population, good).
+    The smallest count past the threshold is
+    floor((q + p) * draws * good / (q * population)) + 1, and each tail is a
+    suffix sum of the integers C(draws, k) * C(population - draws, good - k),
+    computed once for every lam, over C(population, good).
     """
-    p, q = Fraction(lam).as_integer_ratio()
-    k_min = max((q + p) * draws * good // (q * population) + 1, 0)
-    tail = sum(
+    terms = [
         math.comb(draws, k) * math.comb(population - draws, good - k)
-        for k in range(k_min, min(draws, good) + 1)
-    )
-    return Fraction(tail, math.comb(population, good))
+        for k in range(min(draws, good) + 1)
+    ]
+    total = math.comb(population, good)
+    for p, q in ratios:
+        tail = sum(terms[max((q + p) * draws * good // (q * population) + 1, 0) :])
+        common = math.gcd(tail, total)
+        yield tail // common, total // common
+
+
+def _hypothesis(population: int, good: int) -> tuple[bool, str]:
+    """Whether population >= good^2+good holds, and the note that starts a
+    report's notes when it does not."""
+    if population >= good * good + good:
+        return True, ""
+    return False, "hypothesis population >= good^2+good violated; "
+
+
+def _ratio(lam: float) -> tuple[int, int]:
+    return Fraction(lam).as_integer_ratio()
+
+
+def _single_tail_reports(
+    population: int, good: int, draws: int, lams, ratios
+) -> Iterator[BoundReport]:
+    """The single-draw tail report at each lam, whose p/q is in ``ratios``:
+    exact LHS vs 3*exp(-lam^2*b*m/2N) at b = draws."""
+    hypothesis_ok, notes = _hypothesis(population, good)
+    tails = _single_tails(population, good, draws, ratios)
+    for lam, (num, den) in zip(lams, tails):
+        lhs = num / den
+        rhs = 3.0 * math.exp(-(lam**2) * draws * good / (2.0 * population))
+        yield BoundReport(
+            bound="hyp-tail-single",
+            params=(
+                ("population", population),
+                ("good", good),
+                ("draws", draws),
+                ("lam", lam),
+            ),
+            rhs=rhs,
+            lhs=lhs,
+            lhs_radius=0.0,
+            verdict=_exact_verdict(lhs, rhs, hypothesis_ok, slack=1e-12),
+            notes=notes + f"exact lhs {num}/{den}",
+        )
+
+
+def hyp_single_tail_exact(population: int, good: int, draws: int, lam: float) -> Fraction:
+    """Exact P[S_draws > (1+lam) * draws * good / population]."""
+    (tail,) = _single_tails(population, good, draws, [_ratio(lam)])
+    return Fraction(*tail)
 
 
 def hyp_tail_report(
@@ -160,27 +207,11 @@ def hyp_tail_report(
         raise ValueError("need 0 <= good <= population with population >= 1")
     if lam <= 0:
         raise ValueError("lam must be positive")
-    hypothesis_ok = population >= good * good + good
-    notes = "" if hypothesis_ok else "hypothesis population >= good^2+good violated; "
     if mode == "single":
         if not 0 <= draws <= population:
             raise ValueError("draws must lie in 0..population")
-        lhs_exact = hyp_single_tail_exact(population, good, draws, lam)
-        rhs = 3.0 * math.exp(-(lam**2) * draws * good / (2.0 * population))
-        return BoundReport(
-            bound="hyp-tail-single",
-            params=(
-                ("population", population),
-                ("good", good),
-                ("draws", draws),
-                ("lam", lam),
-            ),
-            rhs=rhs,
-            lhs=float(lhs_exact),
-            lhs_radius=0.0,
-            verdict=_exact_verdict(float(lhs_exact), rhs, hypothesis_ok, slack=1e-12),
-            notes=notes + f"exact lhs {lhs_exact.numerator}/{lhs_exact.denominator}",
-        )
+        (report,) = _single_tail_reports(population, good, draws, [lam], [_ratio(lam)])
+        return report
     if mode != "maximal":
         raise ValueError("mode must be 'single' or 'maximal'")
     if window is None:
@@ -192,6 +223,7 @@ def hyp_tail_report(
         raise ValueError("trials must be positive")
     import numpy as np
 
+    hypothesis_ok, notes = _hypothesis(population, good)
     # same union bound with c=1/2 (sign taken positive) and c_prime=3
     rhs = union_bound_rhs(0.5, 3.0, lam, good / population, b0, b1)
     deck = np.zeros(population, dtype=np.int8)
@@ -225,18 +257,41 @@ def hyp_tail_report(
     )
 
 
-def single_tail_grid(max_population: int = 60) -> list[BoundReport]:
+_GRID_LAMS = (0.25, 0.5, 1.0, 2.0)
+
+
+def _grid_goods(population: int) -> int:
+    """How many good >= 1 meet population >= good^2+good."""
+    return (math.isqrt(4 * population + 1) - 1) // 2
+
+
+class _TailGrid:
+    """single_tail_grid's reports, built one (population, good, draws) at a
+    time as they are iterated.  len() counts them without building any, as
+    perfbench's tracer counts a grid's reports by len()."""
+
+    def __init__(self, max_population: int):
+        self.max_population = max_population
+
+    def __len__(self) -> int:
+        populations = range(1, self.max_population + 1)
+        return len(_GRID_LAMS) * sum((p + 1) * _grid_goods(p) for p in populations)
+
+    def __iter__(self) -> Iterator[BoundReport]:
+        ratios = [_ratio(lam) for lam in _GRID_LAMS]
+        for population in range(1, self.max_population + 1):
+            for good in range(1, _grid_goods(population) + 1):
+                for draws in range(population + 1):
+                    yield from _single_tail_reports(population, good, draws, _GRID_LAMS, ratios)
+
+
+def single_tail_grid(max_population: int = 60) -> _TailGrid:
     """Every single-draw tail report with population <= max_population that
-    meets the population >= good^2+good hypothesis, at lam 0.25, 0.5, 1 and 2."""
-    reports = []
-    for population in range(1, max_population + 1):
-        good = 1
-        while good * good + good <= population:
-            for draws in range(population + 1):
-                for lam in (0.25, 0.5, 1.0, 2.0):
-                    reports.append(hyp_tail_report(population, good, draws, lam))
-            good += 1
-    return reports
+    meets the population >= good^2+good hypothesis, at lam 0.25, 0.5, 1 and 2,
+    in order of population, good, draws and lam.  The reports are built as
+    the grid is iterated, so a pass over it holds one (population, good,
+    draws) at a time."""
+    return _TailGrid(max_population)
 
 
 # ===== exact stochastic dominance =====

@@ -4,8 +4,12 @@ delimited reports.
 Each subcommand accepts only the flags and config-file keys it reads, as
 listed in ``_COMMANDS``.  Precedence is flags over config file over
 defaults.  The config path itself comes from --config or the
-GUESSBENCH_CONFIG environment variable.  Exit codes: 0 success, 1 a
-verification suite reported FAIL, 2 usage errors.
+GUESSBENCH_CONFIG environment variable.  Exit codes: 0 success, 1 some
+row's verdict is FAIL, 2 usage errors.
+
+A report is written as it is built, a block of rows at a time.  Every
+handler does all that can fail before it returns its rows, so a run that
+exits 2 prints nothing and creates no --out file.
 """
 
 from __future__ import annotations
@@ -13,8 +17,10 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import nullcontext
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from itertools import chain, islice
 
 from . import bounds, exact, montecarlo
 from .core import DeckSpec, FeedbackModel
@@ -154,7 +160,7 @@ def _parse_grid(config: RunConfig, key: str) -> list[int]:
     return values
 
 
-# ===== subcommand handlers: (exit code, rows) =====
+# ===== subcommand handlers: an iterable of rows =====
 # Each row lists its columns in report order; run() appends provenance().
 
 
@@ -172,7 +178,7 @@ def _cmd_exact_value(config: RunConfig):
         "strategy": sspec.label(),
         **dict(exact_cells("value", value)),
     }
-    return 0, [row]
+    return [row]
 
 
 def _cmd_optimal(config: RunConfig):
@@ -196,7 +202,7 @@ def _cmd_optimal(config: RunConfig):
         "sense": config.sense,
         **dict(exact_cells("value", value)),
     }
-    return 0, [row]
+    return [row]
 
 
 def _cmd_simulate(config: RunConfig):
@@ -222,7 +228,7 @@ def _cmd_simulate(config: RunConfig):
     }
     if config.format == "json":
         row["histogram"] = [list(item) for item in summary.histogram]
-    return 0, [row]
+    return [row]
 
 
 def _cmd_verify_pointwise(config: RunConfig):
@@ -239,7 +245,7 @@ def _cmd_verify_pointwise(config: RunConfig):
         ],
         "verdict": "PASS" if report.passed else "FAIL",
     }
-    return (0 if report.passed else 1), [row]
+    return [row]
 
 
 def _bound_report_row(report: bounds.BoundReport) -> dict:
@@ -255,34 +261,34 @@ def _bound_report_row(report: bounds.BoundReport) -> dict:
 
 
 def _cmd_verify_bounds(config: RunConfig):
-    reports = bounds.single_tail_grid(_or_default(config.max_total, 60))
-    reports.append(bounds.empirical_maximal(0.5, 1.0, 16, 256, config.trials, config.seed))
-    reports.append(
+    # the simulated and dominance reports are built before any row is
+    # written, since they can fail (--trials 0); only the grid is lazy
+    simulated = [
+        bounds.empirical_maximal(0.5, 1.0, 16, 256, config.trials, config.seed),
         bounds.hyp_tail_report(
             30, 4, 0, 1.0, mode="maximal", window=(8, 30),
             trials=config.trials, seed=config.seed,
-        )
-    )
-    rows = [_bound_report_row(r) for r in reports]
-    for dom in bounds.first_third_dominance_reports(size_limit=720):
-        rows.append(
-            {
-                "bound": "first-third-dominance",
-                "params": {
-                    "m": dom.spec.multiplicity,
-                    "n": dom.spec.num_types,
-                    "strategy": dom.strategy,
-                    "prefix": dom.prefix_length,
-                },
-                "lhs": None,
-                "lhs_radius": None,
-                "rhs": None,
-                "verdict": "PASS" if dom.result.dominates else "FAIL",
-                "notes": "" if dom.result.dominates else f"witness {dom.result.witness}",
-            }
-        )
-    failed = any(row["verdict"] == "FAIL" for row in rows)
-    return (1 if failed else 0), rows
+        ),
+    ]
+    dominance = [
+        {
+            "bound": "first-third-dominance",
+            "params": {
+                "m": dom.spec.multiplicity,
+                "n": dom.spec.num_types,
+                "strategy": dom.strategy,
+                "prefix": dom.prefix_length,
+            },
+            "lhs": None,
+            "lhs_radius": None,
+            "rhs": None,
+            "verdict": "PASS" if dom.result.dominates else "FAIL",
+            "notes": "" if dom.result.dominates else f"witness {dom.result.witness}",
+        }
+        for dom in bounds.first_third_dominance_reports(size_limit=720)
+    ]
+    grid = bounds.single_tail_grid(_or_default(config.max_total, 60))
+    return chain(map(_bound_report_row, chain(grid, simulated)), dominance)
 
 
 def _cmd_tj(config: RunConfig):
@@ -305,7 +311,7 @@ def _cmd_tj(config: RunConfig):
             exact_surv = montecarlo.exact_distinct_prefix_probability(spec, t)
             row.update(exact_cells("survival_exact", exact_surv))
         rows.append(row)
-    return 0, rows
+    return rows
 
 
 def _cmd_persistence(config: RunConfig):
@@ -336,7 +342,7 @@ def _cmd_persistence(config: RunConfig):
                 "successor_optimal": [list(p) for p in v.successor_optimal],
             }
         )
-    return 0, rows
+    return rows
 
 
 def _cmd_lstat(config: RunConfig):
@@ -354,7 +360,7 @@ def _cmd_lstat(config: RunConfig):
     enum_limit = _or_default(config.max_total, 10**4)
     if shuffle_count(spec) <= enum_limit:
         row.update(exact_cells("mean_exact", exact.exact_chain_mean(spec, enum_limit)))
-    return 0, [row]
+    return [row]
 
 
 def _partial_values_or_none(spec: DeckSpec, state_limit: int) -> dict[str, Fraction | None]:
@@ -373,25 +379,25 @@ def _cmd_table(config: RunConfig):
     m_values = _parse_grid(config, "m")
     n_values = _parse_grid(config, "n")
     state_limit = _or_default(config.state_limit, exact.DEFAULT_STATE_LIMIT)
+    try:
+        specs = [DeckSpec(m, n) for m in m_values for n in n_values]
+    except ValueError as err:
+        raise UsageError(str(err)) from None
     rows = []
-    for m in m_values:
-        for n in n_values:
-            try:
-                spec = DeckSpec(m, n)
-            except ValueError as err:
-                raise UsageError(str(err)) from None
-            row = {"m": m, "n": n, "shuffles": shuffle_count(spec)}
-            row.update(exact_cells("nofb", Fraction(m)))
-            for sense, value in _partial_values_or_none(spec, state_limit).items():
-                if value is None:
-                    row[f"partial_{sense}"] = row[f"partial_{sense}_decimal"] = None
-                else:
-                    row.update(exact_cells(f"partial_{sense}", value))
-            for sense in ("max", "min"):
-                row.update(exact_cells(f"complete_{sense}", exact.optimal_complete(spec, sense)))
-            row["asymptotic_error_forms"] = list(ASYMPTOTIC_ERROR_FORMS)
-            rows.append(row)
-    return 0, rows
+    for spec in specs:
+        m, n = spec.multiplicity, spec.num_types
+        row = {"m": m, "n": n, "shuffles": shuffle_count(spec)}
+        row.update(exact_cells("nofb", Fraction(m)))
+        for sense, value in _partial_values_or_none(spec, state_limit).items():
+            if value is None:
+                row[f"partial_{sense}"] = row[f"partial_{sense}_decimal"] = None
+            else:
+                row.update(exact_cells(f"partial_{sense}", value))
+        for sense in ("max", "min"):
+            row.update(exact_cells(f"complete_{sense}", exact.optimal_complete(spec, sense)))
+        row["asymptotic_error_forms"] = list(ASYMPTOTIC_ERROR_FORMS)
+        rows.append(row)
+    return rows
 
 
 # Per subcommand, its handler and the RunConfig keys it reads.  Its flags,
@@ -433,17 +439,36 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Rows per emit_table call: a report's text is held one block at a time.
+# (emit_table returns each block's text rather than writing it, so
+# perfbench's tracer can count rows and bytes from its arguments and result.)
+_BLOCK_ROWS = 512
+
+
 def run(config: RunConfig, subcommand: str) -> int:
+    """Write the subcommand's report; returns 1 if some row's verdict is
+    FAIL, else 0."""
     if subcommand not in _COMMANDS:
         raise UsageError(f"unknown subcommand {subcommand!r}")
-    code, rows = _COMMANDS[subcommand][0](config)
+    rows = iter(_COMMANDS[subcommand][0](config))
     stamp = provenance()
-    for row in rows:
-        row.update(stamp)
-    text = emit_table(rows, fmt=config.format, path=config.out)
-    if config.out is None:
-        sys.stdout.write(text)
-    return code
+    failed = False
+    columns, start = None, 0
+    try:
+        sink = nullcontext(sys.stdout) if config.out is None else open(config.out, "w")
+    except OSError as err:
+        raise UsageError(f"cannot write {config.out}: {err}") from None
+    with sink as out:
+        block = list(islice(rows, _BLOCK_ROWS))
+        while block or columns is None:
+            for row in block:
+                row.update(stamp)
+                failed = failed or row.get("verdict") == bounds.FAIL
+            out.write(emit_table(block, config.format, columns, start))
+            columns = columns or list(block[0])
+            start += len(block)
+            block = list(islice(rows, _BLOCK_ROWS))
+    return 1 if failed else 0
 
 
 def main(argv=None) -> int:

@@ -4,7 +4,9 @@ Exact values travel as a pair of columns: the reduced "num/den" string (or a
 plain integer) and a 6-decimal rendering for human scans.  Each row carries
 its own columns: the header is the first row's keys in order, and every row
 must have the same keys.  Rows end with ``provenance()``, so the timestamp is
-the last column and byte-comparison of reruns can slice it off.
+the last column and byte-comparison of reruns can slice it off.  A report is
+encoded a block of rows at a time (``emit_table``), so its text is never
+held whole.
 """
 
 from __future__ import annotations
@@ -34,7 +36,10 @@ def exact_cells(name: str, value: Fraction | int) -> list[tuple[str, str]]:
     return [(name, format_exact(value)), (f"{name}_decimal", format_decimal(value))]
 
 
-def _encode_cell(value) -> str:
+_encode_container = json.JSONEncoder(separators=(",", ":")).encode
+
+
+def _encode_other(value) -> str:
     if value is None:
         return ""
     if isinstance(value, bool):
@@ -44,8 +49,23 @@ def _encode_cell(value) -> str:
     if isinstance(value, float):
         return format_decimal(value)
     if isinstance(value, (list, tuple, dict)):
-        return json.dumps(value, separators=(",", ":"))
+        return _encode_container(value)
     return str(value)
+
+
+# CSV cell encoders by exact type; any other type (a subclass, a numpy
+# scalar) takes _encode_other's isinstance chain, which gives the same text.
+_ENCODE_CELL = {
+    type(None): lambda value: "",
+    bool: lambda value: "true" if value else "false",
+    Fraction: format_exact,
+    float: format_decimal,
+    int: str,
+    str: str,
+    list: _encode_container,
+    tuple: _encode_container,
+    dict: _encode_container,
+}
 
 
 def _encode_json(value):
@@ -60,44 +80,38 @@ def _encode_json(value):
     return value
 
 
-def _columns(rows: list[dict]) -> list[str]:
-    """The shared key order of ``rows``; raises unless every row has it."""
-    if not rows:
-        raise ValueError("no rows to emit")
-    columns = list(rows[0])
-    for index, row in enumerate(rows):
+def emit_table(
+    rows: list[dict], fmt: str = "csv", columns: list[str] | None = None, start: int = 0
+) -> str:
+    """The text of ``rows`` as CSV or JSON lines.
+
+    With no ``columns`` the rows start a table: its columns are the first
+    row's keys, and CSV text begins with them as the header.  Otherwise the
+    rows continue a table with those columns, and ``start`` is the index of
+    ``rows[0]`` in it, so a report can be written a block of rows at a time.
+    Every row must have exactly the table's columns, in order.
+    """
+    if fmt not in ("csv", "json"):
+        raise ValueError(f"unknown format {fmt!r}")
+    header = columns is None
+    if header:
+        if not rows:
+            raise ValueError("no rows to emit")
+        columns = list(rows[0])
+    for index, row in enumerate(rows, start):
         if list(row) != columns:
             raise ValueError(f"row {index} has columns {list(row)}, expected {columns}")
-    return columns
-
-
-def render_csv(rows: list[dict]) -> str:
+    if fmt == "json":
+        return "".join(_encode_container(_encode_json(row)) + "\n" for row in rows)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_columns(rows))
-    for row in rows:
-        writer.writerow([_encode_cell(value) for value in row.values()])
+    if header:
+        writer.writerow(columns)
+    encode = _ENCODE_CELL.get
+    writer.writerows(
+        [encode(type(value), _encode_other)(value) for value in row.values()] for row in rows
+    )
     return buf.getvalue()
-
-
-def render_json_lines(rows: list[dict]) -> str:
-    _columns(rows)
-    out = [json.dumps(_encode_json(row), separators=(",", ":")) for row in rows]
-    return "\n".join(out) + "\n"
-
-
-def emit_table(rows: list[dict], fmt: str = "csv", path: str | None = None) -> str:
-    """Render rows and optionally write them; returns the rendered text."""
-    if fmt == "csv":
-        text = render_csv(rows)
-    elif fmt == "json":
-        text = render_json_lines(rows)
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
-    if path is not None:
-        with open(path, "w") as fh:
-            fh.write(text)
-    return text
 
 
 def provenance() -> dict:

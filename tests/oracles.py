@@ -25,6 +25,11 @@ The list-polynomial inclusion-exclusion counter (convolution and long
 division of signed coefficient lists) is the reference for the packed-integer
 one in ``combinatorics``.
 
+``render_csv`` and ``render_json_lines`` are the package's earlier
+whole-report renderers, the byte reference for the block-wise
+``reporting.emit_table``.  They read only ``format_exact`` and
+``format_decimal``.
+
 The last section holds references that once lived in the package: a
 recursive arrangement enumerator, a replayer of solved partial policies,
 the expectimax search over feedback histories (an independent route to the
@@ -34,7 +39,10 @@ factory over every shuffle with ``play``.
 
 from __future__ import annotations
 
+import csv
+import io
 import itertools
+import json
 import math
 from collections import Counter
 from fractions import Fraction
@@ -59,6 +67,7 @@ from guessbench.exact import (
     iter_shuffles,
 )
 from guessbench.montecarlo import rng_stream
+from guessbench.reporting import format_decimal, format_exact
 from guessbench.strategies import StrategyId, StrategySpec
 
 ORACLE_CARD_LIMIT = 9
@@ -777,6 +786,60 @@ def reference_hyp_single_tail_exact(population: int, good: int, draws: int, lam:
         (brute_hypergeom(population, good, draws, k) for k in range(k_min, min(draws, good) + 1)),
         Fraction(0),
     )
+
+
+# ===== whole-report renderers (references for reporting.emit_table) =====
+
+
+def _reference_cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, Fraction):
+        return format_exact(value)
+    if isinstance(value, float):
+        return format_decimal(value)
+    if isinstance(value, (list, tuple, dict)):
+        return json.dumps(value, separators=(",", ":"))
+    return str(value)
+
+
+def _reference_json(value):
+    if isinstance(value, Fraction):
+        return format_exact(value)
+    if isinstance(value, tuple):
+        return [_reference_json(v) for v in value]
+    if isinstance(value, list):
+        return [_reference_json(v) for v in value]
+    if isinstance(value, dict):
+        return {str(k): _reference_json(v) for k, v in value.items()}
+    return value
+
+
+def _reference_columns(rows: list[dict]) -> list[str]:
+    if not rows:
+        raise ValueError("no rows to emit")
+    columns = list(rows[0])
+    for index, row in enumerate(rows):
+        if list(row) != columns:
+            raise ValueError(f"row {index} has columns {list(row)}, expected {columns}")
+    return columns
+
+
+def render_csv(rows: list[dict]) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(_reference_columns(rows))
+    for row in rows:
+        writer.writerow([_reference_cell(value) for value in row.values()])
+    return buf.getvalue()
+
+
+def render_json_lines(rows: list[dict]) -> str:
+    _reference_columns(rows)
+    out = [json.dumps(_reference_json(row), separators=(",", ":")) for row in rows]
+    return "\n".join(out) + "\n"
 
 
 # ===== search and replay references =====

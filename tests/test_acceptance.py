@@ -150,7 +150,7 @@ def test_criterion_06_first_third_binomial_domination():
 
 def test_criterion_07_hypergeometric_single_tail_grid():
     started = time.perf_counter()
-    reports = single_tail_grid(60)
+    reports = list(single_tail_grid(60))
     expected = 0
     for population in range(1, 61):
         good = 1

@@ -171,8 +171,9 @@ def test_hyp_tail_report_maximal_matches_replayed_decks():
 
 
 def test_single_tail_grid_all_pass():
-    reports = single_tail_grid(20)
-    assert len(reports) > 400
+    grid = single_tail_grid(20)
+    reports = list(grid)
+    assert len(grid) == len(reports) > 400
     assert all(r.bound == "hyp-tail-single" for r in reports)
     assert all(r.verdict == PASS for r in reports)
 

@@ -6,10 +6,15 @@ import shutil
 import subprocess
 import sys
 import time
+import tracemalloc
+from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import guessbench.bounds as bounds
+import guessbench.cli as cli
 import guessbench.exact as exact
 from guessbench.cli import (
     CONFIG_ENV,
@@ -22,6 +27,8 @@ from guessbench.cli import (
     merge_config,
     parse_config_text,
 )
+from guessbench.exact import PointwiseReport
+from oracles import render_csv, render_json_lines
 
 
 def run_cli(capsys, *argv):
@@ -384,6 +391,108 @@ def test_report_header(capsys, argv, columns):
     rows = read_csv(out)
     assert rows[0] == columns + PROVENANCE
     assert all(len(row) == len(rows[0]) for row in rows[1:])
+
+
+@pytest.mark.parametrize("block_rows", [None, 7])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("argv", [p.values[0] for p in REPORT_HEADERS],
+                         ids=[p.id for p in REPORT_HEADERS])
+def test_streamed_report_matches_reference_renderer(capsys, monkeypatch, argv, fmt, block_rows):
+    # the rows run() hands to emit_table, stamped, rendered whole by the
+    # earlier renderers, must give the streamed bytes
+    if block_rows is not None:
+        monkeypatch.setattr(cli, "_BLOCK_ROWS", block_rows)
+    seen = []
+    emit = cli.emit_table
+
+    def recording(rows, *args):
+        seen.extend(dict(row) for row in rows)
+        return emit(rows, *args)
+
+    monkeypatch.setattr(cli, "emit_table", recording)
+    code, out, err = run_cli(capsys, *argv, "--format", fmt)
+    assert code == 0, err
+    reference = {"csv": render_csv, "json": render_json_lines}[fmt]
+    assert out == reference(seen)
+
+
+def test_report_memory_does_not_grow_with_rows():
+    # verify-bounds at --max-total 40 has about 6x the rows of 20; streamed,
+    # its allocation peak stays near the smaller run's
+    def peak(max_total):
+        argv = ["verify-bounds", "--max-total", str(max_total), "--trials", "100",
+                "--out", os.devnull]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert len(bounds.single_tail_grid(40)) > 5 * len(bounds.single_tail_grid(20))
+    # a first run fills what the process keeps (numpy, the dominance pmfs),
+    # so both peaks measure one report
+    main(["verify-bounds", "--max-total", "2", "--trials", "100", "--out", os.devnull])
+    small, large = peak(20), peak(40)
+    assert large < 1.5 * small, (small, large)
+
+
+def test_verify_bounds_usage_error_writes_nothing(capsys, tmp_path):
+    target = tmp_path / "report.csv"
+    code, out, err = run_cli(capsys, "verify-bounds", "--trials", "0", "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert "trials must be positive" in err
+    assert not target.exists()
+    code, out, _ = run_cli(capsys, "verify-bounds", "--trials", "0")
+    assert (code, out) == (2, "")
+
+
+def test_unwritable_out_exits_2(capsys, tmp_path):
+    target = tmp_path / "missing" / "report.csv"
+    code, out, err = run_cli(capsys, "optimal", "-m", "2", "-n", "2", "--model", "complete",
+                             "--out", str(target))
+    assert (code, out) == (2, "")
+    assert "cannot write" in err
+
+
+def test_fail_inside_grid_exits_1_after_every_row(capsys, monkeypatch, tmp_path):
+    grid = bounds.single_tail_grid
+
+    def failing_once(max_population):
+        for index, report in enumerate(grid(max_population)):
+            yield replace(report, verdict=bounds.FAIL) if index == 100 else report
+
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", 64)
+    monkeypatch.setattr(bounds, "single_tail_grid", failing_once)
+    target = tmp_path / "report.csv"
+    code, out, err = run_cli(capsys, "verify-bounds", "--max-total", "12", "--trials", "100",
+                             "--out", str(target))
+    assert code == 1, err
+    assert out == ""
+    rows = read_csv(target.read_text())
+    verdicts = [dict(zip(rows[0], row))["verdict"] for row in rows[1:]]
+    assert len(verdicts) == len(grid(12)) + 2 + 45
+    assert [i for i, v in enumerate(verdicts) if v == bounds.FAIL] == [100]
+
+
+def test_verify_pointwise_exits_1_on_fail(capsys, monkeypatch):
+    failing = PointwiseReport(max_ratio=Fraction(3, 2), witnesses=(), witness_count=0,
+                              states_checked=1)
+    monkeypatch.setattr(exact, "verify_pointwise", lambda max_total: failing)
+    code, out, _ = run_cli(capsys, "verify-pointwise", "--max-total", "3")
+    assert code == 1
+    assert dict(zip(*read_csv(out)))["verdict"] == "FAIL"
+
+
+def test_table_validates_every_cell_before_solving(capsys, monkeypatch):
+    solved = []
+    monkeypatch.setattr(exact, "_sweep_down", lambda spec, limit: solved.append(spec))
+    code, out, err = run_cli(capsys, "table", "--m-grid", "10,0", "--n-grid", "3")
+    assert code == 2
+    assert out == ""
+    assert "error:" in err
+    assert solved == []
 
 
 def test_table_state_limit_flag(capsys):

@@ -1,6 +1,8 @@
+import enum
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from guessbench.reporting import (
@@ -9,9 +11,19 @@ from guessbench.reporting import (
     format_decimal,
     format_exact,
     provenance,
-    render_csv,
-    render_json_lines,
 )
+from oracles import render_csv, render_json_lines
+
+REFERENCE = {"csv": render_csv, "json": render_json_lines}
+
+
+def emit_in_blocks(rows, fmt, size):
+    """The text of ``rows`` encoded ``size`` rows per emit_table call."""
+    text = emit_table(rows[:size], fmt)
+    columns = list(rows[0])
+    for start in range(size, len(rows), size):
+        text += emit_table(rows[start : start + size], fmt, columns, start)
+    return text
 
 
 def test_exact_formatting_round_trip():
@@ -46,7 +58,7 @@ def test_render_csv_cell_encoding():
             "text": "plain",
         }
     ]
-    text = render_csv(rows)
+    text = emit_table(rows)
     lines = text.splitlines()
     assert lines[0] == "frac,flag,off,nothing,items,text"
     assert lines[1] == '1/3,true,false,,"[1,2]",plain'
@@ -54,23 +66,52 @@ def test_render_csv_cell_encoding():
     assert "\r" not in text
 
 
+class Level(enum.IntEnum):
+    LOW = 1
+
+
+# Cells of every type the encoder keys on, and subclasses that take its
+# isinstance fallback: a bool next to the equal int, Fractions, None, nested
+# containers, strings that need CSV quoting, floats.
+EDGE_ROWS = [
+    {"a": True, "b": 1, "c": Fraction(1, 3), "d": None, "e": [[1, [2, 3]], {"k": [4]}],
+     "f": 'say "hi", then go', "g": 0.1},
+    {"a": False, "b": 0, "c": Fraction(4), "d": (1, "x"), "e": {"n": None, "t": True},
+     "f": "comma,inside", "g": 1e-7},
+    {"a": Level.LOW, "b": -12, "c": Fraction(-7, 2), "d": "", "e": [],
+     "f": "line\nbreak", "g": np.float64(2.5)},
+    {"a": 1.0, "b": 10**30, "c": 3, "d": [None, False], "e": {},
+     "f": "", "g": float("inf")},
+]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_cells_match_the_reference_renderers(fmt):
+    assert emit_table(EDGE_ROWS, fmt) == REFERENCE[fmt](EDGE_ROWS)
+    for size in (1, 3):
+        assert emit_in_blocks(EDGE_ROWS, fmt, size) == REFERENCE[fmt](EDGE_ROWS)
+    numpy_int = [{"a": np.int64(7), "b": np.bool_(True)}]
+    if fmt == "csv":
+        assert emit_table(numpy_int) == render_csv(numpy_int) == "a,b\n7,True\n"
+
+
 def test_header_follows_row_key_order():
     rows = [{"b": 2, "a": 1, **provenance()}, {"b": 3, "a": 4, **provenance()}]
     columns = ["b", "a", "version", "rng", "timestamp"]
-    assert render_csv(rows).splitlines()[0] == ",".join(columns)
-    for line in render_json_lines(rows).splitlines():
+    assert emit_table(rows).splitlines()[0] == ",".join(columns)
+    for line in emit_table(rows, "json").splitlines():
         assert list(json.loads(line)) == columns
 
 
 def test_render_json_lines():
     rows = [{"a": Fraction(1, 2), "b": [1, 2], "c": None}, {"a": 1, "b": "x", "c": True}]
-    text = render_json_lines(rows)
+    text = emit_table(rows, "json")
     parsed = [json.loads(line) for line in text.splitlines()]
     assert parsed[0] == {"a": "1/2", "b": [1, 2], "c": None}
     assert parsed[1] == {"a": 1, "b": "x", "c": True}
 
 
-def test_emit_table_validation_and_path(tmp_path):
+def test_emit_table_validation_across_blocks():
     for fmt in ("csv", "json"):
         with pytest.raises(ValueError, match="no rows"):
             emit_table([], fmt=fmt)
@@ -78,11 +119,15 @@ def test_emit_table_validation_and_path(tmp_path):
         for second in ({"b": 2, "a": 1}, {"a": 1}, {"a": 1, "b": 2, "c": 3}):
             with pytest.raises(ValueError, match="row 1 has columns"):
                 emit_table([{"a": 1, "b": 2}, second], fmt=fmt)
+            # a later block is checked against the first block's columns,
+            # and its rows are numbered from its start
+            with pytest.raises(ValueError, match="row 8 has columns"):
+                emit_table([{"a": 1, "b": 2}, second], fmt, ["a", "b"], 7)
+    # only the first block writes the header
+    assert emit_table([{"a": 1, "b": 2}], "csv") == "a,b\n1,2\n"
+    assert emit_table([{"a": 1, "b": 2}], "csv", ["a", "b"], 5) == "1,2\n"
     with pytest.raises(ValueError):
         emit_table([{"a": 1}], fmt="xml")
-    target = tmp_path / "out.csv"
-    text = emit_table([{"a": 1}], fmt="csv", path=str(target))
-    assert target.read_text() == text
 
 
 def test_provenance_fields():
