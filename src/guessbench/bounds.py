@@ -4,7 +4,8 @@ Right-hand sides are evaluated exactly as stated.  Left-hand sides are either
 exact (pmf summation, small enumerations) or empirical frequencies with a
 4-standard-error confidence radius.  An exact comparison may FAIL outright; a
 statistical one may FAIL only when the lower confidence bound clears the RHS,
-and is INCONCLUSIVE whenever the RHS is vacuous (>= 1).
+and is INCONCLUSIVE whenever the RHS is vacuous (>= 1).  Dominance checks
+compare whole distributions exactly, so their reports carry no sides.
 """
 
 from __future__ import annotations
@@ -31,13 +32,15 @@ _SIM_BLOCK = 2048
 
 @dataclass(frozen=True)
 class BoundReport:
-    """One evaluated inequality: parameters, both sides, and a verdict."""
+    """One evaluated inequality: parameters, both sides, and a verdict.
+    A comparison of whole distributions has no single pair of sides, so
+    its lhs, lhs_radius and rhs are None."""
 
     bound: str
     params: tuple[tuple[str, float | int | str], ...]
     rhs: float | None
-    lhs: float
-    lhs_radius: float
+    lhs: float | None
+    lhs_radius: float | None
     verdict: str
     notes: str = ""
 
@@ -54,8 +57,18 @@ def _statistical_verdict(lhs: float, radius: float, rhs: float) -> str:
     return FAIL if lhs - radius > rhs else PASS
 
 
-def _proportion_radius(freq: float, trials: int) -> float:
-    return CONFIDENCE_MULTIPLIER * math.sqrt(freq * (1.0 - freq) / trials)
+def _window_frequency(blocks, first: int, cutoff) -> tuple[float, float]:
+    """Over ``blocks`` of 0/1 rows, the share of rows whose running sum
+    exceeds the cutoff somewhere in the window: the sum of a row's first
+    ``first + j`` elements is compared with ``cutoff[j]``.  Returns the
+    share and its 4-standard-error radius."""
+    hits = trials = 0
+    for rows in blocks:
+        sums = rows.cumsum(axis=1)[:, first - 1 : first - 1 + len(cutoff)]
+        hits += int((sums > cutoff).any(axis=1).sum())
+        trials += len(rows)
+    freq = hits / trials
+    return freq, CONFIDENCE_MULTIPLIER * math.sqrt(freq * (1.0 - freq) / trials)
 
 
 # ===== maximal inequality for adaptive walks =====
@@ -91,13 +104,11 @@ def empirical_maximal(
     rhs = union_bound_rhs(0.5, 1.0, lam, p, k0, k1)
     ks = np.arange(k0, k1 + 1, dtype=np.float64)
     cutoff = (1.0 + lam) * p * ks
-    hits = 0
-    for block, rows in _blocks(trials, _SIM_BLOCK):
-        draws = rng_stream(seed, _BOUNDS_TAG, block).random((rows, k1)) < p
-        sums = draws.cumsum(axis=1)[:, k0 - 1 :]
-        hits += int((sums > cutoff).any(axis=1).sum())
-    lhs = hits / trials
-    radius = _proportion_radius(lhs, trials)
+    walks = (
+        rng_stream(seed, _BOUNDS_TAG, block).random((rows, k1)) < p
+        for block, rows in _blocks(trials, _SIM_BLOCK)
+    )
+    lhs, radius = _window_frequency(walks, k0, cutoff)
     return BoundReport(
         bound="maximal-walk",
         params=(
@@ -178,27 +189,12 @@ def _single_tail_reports(
         )
 
 
-def hyp_single_tail_exact(population: int, good: int, draws: int, lam: float) -> Fraction:
-    """Exact P[S_draws > (1+lam) * draws * good / population]."""
-    (tail,) = _single_tails(population, good, draws, [_ratio(lam)])
-    return Fraction(*tail)
-
-
 def hyp_tail_report(
-    population: int,
-    good: int,
-    draws: int,
-    lam: float,
-    mode: str = "single",
-    window: tuple[int, int] | None = None,
-    trials: int = 10_000,
-    seed: int = 0,
+    population: int, good: int, lam: float, window: tuple[int, int], trials: int, seed: int
 ) -> BoundReport:
-    """Tail of the good-card count among ordered draws without replacement.
-
-    single: exact LHS vs 3*exp(-lam^2*b*m/2N) at b = draws.
-    maximal: simulated P[exists b in window: S_b > (1+lam)*b*m/N] vs
-    (24*b1)/(lam*b0) * exp(-lam^3*b0*m/512N).
+    """Maximal tail of the good-card count S_b among ordered draws without
+    replacement: simulated P[exists b in window: S_b > (1+lam)*b*m/N] vs
+    (24*b1)/(lam*b0) * exp(-lam^3*b0*m/512N), at m = good, N = population.
 
     The population >= good^2 + good hypothesis is reported; reports that
     violate it never PASS or FAIL, only INCONCLUSIVE.
@@ -207,15 +203,6 @@ def hyp_tail_report(
         raise ValueError("need 0 <= good <= population with population >= 1")
     if lam <= 0:
         raise ValueError("lam must be positive")
-    if mode == "single":
-        if not 0 <= draws <= population:
-            raise ValueError("draws must lie in 0..population")
-        (report,) = _single_tail_reports(population, good, draws, [lam], [_ratio(lam)])
-        return report
-    if mode != "maximal":
-        raise ValueError("mode must be 'single' or 'maximal'")
-    if window is None:
-        raise ValueError("maximal mode needs a (b0, b1) window")
     b0, b1 = window
     if not b0 <= b1 <= population:
         raise ValueError("need b0 <= b1 <= population")
@@ -230,12 +217,8 @@ def hyp_tail_report(
     deck[:good] = 1
     bs = np.arange(b0, b1 + 1, dtype=np.float64)
     cutoff = (1.0 + lam) * bs * good / population
-    hits = 0
-    for decks in deck_chunks(deck, _blocks(trials, _SIM_BLOCK), seed, _BOUNDS_TAG):
-        sums = decks.cumsum(axis=1)[:, b0 - 1 : b1]
-        hits += int((sums > cutoff).any(axis=1).sum())
-    lhs = hits / trials
-    radius = _proportion_radius(lhs, trials)
+    decks = deck_chunks(deck, _blocks(trials, _SIM_BLOCK), seed, _BOUNDS_TAG)
+    lhs, radius = _window_frequency(decks, b0, cutoff)
     verdict = _statistical_verdict(lhs, radius, rhs) if hypothesis_ok else INCONCLUSIVE
     return BoundReport(
         bound="hyp-tail-maximal",
@@ -297,14 +280,6 @@ def single_tail_grid(max_population: int = 60) -> _TailGrid:
 # ===== exact stochastic dominance =====
 
 
-@dataclass(frozen=True)
-class DominanceResult:
-    dominates: bool
-    witness: int | None
-    upper_survival: Fraction | None
-    lower_survival: Fraction | None
-
-
 def _validate_pmf(pmf: Mapping[int, Fraction], name: str) -> None:
     if any(v < 0 for v in pmf.values()):
         raise ValueError(f"{name} has a negative mass")
@@ -314,9 +289,10 @@ def _validate_pmf(pmf: Mapping[int, Fraction], name: str) -> None:
 
 def check_dominance(
     upper: Mapping[int, Fraction], lower: Mapping[int, Fraction]
-) -> DominanceResult:
+) -> int | None:
     """Exact test that upper >= lower in the survival order:
-    P[upper >= x] >= P[lower >= x] for every x."""
+    P[upper >= x] >= P[lower >= x] for every x.  Returns None when it
+    holds, else the largest x where it fails."""
     _validate_pmf(upper, "upper pmf")
     _validate_pmf(lower, "lower pmf")
     support = sorted(set(upper) | set(lower), reverse=True)
@@ -326,8 +302,8 @@ def check_dominance(
         up_surv += upper.get(x, Fraction(0))
         low_surv += lower.get(x, Fraction(0))
         if up_surv < low_surv:
-            return DominanceResult(False, x, up_surv, low_surv)
-    return DominanceResult(True, None, None, None)
+            return x
+    return None
 
 
 def binomial_pmf_map(trials: int, p: Fraction) -> dict[int, Fraction]:
@@ -335,14 +311,6 @@ def binomial_pmf_map(trials: int, p: Fraction) -> dict[int, Fraction]:
 
 
 # ===== first-third score domination =====
-
-
-@dataclass(frozen=True)
-class DominanceReport:
-    spec: DeckSpec
-    strategy: str
-    prefix_length: int
-    result: DominanceResult
 
 
 def first_third_pmf(spec: DeckSpec, strategy: StrategySpec) -> dict[int, Fraction]:
@@ -358,9 +326,11 @@ def first_third_pmf(spec: DeckSpec, strategy: StrategySpec) -> dict[int, Fractio
     return first_third_distribution(spec, strategy)
 
 
-def first_third_dominance_reports(size_limit: int = 10**4) -> list[DominanceReport]:
+def first_third_dominance_reports(size_limit: int = 10**4) -> list[BoundReport]:
     """Check Binomial(floor(mn/3), 3/n) >= first-third score for the whole
-    strategy zoo on every enumerable spec with at least three types."""
+    strategy zoo on every enumerable spec with at least three types.  A
+    report that FAILs notes the largest x where the envelope's survival
+    P[>= x] falls below the score's."""
     out = []
     for spec in enumerable_specs(size_limit):
         if spec.num_types < 3:
@@ -369,6 +339,21 @@ def first_third_dominance_reports(size_limit: int = 10**4) -> list[DominanceRepo
         envelope = binomial_pmf_map(prefix, Fraction(3, spec.num_types))
         for sid in StrategyId:
             sspec = StrategySpec(sid)
-            result = check_dominance(envelope, first_third_pmf(spec, sspec))
-            out.append(DominanceReport(spec, sspec.label(), prefix, result))
+            witness = check_dominance(envelope, first_third_pmf(spec, sspec))
+            out.append(
+                BoundReport(
+                    bound="first-third-dominance",
+                    params=(
+                        ("m", spec.multiplicity),
+                        ("n", spec.num_types),
+                        ("strategy", sspec.label()),
+                        ("prefix", prefix),
+                    ),
+                    rhs=None,
+                    lhs=None,
+                    lhs_radius=None,
+                    verdict=PASS if witness is None else FAIL,
+                    notes="" if witness is None else f"witness {witness}",
+                )
+            )
     return out

@@ -82,6 +82,7 @@ def _convert(key: str, raw: str):
 def parse_config_text(text: str) -> dict:
     """Flat key=value lines; blank lines and # comments are skipped."""
     values: dict = {}
+    lines: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -92,6 +93,11 @@ def parse_config_text(text: str) -> dict:
         key = key.strip()
         if key not in _KEYS:
             raise UsageError(f"unknown config key {key!r}")
+        if key in lines:
+            raise UsageError(
+                f"config key {key!r} is given twice, on lines {lines[key]} and {lineno}"
+            )
+        lines[key] = lineno
         values[key] = _convert(key, raw.strip())
     return values
 
@@ -265,30 +271,11 @@ def _cmd_verify_bounds(config: RunConfig):
     # written, since they can fail (--trials 0); only the grid is lazy
     simulated = [
         bounds.empirical_maximal(0.5, 1.0, 16, 256, config.trials, config.seed),
-        bounds.hyp_tail_report(
-            30, 4, 0, 1.0, mode="maximal", window=(8, 30),
-            trials=config.trials, seed=config.seed,
-        ),
+        bounds.hyp_tail_report(30, 4, 1.0, (8, 30), config.trials, config.seed),
     ]
-    dominance = [
-        {
-            "bound": "first-third-dominance",
-            "params": {
-                "m": dom.spec.multiplicity,
-                "n": dom.spec.num_types,
-                "strategy": dom.strategy,
-                "prefix": dom.prefix_length,
-            },
-            "lhs": None,
-            "lhs_radius": None,
-            "rhs": None,
-            "verdict": "PASS" if dom.result.dominates else "FAIL",
-            "notes": "" if dom.result.dominates else f"witness {dom.result.witness}",
-        }
-        for dom in bounds.first_third_dominance_reports(size_limit=720)
-    ]
+    dominance = bounds.first_third_dominance_reports(size_limit=720)
     grid = bounds.single_tail_grid(_or_default(config.max_total, 60))
-    return chain(map(_bound_report_row, chain(grid, simulated)), dominance)
+    return map(_bound_report_row, chain(grid, simulated, dominance))
 
 
 def _cmd_tj(config: RunConfig):
@@ -363,18 +350,6 @@ def _cmd_lstat(config: RunConfig):
     return [row]
 
 
-def _partial_values_or_none(spec: DeckSpec, state_limit: int) -> dict[str, Fraction | None]:
-    """The partial optimum per sense, or None in both when the state limit
-    trips.  One down pass serves both senses: the max solve keeps its
-    levels and the terminal level's counts, so the min optimum is one more
-    up pass over them that counts nothing again but its root check."""
-    try:
-        best = exact.solve_partial(spec, "max", state_limit=state_limit)
-    except RuntimeError:
-        return {"max": None, "min": None}
-    return {"max": best.value, "min": exact._sweep_up(best._sweep, "min").value}
-
-
 def _cmd_table(config: RunConfig):
     m_values = _parse_grid(config, "m")
     n_values = _parse_grid(config, "n")
@@ -388,7 +363,7 @@ def _cmd_table(config: RunConfig):
         m, n = spec.multiplicity, spec.num_types
         row = {"m": m, "n": n, "shuffles": shuffle_count(spec)}
         row.update(exact_cells("nofb", Fraction(m)))
-        for sense, value in _partial_values_or_none(spec, state_limit).items():
+        for sense, value in exact.partial_values_or_none(spec, state_limit).items():
             if value is None:
                 row[f"partial_{sense}"] = row[f"partial_{sense}_decimal"] = None
             else:

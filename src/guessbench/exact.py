@@ -21,7 +21,7 @@ import math
 import operator
 from collections import Counter
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Literal
 
@@ -233,8 +233,6 @@ class PartialSolution:
     root: PairState
     values: Mapping[PairState, Fraction]
     policy: dict[PairState, tuple[tuple[int, int], ...]] | None
-    # the down pass behind ``values``; another sense is one more up pass over it
-    _sweep: _Sweep | None = field(default=None, repr=False, compare=False)
 
 
 def _partial_moves(state: _Codes, radix: int, left: int) -> list[tuple[int, int, int, int]]:
@@ -472,7 +470,7 @@ def _sweep_up(sweep: _Sweep, sense: Sense, track_policy: bool = False) -> Partia
         raise AssertionError(f"terminal counts give {ns[0]} shuffles at {root}")
     value = Fraction(ws[0], ns[0])
     values = _SweptValues(sweep, weights)
-    return PartialSolution(sweep.spec, sense, value, root, values, policy, sweep)
+    return PartialSolution(sweep.spec, sense, value, root, values, policy)
 
 
 def solve_partial(
@@ -514,6 +512,17 @@ def optimal_partial(
     return solve_partial(spec, sense, state_limit=state_limit).value
 
 
+def partial_values_or_none(spec: DeckSpec, state_limit: int) -> dict[str, Fraction | None]:
+    """The partial optimum per sense, or None in both when the state limit
+    trips.  One down pass serves both senses: each is an up pass over its
+    levels and terminal counts, which counts nothing again but the root."""
+    try:
+        sweep = _sweep_down(spec, state_limit)
+    except RuntimeError:
+        return {"max": None, "min": None}
+    return {sense: _sweep_up(sweep, sense).value for sense in ("max", "min")}
+
+
 # ===== persistence probe =====
 
 
@@ -536,9 +545,9 @@ def probe_persistence(
     a type guessed optimally and incorrectly stays in the successor's optimal
     action set.  An empty list means persistence holds for this spec.
     """
-    solution = solve_partial(spec, "max", track_policy=True, state_limit=state_limit)
-    policy, sweep = solution.policy, solution._sweep
-    assert policy is not None and sweep is not None
+    sweep = _sweep_down(spec, state_limit)
+    policy = _sweep_up(sweep, "max", track_policy=True).policy
+    assert policy is not None
     radix = sweep.radix
     violations: list[PersistenceViolation] = []
     seen: set[_Codes] = set()

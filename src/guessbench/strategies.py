@@ -363,14 +363,10 @@ def make_strategy(
     a function from an array of deck words, one per row, to each row's score.
 
     Raises ValueError naming a parameter that does not fit the deck.
-    Randomized strategies draw from ``rng`` when given, else from a fresh
-    stream seeded by ``spec.seed``; each call continues the stream.
+    Randomized strategies draw from ``rng``, which they need; each call
+    continues it.  Simulation passes a stream of ``montecarlo.rng_stream``.
     """
     params = spec.resolve(deck)
-    if not spec.deterministic and rng is None:
-        import numpy as np
-
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([params["seed"]])))
     return lambda decks: _KERNELS[spec.id](deck, params, decks, rng)
 
 

@@ -139,7 +139,7 @@ def test_criterion_06_first_third_binomial_domination():
     zoo_size = len(list(StrategyId))
     specs = {s for s in enumerable_specs(10**4) if s.num_types >= 3}
     assert len(reports) == zoo_size * len(specs)
-    failures = [r for r in reports if not r.result.dominates]
+    failures = [r for r in reports if r.verdict != PASS]
     assert not failures, failures[:3]
     _report(
         6,

@@ -14,10 +14,12 @@ from guessbench.bounds import (
     empirical_maximal,
     first_third_dominance_reports,
     first_third_pmf,
-    hyp_single_tail_exact,
     hyp_tail_report,
     single_tail_grid,
     union_bound_rhs,
+    _ratio,
+    _single_tail_reports,
+    _single_tails,
 )
 from guessbench.combinatorics import binomial_pmf
 from guessbench.core import DeckSpec
@@ -88,11 +90,21 @@ def test_empirical_maximal_deterministic_and_bounded():
         empirical_maximal(0.5, 1.0, 16, 32, 0, 0)
 
 
+def single_tail(population, good, draws, lam):
+    (tail,) = _single_tails(population, good, draws, [_ratio(lam)])
+    return Fraction(*tail)
+
+
+def single_tail_report(population, good, draws, lam):
+    (report,) = _single_tail_reports(population, good, draws, [lam], [_ratio(lam)])
+    return report
+
+
 def test_hyp_single_tail_exact_golden():
-    assert hyp_single_tail_exact(20, 4, 5, 1.0) == Fraction(31, 969)
-    assert hyp_single_tail_exact(20, 4, 0, 1.0) == 0
+    assert single_tail(20, 4, 5, 1.0) == Fraction(31, 969)
+    assert single_tail(20, 4, 0, 1.0) == 0
     # drawing everything finds every good card, never more
-    assert hyp_single_tail_exact(20, 4, 20, 0.25) == 0
+    assert single_tail(20, 4, 20, 0.25) == 0
 
 
 def test_hyp_single_tail_exact_matches_reference():
@@ -103,47 +115,48 @@ def test_hyp_single_tail_exact_matches_reference():
         for good in range(population + 1):
             for draws in range(population + 1):
                 for lam in (0.1, 0.25, 0.3, 0.5, 1.0, 2.0, 3.7):
-                    assert hyp_single_tail_exact(
+                    assert single_tail(
                         population, good, draws, lam
                     ) == reference_hyp_single_tail_exact(population, good, draws, lam)
 
 
 def test_hyp_tail_report_single():
-    report = hyp_tail_report(20, 4, 5, 1.0)
+    report = single_tail_report(20, 4, 5, 1.0)
     assert report.bound == "hyp-tail-single"
     assert report.verdict == PASS
     assert report.lhs == pytest.approx(31 / 969)
     assert report.rhs == pytest.approx(3 * math.exp(-5 * 4 / 40))
     assert "31/969" in report.notes
 
-    assert hyp_tail_report(20, 4, 0, 1.0).verdict == PASS
-    assert hyp_tail_report(20, 4, 20, 0.25).verdict == PASS
+    assert single_tail_report(20, 4, 0, 1.0).verdict == PASS
+    assert single_tail_report(20, 4, 20, 0.25).verdict == PASS
 
 
 def test_hyp_tail_report_hypothesis_violation():
-    report = hyp_tail_report(5, 3, 2, 1.0)
+    report = single_tail_report(5, 3, 2, 1.0)
+    assert report.verdict == INCONCLUSIVE
+    assert "violated" in report.notes
+    report = hyp_tail_report(10, 3, 1.0, (4, 10), 200, 0)
     assert report.verdict == INCONCLUSIVE
     assert "violated" in report.notes
 
 
 def test_hyp_tail_report_validation():
-    with pytest.raises(ValueError):
-        hyp_tail_report(10, 11, 2, 1.0)
-    with pytest.raises(ValueError):
-        hyp_tail_report(10, 2, 11, 1.0)
-    with pytest.raises(ValueError):
-        hyp_tail_report(10, 2, 2, 0.0)
-    with pytest.raises(ValueError):
-        hyp_tail_report(10, 2, 2, 1.0, mode="weird")
-    with pytest.raises(ValueError):
-        hyp_tail_report(10, 2, 2, 1.0, mode="maximal")
-    with pytest.raises(ValueError):
-        hyp_tail_report(10, 2, 2, 1.0, mode="maximal", window=(4, 12))
+    with pytest.raises(ValueError, match="good <= population"):
+        hyp_tail_report(10, 11, 1.0, (4, 10), 100, 0)
+    with pytest.raises(ValueError, match="lam must be positive"):
+        hyp_tail_report(10, 2, 0.0, (4, 10), 100, 0)
+    with pytest.raises(ValueError, match="b1 <= population"):
+        hyp_tail_report(10, 2, 1.0, (4, 12), 100, 0)
+    with pytest.raises(ValueError, match="b0 <= b1"):
+        hyp_tail_report(10, 2, 1.0, (8, 4), 100, 0)
+    with pytest.raises(ValueError, match="trials must be positive"):
+        hyp_tail_report(10, 2, 1.0, (4, 10), 0, 0)
 
 
 def test_hyp_tail_report_maximal():
-    a = hyp_tail_report(30, 4, 30, 1.0, mode="maximal", window=(8, 30), trials=2000, seed=1)
-    b = hyp_tail_report(30, 4, 30, 1.0, mode="maximal", window=(8, 30), trials=2000, seed=1)
+    a = hyp_tail_report(30, 4, 1.0, (8, 30), 2000, 1)
+    b = hyp_tail_report(30, 4, 1.0, (8, 30), 2000, 1)
     assert a == b
     assert a.bound == "hyp-tail-maximal"
     assert 0.0 <= a.lhs <= 1.0
@@ -158,9 +171,7 @@ def test_hyp_tail_report_maximal_matches_replayed_decks():
     # three 2048-row blocks on tag 2, the last cut short
     population, good, lam, (b0, b1) = 30, 4, 1.0, (8, 30)
     trials, seed = 5000, 3
-    report = hyp_tail_report(
-        population, good, 0, lam, mode="maximal", window=(b0, b1), trials=trials, seed=seed
-    )
+    report = hyp_tail_report(population, good, lam, (b0, b1), trials, seed)
     deck = np.zeros(population, dtype=np.int8)
     deck[:good] = 1
     hits = 0
@@ -180,15 +191,20 @@ def test_single_tail_grid_all_pass():
 
 def test_dominance_reflexive_and_monotone():
     pmf = binomial_pmf_map(6, Fraction(1, 3))
-    assert check_dominance(pmf, pmf).dominates
+    assert check_dominance(pmf, pmf) is None
 
     low = binomial_pmf_map(10, Fraction(1, 4))
     high = binomial_pmf_map(10, Fraction(1, 2))
-    assert check_dominance(high, low).dominates
-    flipped = check_dominance(low, high)
-    assert not flipped.dominates
-    assert flipped.witness is not None
-    assert flipped.upper_survival < flipped.lower_survival
+    assert check_dominance(high, low) is None
+    witness = check_dominance(low, high)
+    assert witness is not None
+
+    def survival(pmf, x):
+        return sum(mass for k, mass in pmf.items() if k >= x)
+
+    # the largest x where the order fails
+    assert survival(low, witness) < survival(high, witness)
+    assert all(survival(low, x) >= survival(high, x) for x in range(witness + 1, 11))
 
 
 def test_dominance_antisymmetry():
@@ -198,7 +214,7 @@ def test_dominance_antisymmetry():
         {0: Fraction(1, 2), 3: Fraction(1, 2)},
     ]
     for a, b in itertools.product(pmfs, repeat=2):
-        if check_dominance(a, b).dominates and check_dominance(b, a).dominates:
+        if check_dominance(a, b) is None and check_dominance(b, a) is None:
             support = set(a) | set(b)
             assert all(
                 a.get(k, Fraction(0)) == b.get(k, Fraction(0)) for k in support
@@ -207,9 +223,9 @@ def test_dominance_antisymmetry():
 
 def test_dominance_transitive_chain():
     chain = [binomial_pmf_map(8, Fraction(i, 10)) for i in (2, 4, 7)]
-    assert check_dominance(chain[1], chain[0]).dominates
-    assert check_dominance(chain[2], chain[1]).dominates
-    assert check_dominance(chain[2], chain[0]).dominates
+    assert check_dominance(chain[1], chain[0]) is None
+    assert check_dominance(chain[2], chain[1]) is None
+    assert check_dominance(chain[2], chain[0]) is None
 
 
 def test_dominance_validates_pmfs():
@@ -242,8 +258,10 @@ def test_first_third_pmf_deterministic_delegates():
 def test_first_third_dominance_reports_small():
     reports = first_third_dominance_reports(size_limit=720)
     assert reports
-    assert all(r.spec.num_types >= 3 for r in reports)
-    assert all(r.result.dominates for r in reports)
+    assert all(r.bound == "first-third-dominance" for r in reports)
+    assert all(dict(r.params)["n"] >= 3 for r in reports)
+    assert all(r.verdict == PASS and r.notes == "" for r in reports)
+    assert all(r.lhs is r.lhs_radius is r.rhs is None for r in reports)
 
 
 def test_verdict_constants():

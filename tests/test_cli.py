@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import re
@@ -302,6 +303,49 @@ def test_verify_bounds_subcommand(capsys):
     assert "PASS" in verdicts
 
 
+def strip_provenance(text, fmt):
+    """The report without its trailing version, rng and timestamp cells."""
+    if fmt == "csv":
+        return "".join(line.rsplit(",", 3)[0] + "\n" for line in text.splitlines())
+    return "".join(line[: line.rindex(',"version":')] + "}\n" for line in text.splitlines())
+
+
+@pytest.mark.parametrize("fmt,digest", [
+    ("csv", "2d4830c684e778a082f8e5cf147515af249a54754cc976aa58f2046b394785cb"),
+    ("json", "25f19795782bd3564e7430ed16f4875454b06fb481681c7abdc9879a70eecf81"),
+])
+def test_verify_bounds_report_bytes_pinned(capsys, fmt, digest):
+    # every row of the report, grid, simulated and dominance alike
+    code, out, err = run_cli(capsys, "verify-bounds", "--max-total", "20", "--trials", "2000",
+                             "--seed", "0", "--format", fmt)
+    assert code == 0, err
+    assert hashlib.sha256(strip_provenance(out, fmt).encode()).hexdigest() == digest
+
+
+def test_failing_dominance_row_names_its_witness(capsys, monkeypatch):
+    # all mass on two hits in the first two draws of (1,6): Binomial(2, 1/2)
+    # reaches 2 with chance 1/4 only, so the envelope fails at k = 2
+    pmf = bounds.first_third_pmf
+
+    def patched(spec, strategy):
+        if (spec.multiplicity, spec.num_types, strategy.label()) == (1, 6, "partial-mle"):
+            return {2: Fraction(1)}
+        return pmf(spec, strategy)
+
+    monkeypatch.setattr(bounds, "first_third_pmf", patched)
+    code, out, err = run_cli(capsys, "verify-bounds", "--max-total", "4", "--trials", "100")
+    assert code == 1, err
+    header, *body = read_csv(out)
+    failed = [row for row in (dict(zip(header, cells)) for cells in body)
+              if row["verdict"] == bounds.FAIL]
+    assert len(failed) == 1
+    assert failed[0]["bound"] == "first-third-dominance"
+    assert json.loads(failed[0]["params"]) == {
+        "m": 1, "n": 6, "strategy": "partial-mle", "prefix": 2
+    }
+    assert failed[0]["notes"] == "witness 2"
+
+
 def test_table_subcommand(capsys):
     code, out, _ = run_cli(capsys, "table", "--m-grid", "1,2", "--n-grid", "2,3")
     assert code == 0
@@ -566,6 +610,14 @@ def test_config_file_and_env(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setenv(CONFIG_ENV, str(tmp_path / "missing.cfg"))
     assert run_cli(capsys, "optimal", "-m", "1", "-n", "2", "--model", "none")[0] == 2
+
+
+def test_config_repeated_key_exits_2(tmp_path, capsys):
+    config = tmp_path / "twice.cfg"
+    config.write_text("m=2\nn=2\n# a later value does not override\nm=3\n")
+    code, out, err = run_cli(capsys, "optimal", "--model", "complete", "--config", str(config))
+    assert (code, out) == (2, "")
+    assert "config key 'm' is given twice, on lines 1 and 4" in err
 
 
 def test_config_unknown_key_exits_2(tmp_path, capsys):

@@ -12,7 +12,6 @@ from fractions import Fraction
 import pytest
 
 from guessbench import exact
-from guessbench.cli import _partial_values_or_none
 from guessbench.combinatorics import _count, shuffle_count
 from guessbench.core import DeckSpec, FeedbackModel
 from guessbench.exact import (
@@ -25,6 +24,7 @@ from guessbench.exact import (
     iter_shuffles,
     optimal_complete,
     optimal_partial,
+    partial_values_or_none,
     probe_persistence,
     solve_partial,
     verify_pointwise,
@@ -150,7 +150,7 @@ def test_value_only_solves_equal_the_full_solve():
             spec = DeckSpec(m, n)
             values = {sense: solve_partial(spec, sense).value for sense in ("max", "min")}
             assert {sense: optimal_partial(spec, sense) for sense in values} == values
-            assert _partial_values_or_none(spec, DEFAULT_STATE_LIMIT) == values
+            assert partial_values_or_none(spec, DEFAULT_STATE_LIMIT) == values
 
 
 DEEP_PARTIAL_SCRIPT = """
@@ -247,7 +247,7 @@ def test_partial_solves_count_terminal_states_once(monkeypatch):
 
     spy("_terminal_counts")
     spy("_count")
-    values = _partial_values_or_none(DeckSpec(3, 5), DEFAULT_STATE_LIMIT)
+    values = partial_values_or_none(DeckSpec(3, 5), DEFAULT_STATE_LIMIT)
     # one count of level 0 for both senses, and one root check per up pass
     assert spied == {"_terminal_counts": 1, "_count": 2}
     assert values["max"] == best
