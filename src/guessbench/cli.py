@@ -5,7 +5,8 @@ Each subcommand accepts only the flags and config-file keys it reads, as
 listed in ``_COMMANDS``.  Precedence is flags over config file over
 defaults.  The config path itself comes from --config or the
 GUESSBENCH_CONFIG environment variable.  Exit codes: 0 success, 1 some
-row's verdict is FAIL, 2 usage errors.
+row's verdict is FAIL, 2 usage errors, 141 (128 + SIGPIPE) stdout closed
+before the report ended.
 
 A report is written as it is built, a block of rows at a time.  Every
 handler does all that can fail before it returns its rows, so a run that
@@ -306,30 +307,23 @@ def _cmd_persistence(config: RunConfig):
     violations = exact.probe_persistence(
         spec, state_limit=_or_default(config.state_limit, exact.DEFAULT_STATE_LIMIT)
     )
-    rows = [
-        {
+
+    def row(state=None, guess=None, successor_optimal=None) -> dict:
+        return {
             "m": spec.multiplicity,
             "n": spec.num_types,
             "violations": len(violations),
             "holds": not violations,
-            "state": None,
-            "guess": None,
-            "successor_optimal": None,
+            "state": state,
+            "guess": guess,
+            "successor_optimal": successor_optimal,
         }
+
+    # a summary row, then one row per violation
+    return [row()] + [
+        row([list(p) for p in v.state], list(v.guess), [list(p) for p in v.successor_optimal])
+        for v in violations
     ]
-    for v in violations:
-        rows.append(
-            {
-                "m": spec.multiplicity,
-                "n": spec.num_types,
-                "violations": len(violations),
-                "holds": False,
-                "state": [list(p) for p in v.state],
-                "guess": list(v.guess),
-                "successor_optimal": [list(p) for p in v.successor_optimal],
-            }
-        )
-    return rows
 
 
 def _cmd_lstat(config: RunConfig):
@@ -422,7 +416,7 @@ _BLOCK_ROWS = 512
 
 def run(config: RunConfig, subcommand: str) -> int:
     """Write the subcommand's report; returns 1 if some row's verdict is
-    FAIL, else 0."""
+    FAIL, 141 if stdout closed before the report ended, else 0."""
     if subcommand not in _COMMANDS:
         raise UsageError(f"unknown subcommand {subcommand!r}")
     rows = iter(_COMMANDS[subcommand][0](config))
@@ -433,16 +427,25 @@ def run(config: RunConfig, subcommand: str) -> int:
         sink = nullcontext(sys.stdout) if config.out is None else open(config.out, "w")
     except OSError as err:
         raise UsageError(f"cannot write {config.out}: {err}") from None
-    with sink as out:
-        block = list(islice(rows, _BLOCK_ROWS))
-        while block or columns is None:
-            for row in block:
-                row.update(stamp)
-                failed = failed or row.get("verdict") == bounds.FAIL
-            out.write(emit_table(block, config.format, columns, start))
-            columns = columns or list(block[0])
-            start += len(block)
+    try:
+        with sink as out:
             block = list(islice(rows, _BLOCK_ROWS))
+            while block or columns is None:
+                for row in block:
+                    row.update(stamp)
+                    failed = failed or row.get("verdict") == bounds.FAIL
+                out.write(emit_table(block, config.format, columns, start))
+                columns = columns or list(block[0])
+                start += len(block)
+                block = list(islice(rows, _BLOCK_ROWS))
+            out.flush()
+    except BrokenPipeError:
+        # the reader is gone: what stdout still buffers goes to devnull, so
+        # the interpreter's exit flush cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     return 1 if failed else 0
 
 

@@ -5,12 +5,12 @@ integer weights (arrangement count times value).  ``solve_partial`` runs
 backward induction on canonical tally states, swept as ranked level lists:
 a move names its successors by their index in the next level's list, and
 the pass up reads flat lists of those weights.  The terminal level's
-arrangement counts come from a recurrence within that level, once per down
-pass; each pass up checks the root's count against one inclusion-exclusion
-``_count``.  Only the root's value is divided out unless
-``PartialSolution.values`` is read.  The tests check it
-against an expectimax search over the raw tree of observable histories,
-which needs no state reduction.
+arrangement counts come from a recurrence over level 1's hits, once per
+down pass; each pass up checks the root's count against one
+inclusion-exclusion ``_count``.  Only the root's value is divided out
+unless ``PartialSolution.values`` is read.  The tests check it against an
+expectimax search over the raw tree of observable histories, which needs
+no state reduction.
 """
 
 from __future__ import annotations
@@ -358,31 +358,33 @@ def _sweep_down(spec: DeckSpec, state_limit: int) -> _Sweep:
         found += size
         levels.append(states)
         moves.append(level_moves)
-        states, ranks = below, below_ranks
+        above, states, ranks = ranks, below, below_ranks
     levels.append(states)
-    counts = _terminal_counts(states, ranks, radix, powers, steps)
+    counts = _terminal_counts(states, ranks, above, moves[-1], radix, powers)
     return _Sweep(spec, radix, levels, moves, counts)
 
 
 def _terminal_counts(
-    states: list[_Codes], ranks: dict[int, int], radix: int, powers: list[int],
-    steps: list[int],
+    states: list[_Codes], ranks: dict[int, int], above: dict[int, int],
+    above_moves: list[tuple[int, ...]], radix: int, powers: list[int],
 ) -> list[int]:
     """N by rank of the terminal level, then a 0 for rank -1; ``ranks`` maps
-    each state's positional key to its rank.
+    each state's positional key to its rank, and ``above`` and
+    ``above_moves`` are level 1's.
 
     A terminal state s has every remaining card in a banned slot.  Take the
     first type j with a_j > 0 and fill its first banned slot with a card of
     any other type k: the rest of the word is a word of the state with
-    a_j - 1 and m_k - 1, so N(s) = sum over k != j with m_k > 0 of those
-    states' N.  Each is terminal with one card fewer.  Every state with
-    arrangements and at most m copies per type is reached from the root
-    (undo its misses, then its hits), so each such state lies in the level,
-    and a missing key, a state with no arrangements, reads the 0 at rank -1.
-    The state with no cards has N = 1.  Lowering a_j, the first copy of its
-    code, keeps the codes sorted, and lowering m_k is a hit move, so each
-    lookup is one key update.  States are solved in order of their card
-    count M, which is sum(codes) / (radix + 1) at level 0.
+    a_j - 1 and m_k - 1, so N(s) = sum over k != j of those states' N.
+    They are the hits of s', s with a_j - 1; lowering a_j, the first copy
+    of its code, keeps the codes sorted and lowers the key by powers[j].
+    s' has one draw left, at most m copies per type and N(s') >= N(s) > 0,
+    and every such state is reached from the root (undo its misses, then
+    its hits), so s' lies in level 1 (a missing one raises KeyError).  Its
+    moves give its hits' ranks here, one per distinct code in code order;
+    rank -1, an exhausted type or a hit with no arrangements, reads the 0.
+    The state with no cards has N = 1.  States are solved in order of their
+    card count M, which is sum(codes) / (radix + 1) at level 0.
     """
     counts = [0] * (len(states) + 1)
     by_cards: list[list[int]] = [[] for _ in range(radix)]
@@ -391,34 +393,19 @@ def _terminal_counts(
     for rank in by_cards[0]:
         counts[rank] = 1
     keys = list(ranks)
-    rank_of = ranks.get
-    size = len(states[0])
     for level in by_cards[1:]:
         for rank in level:
             state = states[rank]
             j = 0
             while not state[j] % radix:
                 j += 1
-            # s with a_j - 1; its hits give the states on the right
-            middle = state[:j] + (state[j] - 1,) + state[j + 1 :]
-            key = keys[rank] - powers[j]
+            lowered = state[j] - 1
+            middle = state[:j] + (lowered,) + state[j + 1 :]
+            hits = above_moves[above[keys[rank] - powers[j]]][::2]
             total = 0
-            first = 0
-            while first < size:
-                code = middle[first]
-                end = first + 1
-                while end < size and middle[end] == code:
-                    end += 1
+            for code, hit in zip(dict.fromkeys(middle), hits):
                 # the types holding this code, j left out
-                copies = end - first - (first <= j < end)
-                if code >= radix and copies:
-                    hit_at = bisect.bisect_left(middle, code - radix, 0, first)
-                    # the down pass's key update for a hit
-                    k = key + (code - radix) * powers[hit_at] - code * powers[first]
-                    for i in range(hit_at, first):
-                        k += middle[i] * steps[i]
-                    total += copies * counts[rank_of(k, -1)]
-                first = end
+                total += (middle.count(code) - (code == lowered)) * counts[hit]
             counts[rank] = total
     return counts
 
@@ -494,7 +481,7 @@ def solve_partial(
     left, and level 0 holds exactly the terminal states, where W = 0.  One
     pass down lists each level's states, names each move's successors by
     their rank in the next level's list, and counts level 0's arrangements
-    by a recurrence within the level (``_terminal_counts``); one pass up
+    by a recurrence over level 1's hits (``_terminal_counts``); one pass up
     solves each level from flat lists of N and W by rank of the level below,
     so deep decks need no recursion, and checks the root's N against one
     ``_count``, the solve's only inclusion-exclusion count.  Only the
@@ -541,34 +528,34 @@ def probe_persistence(
 ) -> list[PersistenceViolation]:
     """Search optimal max-sense play for non-persistent guesses.
 
-    Walks every state reachable under some optimal action and checks that
-    a type guessed optimally and incorrectly stays in the successor's optimal
-    action set.  An empty list means persistence holds for this spec.
+    Walks every state reachable under some optimal action, depth first by
+    (level, rank) over the sweep's moves, and checks that a type guessed
+    optimally and incorrectly stays in the successor's optimal action set.
+    An empty list means persistence holds for this spec.
     """
     sweep = _sweep_down(spec, state_limit)
     policy = _sweep_up(sweep, "max", track_policy=True).policy
     assert policy is not None
     radix = sweep.radix
     violations: list[PersistenceViolation] = []
-    seen: set[_Codes] = set()
-    # (state, draws left)
-    stack: list[tuple[_Codes, int]] = [(sweep.states[0][0], spec.total)]
+    seen: set[tuple[int, int]] = set()
+    stack = [(0, 0)]  # (level, rank); the terminal level has no moves
     while stack:
-        state, left = stack.pop()
-        if state in seen:
+        level, rank = stack.pop()
+        if (level, rank) in seen or level == len(sweep.moves):
             continue
-        seen.add(state)
-        pairs = _pairs(state, radix)
-        for code, first, hit_at, miss_at in _partial_moves(state, radix, left):
-            pair = divmod(code, radix)
+        seen.add((level, rank))
+        pairs = _pairs(sweep.states[level][rank], radix)
+        below = sweep.states[level + 1]
+        flat = sweep.moves[level][rank]
+        for pair, hit, miss in zip(dict.fromkeys(pairs), flat[::2], flat[1::2]):
             if pair not in policy[pairs]:
                 continue
-            if hit_at >= 0:
-                stack.append((_moved(state, first, hit_at, code - radix), left - 1))
-            if miss_at >= 0:
-                miss = _moved(state, miss_at, miss_at, code + 1)
-                stack.append((miss, left - 1))
-                successor = _pairs(miss, radix)
+            if hit >= 0:
+                stack.append((level + 1, hit))
+            if miss >= 0:
+                stack.append((level + 1, miss))
+                successor = _pairs(below[miss], radix)
                 after = policy.get(successor)  # None at terminal states
                 if after is not None and (pair[0], pair[1] + 1) not in after:
                     violations.append(PersistenceViolation(pairs, pair, successor, after))

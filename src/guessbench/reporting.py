@@ -36,25 +36,11 @@ def exact_cells(name: str, value: Fraction | int) -> list[tuple[str, str]]:
     return [(name, format_exact(value)), (f"{name}_decimal", format_decimal(value))]
 
 
-_encode_container = json.JSONEncoder(separators=(",", ":")).encode
-
-
-def _encode_other(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, Fraction):
-        return format_exact(value)
-    if isinstance(value, float):
-        return format_decimal(value)
-    if isinstance(value, (list, tuple, dict)):
-        return _encode_container(value)
-    return str(value)
-
+# JSON rows and CSV container cells; Fractions become "num/den" strings
+_encode_json = json.JSONEncoder(separators=(",", ":"), default=format_exact).encode
 
 # CSV cell encoders by exact type; any other type (a subclass, a numpy
-# scalar) takes _encode_other's isinstance chain, which gives the same text.
+# scalar) takes the entry of its first base class that has one, or str.
 _ENCODE_CELL = {
     type(None): lambda value: "",
     bool: lambda value: "true" if value else "false",
@@ -62,22 +48,17 @@ _ENCODE_CELL = {
     float: format_decimal,
     int: str,
     str: str,
-    list: _encode_container,
-    tuple: _encode_container,
-    dict: _encode_container,
+    list: _encode_json,
+    tuple: _encode_json,
+    dict: _encode_json,
 }
 
 
-def _encode_json(value):
-    if isinstance(value, Fraction):
-        return format_exact(value)
-    if isinstance(value, tuple):
-        return [_encode_json(v) for v in value]
-    if isinstance(value, list):
-        return [_encode_json(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): _encode_json(v) for k, v in value.items()}
-    return value
+def _encode_inherited(value) -> str:
+    for base in type(value).__mro__:
+        if base in _ENCODE_CELL:
+            return _ENCODE_CELL[base](value)
+    return str(value)
 
 
 def emit_table(
@@ -102,14 +83,14 @@ def emit_table(
         if list(row) != columns:
             raise ValueError(f"row {index} has columns {list(row)}, expected {columns}")
     if fmt == "json":
-        return "".join(_encode_container(_encode_json(row)) + "\n" for row in rows)
+        return "".join(_encode_json(row) + "\n" for row in rows)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     if header:
         writer.writerow(columns)
     encode = _ENCODE_CELL.get
     writer.writerows(
-        [encode(type(value), _encode_other)(value) for value in row.values()] for row in rows
+        [encode(type(value), _encode_inherited)(value) for value in row.values()] for row in rows
     )
     return buf.getvalue()
 

@@ -270,6 +270,28 @@ def test_persistence_subcommand(capsys):
     assert data["holds"] == "true"
 
 
+def test_persistence_report_lists_each_violation(capsys, monkeypatch):
+    violation = exact.PersistenceViolation(
+        ((2, 0), (2, 1)), (2, 1), ((2, 0), (2, 2)), ((2, 0),)
+    )
+    monkeypatch.setattr(exact, "probe_persistence", lambda spec, state_limit: [violation])
+    code, out, err = run_cli(capsys, "persistence", "-m", "2", "-n", "2")
+    assert code == 0, err
+    header, summary, listed = read_csv(out)
+    assert header[:7] == ["m", "n", "violations", "holds", "state", "guess",
+                          "successor_optimal"]
+    assert summary[:7] == ["2", "2", "1", "false", "", "", ""]
+    assert listed[:7] == ["2", "2", "1", "false", "[[2,0],[2,1]]", "[2,1]", "[[2,0]]"]
+    code, out, err = run_cli(capsys, "persistence", "-m", "2", "-n", "2", "--format", "json")
+    assert code == 0, err
+    summary, listed = (json.loads(line) for line in out.splitlines())
+    common = {"m": 2, "n": 2, "violations": 1, "holds": False}
+    assert summary.items() >= {**common, "state": None, "guess": None,
+                               "successor_optimal": None}.items()
+    assert listed.items() >= {**common, "state": [[2, 0], [2, 1]], "guess": [2, 1],
+                              "successor_optimal": [[2, 0]]}.items()
+
+
 def test_lstat_exact_cells(capsys):
     for argv, mean_exact in [(("-m", "1", "-n", "2", "--trials", "400"), "3/2"),
                              (("-m", "1200", "-n", "1", "--trials", "10"), "1")]:
@@ -498,6 +520,28 @@ def test_unwritable_out_exits_2(capsys, tmp_path):
                              "--out", str(target))
     assert (code, out) == (2, "")
     assert "cannot write" in err
+
+
+def test_closed_stdout_stops_quietly_with_status_141(tmp_path):
+    # a reader that stops early, as `| head -1` does, closes the pipe while
+    # the report, 431,069 bytes here, is still being written
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    argv = ["verify-bounds", "--max-total", "20", "--trials", "200"]
+    with open(tmp_path / "stderr", "w+b") as err:
+        proc = subprocess.Popen([sys.executable, "-m", "guessbench.cli", *argv],
+                                stdout=subprocess.PIPE, stderr=err, env=env)
+        try:
+            assert proc.stdout.readline().startswith(b"bound,params,")
+            proc.stdout.close()
+            assert proc.wait(timeout=120) == 141
+        finally:
+            proc.kill()
+            proc.wait()
+        err.seek(0)
+        assert err.read() == b""
 
 
 def test_fail_inside_grid_exits_1_after_every_row(capsys, monkeypatch, tmp_path):

@@ -1,6 +1,4 @@
 import hashlib
-import itertools
-import operator
 import os
 import random
 import subprocess
@@ -213,19 +211,10 @@ def test_terminal_recurrence_matches_inclusion_exclusion():
         assert ((0, 0),) * n in level
         if n > 1:
             assert any(mi == 0 < ai for state in level for mi, ai in state)
-        radix = spec.total + 1
-        states = [tuple(mi * radix + ai for mi, ai in state) for state in level]
-        # the down pass's positional key: codes as digits in base (m + 1) * radix
-        powers = [((m + 1) * radix) ** k for k in range(n + 1)]
-        steps = [b - a for a, b in itertools.pairwise(powers)]
-        ranks = {sum(map(operator.mul, state, powers)): rank for rank, state in enumerate(states)}
-        got = exact._terminal_counts(states, ranks, radix, powers, steps)
-        assert got == [_count(*zip(*state)) for state in level] + [0]
-        if spec.total <= 12:
-            sweep = exact._sweep_down(spec, DEFAULT_STATE_LIMIT)
-            assert sorted(sweep.states[-1]) == sorted(states)
-            assert sweep.counts[-1] == 0
-            assert dict(zip(sweep.states[-1], sweep.counts)) == dict(zip(states, got))
+        sweep = exact._sweep_down(spec, DEFAULT_STATE_LIMIT)
+        swept = [exact._pairs(state, sweep.radix) for state in sweep.states[-1]]
+        assert sorted(swept) == sorted(level)
+        assert sweep.counts == [_count(*zip(*state)) for state in swept] + [0]
 
 
 def test_partial_solves_count_terminal_states_once(monkeypatch):
@@ -342,6 +331,54 @@ def test_persistence_probe_matches_reference():
     for m, n in [(1, 2), (1, 3), (1, 4), (2, 2), (2, 3), (3, 2), (3, 3), (2, 4)]:
         spec = DeckSpec(m, n)
         assert probe_persistence(spec) == recursive_probe_persistence(spec)
+
+
+# probe_persistence on (3,3) after every max policy holding (3, 2) swaps it
+# for the state's other pairs, as (state, guess, successor, successor
+# optimal) in the order the walk finds them
+SWAPPED_POLICY_VIOLATIONS = [
+    (((3, 0), (3, 0), (3, 1)), (3, 1), ((3, 0), (3, 0), (3, 2)), ((3, 0),)),
+    (((3, 0), (3, 1), (3, 2)), (3, 1), ((3, 0), (3, 2), (3, 2)), ((3, 0),)),
+    (((3, 1), (3, 2), (3, 2)), (3, 1), ((3, 2), (3, 2), (3, 2)), ()),
+    (((2, 1), (3, 1), (3, 2)), (3, 1), ((2, 1), (3, 2), (3, 2)), ((2, 1),)),
+    (((2, 2), (3, 1), (3, 2)), (3, 1), ((2, 2), (3, 2), (3, 2)), ((2, 2),)),
+    (((2, 3), (3, 1), (3, 2)), (3, 1), ((2, 3), (3, 2), (3, 2)), ((2, 3),)),
+    (((1, 2), (3, 1), (3, 2)), (3, 1), ((1, 2), (3, 2), (3, 2)), ((1, 2),)),
+    (((1, 1), (3, 1), (3, 2)), (3, 1), ((1, 1), (3, 2), (3, 2)), ((1, 1),)),
+    (((0, 1), (3, 1), (3, 2)), (3, 1), ((0, 1), (3, 2), (3, 2)), ((0, 1),)),
+    (((3, 1), (3, 1), (3, 2)), (3, 1), ((3, 1), (3, 2), (3, 2)), ((3, 1),)),
+    (((2, 0), (3, 1), (3, 2)), (3, 1), ((2, 0), (3, 2), (3, 2)), ((2, 0),)),
+    (((1, 0), (3, 1), (3, 2)), (3, 1), ((1, 0), (3, 2), (3, 2)), ((1, 0),)),
+    (((0, 0), (3, 1), (3, 2)), (3, 1), ((0, 0), (3, 2), (3, 2)), ((0, 0),)),
+    (((2, 1), (3, 0), (3, 1)), (3, 1), ((2, 1), (3, 0), (3, 2)), ((2, 1), (3, 0))),
+    (((2, 1), (2, 1), (3, 1)), (3, 1), ((2, 1), (2, 1), (3, 2)), ((2, 1),)),
+    (((2, 0), (2, 1), (3, 1)), (3, 1), ((2, 0), (2, 1), (3, 2)), ((2, 0), (2, 1))),
+    (((1, 2), (2, 0), (3, 1)), (3, 1), ((1, 2), (2, 0), (3, 2)), ((1, 2), (2, 0))),
+    (((1, 1), (2, 0), (3, 1)), (3, 1), ((1, 1), (2, 0), (3, 2)), ((1, 1), (2, 0))),
+    (((2, 0), (3, 0), (3, 1)), (3, 1), ((2, 0), (3, 0), (3, 2)), ((2, 0), (3, 0))),
+    (((2, 0), (2, 0), (3, 1)), (3, 1), ((2, 0), (2, 0), (3, 2)), ((2, 0),)),
+]
+
+
+def test_persistence_probe_walks_in_depth_first_order(monkeypatch):
+    # optimal play persists on every spec above, so only a policy changed
+    # after the solve gives the walk violations to list in order
+    sweep_up = exact._sweep_up
+    dropped = (3, 2)
+
+    def swapped(sweep, sense, track_policy=False):
+        solution = sweep_up(sweep, sense, track_policy)
+        for state, optimal in solution.policy.items():
+            if dropped in optimal:
+                solution.policy[state] = tuple(p for p in dict.fromkeys(state) if p != dropped)
+        return solution
+
+    monkeypatch.setattr(exact, "_sweep_up", swapped)
+    got = [
+        (v.state, v.guess, v.successor, v.successor_optimal)
+        for v in probe_persistence(DeckSpec(3, 3))
+    ]
+    assert got == SWAPPED_POLICY_VIOLATIONS
 
 
 def test_exact_chain_mean():

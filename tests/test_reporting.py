@@ -70,8 +70,8 @@ class Level(enum.IntEnum):
     LOW = 1
 
 
-# Cells of every type the encoder keys on, and subclasses that take its
-# isinstance fallback: a bool next to the equal int, Fractions, None, nested
+# Cells of every type the encoder keys on, and subclasses that take a base
+# class's entry: a bool next to the equal int, Fractions, None, nested
 # containers, strings that need CSV quoting, floats.
 EDGE_ROWS = [
     {"a": True, "b": 1, "c": Fraction(1, 3), "d": None, "e": [[1, [2, 3]], {"k": [4]}],
