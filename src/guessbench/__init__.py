@@ -17,7 +17,6 @@ from .exact import (
     exact_chain_mean,
     exact_value,
     first_third_distribution,
-    iter_shuffles,
     optimal_complete,
     optimal_partial,
     probe_persistence,
@@ -61,7 +60,6 @@ __all__ = [
     "exact_distinct_prefix_probability",
     "exact_value",
     "first_third_distribution",
-    "iter_shuffles",
     "make_strategy",
     "optimal_complete",
     "optimal_partial",

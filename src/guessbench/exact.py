@@ -23,7 +23,7 @@ from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Literal
+from typing import TYPE_CHECKING, Iterator, Literal
 
 # last_card_fraction is unused here; perfbench/test_perfbench.py checks that
 # tracing rebinds exact.last_card_fraction, and perfbench/ is fixed with the
@@ -39,6 +39,9 @@ from .combinatorics import (  # noqa: F401
 from .core import DeckSpec, FeedbackModel
 from .strategies import StrategyId, StrategySpec, _resolve_model, make_strategy
 
+if TYPE_CHECKING:  # annotations only; see the package docstring
+    import numpy as np
+
 Sense = Literal["max", "min"]
 
 DEFAULT_ENUM_LIMIT = 10**6
@@ -49,28 +52,6 @@ _SCORE_CHUNK = 4096
 def _check_sense(sense: str) -> None:
     if sense not in ("max", "min"):
         raise ValueError(f"sense must be 'max' or 'min', got {sense!r}")
-
-
-def iter_shuffles(spec: DeckSpec) -> Iterator[tuple[int, ...]]:
-    """All distinct shuffles in lexicographic order.
-
-    Each shuffle after the canonical word is its multiset next permutation:
-    raise the rightmost card with a larger card somewhere after it to the
-    smallest such card, then sort what follows.
-    """
-    word = list(spec.canonical_word())
-    while True:
-        yield tuple(word)
-        i = len(word) - 2
-        while i >= 0 and word[i] >= word[i + 1]:
-            i -= 1
-        if i < 0:
-            return
-        j = len(word) - 1
-        while word[j] <= word[i]:
-            j -= 1
-        word[i], word[j] = word[j], word[i]
-        word[i + 1 :] = reversed(word[i + 1 :])
 
 
 def enumerable_specs(size_limit: int = 10**4) -> list[DeckSpec]:
@@ -85,12 +66,47 @@ def enumerable_specs(size_limit: int = 10**4) -> list[DeckSpec]:
     return out
 
 
+def _shuffle_blocks(spec: DeckSpec) -> Iterator[np.ndarray]:
+    """Every distinct shuffle once, as int16 blocks of at most
+    ``_SCORE_CHUNK`` rows, in no particular order.
+
+    Type 1's m copies go into m of the mn slots, then type 2's into m of
+    the slots left, and so on; type n fills the free slots, so a partial
+    word holds n there.  Each type's placements (``itertools.combinations``
+    of the free slots) are drawn in slices that keep a block, its partial
+    words times every later type's placements, within the chunk.
+    """
+    import numpy as np
+
+    m, n = spec.multiplicity, spec.num_types
+    counts = [math.comb(spec.total - t * m, m) for t in range(n - 1)]  # type t + 1's placements
+    later = [math.prod(counts[t + 1 :]) for t in range(n - 1)]
+
+    def place(words: np.ndarray, t: int) -> Iterator[np.ndarray]:
+        if t == n - 1:
+            yield words
+            return
+        rows = len(words)
+        free = np.nonzero(words == n)[1].reshape(rows, -1)
+        placements = itertools.chain.from_iterable(itertools.combinations(range(free.shape[1]), m))
+        step = max(1, _SCORE_CHUNK // (rows * later[t]))
+        for start in range(0, counts[t], step):
+            size = min(step, counts[t] - start)
+            chosen = np.fromiter(placements, dtype=np.intp, count=size * m).reshape(size, m)
+            # row r * size + k: partial word r with placement k
+            grown = np.repeat(words, size, axis=0)
+            grown[np.arange(rows * size)[:, None], free[:, chosen].reshape(-1, m)] = t + 1
+            yield from place(grown, t + 1)
+
+    yield from place(np.full((1, spec.total), n, dtype=np.int16), 0)
+
+
 def _score_pmf(
     spec: DeckSpec, strategy: StrategySpec, prefix: int, limit: int
 ) -> dict[int, Fraction]:
     """Exact pmf of a deterministic strategy's score over the first
-    ``prefix`` cards, by scoring every shuffle with its kernel in int16
-    chunks.  The one enumeration behind every exact strategy statistic.
+    ``prefix`` cards, by scoring every ``_shuffle_blocks`` block with its
+    kernel.  The one enumeration behind every exact strategy statistic.
 
     Randomized specs are rejected; estimate those by simulation.
     """
@@ -104,11 +120,14 @@ def _score_pmf(
     import numpy as np
 
     score = make_strategy(strategy, spec)
-    shuffles = iter_shuffles(spec)
-    hist: Counter[int] = Counter()
-    while chunk := list(itertools.islice(shuffles, _SCORE_CHUNK)):
-        hist.update(score(np.array(chunk, dtype=np.int16)[:, :prefix]).tolist())
-    return {k: Fraction(hist[k], size) for k in sorted(hist)}
+    hist = np.zeros(prefix + 1, dtype=np.int64)
+    scored = 0
+    for block in _shuffle_blocks(spec):
+        hist += np.bincount(score(block[:, :prefix]), minlength=prefix + 1)
+        scored += len(block)
+    if scored != size:
+        raise AssertionError(f"enumerated {scored} of {size} shuffles of {spec}")
+    return {k: Fraction(count, size) for k, count in enumerate(hist.tolist()) if count}
 
 
 def exact_value(
@@ -585,20 +604,22 @@ def first_third_distribution(spec: DeckSpec, strategy: StrategySpec) -> dict[int
 # ===== pointwise bound sweep =====
 
 
-def _grid_vectors(
-    max_total: int, max_types: int
-) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """(remaining, forbidden) of every grid state, by type count and then
-    lexicographically; each pair is a valid ConstraintState."""
-    for ntypes in range(1, max_types + 1):
-        for remaining in itertools.product(range(max_total + 1), repeat=ntypes):
-            total = sum(remaining)
-            if not 0 < total <= max_total:
-                continue
-            caps = [range(total - m + 1) for m in remaining]
-            for forbidden in itertools.product(*caps):
-                if sum(forbidden) < total:
-                    yield remaining, forbidden
+def _pair_multisets(total: int, max_types: int) -> Iterator[PairState]:
+    """Every sorted tuple of at most ``max_types`` (m_i, a_i) pairs with
+    sum(m) = total, sum(a) < total and a_i <= total - m_i: the pair
+    multisets of the grid states with ``total`` cards, by type count."""
+
+    def extend(prefix: PairState, low_m: int, low_a: int, left_m: int, left_a: int, slots: int):
+        if not slots:
+            yield prefix
+            return
+        # the pairs still to come are no smaller, and the last takes what is left
+        for m in range(max(low_m, left_m if slots == 1 else 0), left_m // slots + 1):
+            for a in range(low_a if m == low_m else 0, min(total - m, left_a) + 1):
+                yield from extend(prefix + ((m, a),), m, a, left_m - m, left_a - a, slots - 1)
+
+    for types in range(1, max_types + 1):
+        yield from extend((), 0, 0, total, total - 1, types)
 
 
 @dataclass(frozen=True)
@@ -634,33 +655,54 @@ def verify_pointwise(max_total: int, max_types: int = 4, witness_cap: int = 64) 
     """Check f_i <= m_i / (total - a_i) across the whole grid, exactly.
 
     Reports the largest ratio of the two sides and the states attaining it;
-    the claim holds iff that maximum is at most one.  Ratios are compared as
-    integer pairs by cross-multiplying, and each canonical pair multiset is
-    counted once per call.
+    the claim holds iff that maximum is at most one.  Ratios, compared as
+    integer pairs by cross-multiplying, depend only on a state's pair
+    multiset: each multiset is checked once and counts for its k!/prod(mult!)
+    orderings, the grid states that share it.  Raises RuntimeError before any
+    ratio is computed when the grid holds more than ``DEFAULT_STATE_LIMIT``
+    multisets.
     """
+    multisets: list[PairState] = []
+    for total in range(1, max_total + 1):
+        multisets += _pair_multisets(total, max_types)
+        if len(multisets) > DEFAULT_STATE_LIMIT:
+            raise RuntimeError(
+                f"max_total {max_total} needs more than {DEFAULT_STATE_LIMIT} pair multisets:"
+                f" {len(multisets)} with at most {total} cards"
+            )
     best_num, best_den = 0, 1
-    witnesses: list[tuple[ConstraintState, int]] = []
-    witness_count = 0
-    checked = 0
-    ratios_by_key: dict[PairState, dict[tuple[int, int], tuple[int, int]]] = {}
-    for remaining, forbidden in _grid_vectors(max_total, max_types):
-        checked += 1
-        pairs = tuple(zip(remaining, forbidden))
-        key = tuple(sorted(pairs))
-        ratios = ratios_by_key.get(key)
-        if ratios is None:
-            ratios = ratios_by_key[key] = _pointwise_ratios(key)
-        for card, pair in enumerate(pairs, start=1):
-            if not pair[0]:
-                continue
-            num, den = ratios[pair]
+    maximal: dict[PairState, set[tuple[int, int]]] = {}  # multiset -> its maximal pairs
+    witness_count = checked = 0
+    for pairs in multisets:
+        copies = Counter(pairs)
+        orderings = math.factorial(len(pairs)) // math.prod(map(math.factorial, copies.values()))
+        checked += orderings
+        for pair, (num, den) in _pointwise_ratios(pairs).items():
             lhs, rhs = num * best_den, best_num * den
             if lhs > rhs:
                 best_num, best_den = num, den
-                witnesses = [(ConstraintState(remaining, forbidden), card)]
-                witness_count = 1
-            elif lhs == rhs:
-                witness_count += 1
-                if len(witnesses) < witness_cap:
-                    witnesses.append((ConstraintState(remaining, forbidden), card))
+                maximal = {}
+                witness_count = 0
+            if lhs >= rhs:
+                maximal.setdefault(pairs, set()).add(pair)
+                witness_count += orderings * copies[pair]
+    witnesses = itertools.islice(_grid_witnesses(maximal, max_types), witness_cap)
     return PointwiseReport(Fraction(best_num, best_den), tuple(witnesses), witness_count, checked)
+
+
+def _grid_witnesses(
+    maximal: dict[PairState, set[tuple[int, int]]], max_types: int
+) -> Iterator[tuple[ConstraintState, int]]:
+    """(state, card) for each card holding a maximal pair in each ordering of
+    the ``maximal`` multisets, in grid order; a type count's orderings are
+    built only once those of the type counts before it are used up."""
+    for types in range(1, max_types + 1):
+        states = sorted(
+            (tuple(zip(*order)), pairs)
+            for pairs in maximal if len(pairs) == types
+            for order in set(itertools.permutations(pairs))
+        )
+        for (remaining, forbidden), pairs in states:
+            for card, pair in enumerate(zip(remaining, forbidden), start=1):
+                if pair in maximal[pairs]:
+                    yield ConstraintState(remaining, forbidden), card

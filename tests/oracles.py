@@ -17,9 +17,12 @@ same score on every deck.  ``PartialMle`` picks its best pairs from
 Fraction-valued partial-mle posterior and ``ReferencePartialMle`` check it
 independently.
 The package's earlier Fraction-valued pointwise sweep and hypergeometric
-tail are kept as references for the integer ones; they read the package's
-``last_card_fraction`` and constraint grid, and the tail sums
-``brute_hypergeom``.
+tail are kept as references for the integer ones; the sweep reads the
+package's ``last_card_fraction`` over the ordered constraint grid, and the
+tail sums ``brute_hypergeom``.  ``ordered_verify_pointwise``, the earlier
+integer sweep over that grid, is the reference for the package's walk over
+pair multisets, and ``iter_shuffles``, the earlier next-permutation
+enumerator, the reference for its shuffle blocks.
 
 The list-polynomial inclusion-exclusion counter (convolution and long
 division of signed coefficient lists) is the reference for the packed-integer
@@ -51,6 +54,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
+from guessbench import exact
 from guessbench.combinatorics import (
     ConstraintState,
     _count,
@@ -63,8 +67,6 @@ from guessbench.exact import (
     PersistenceViolation,
     PointwiseReport,
     Sense,
-    _grid_vectors,
-    iter_shuffles,
 )
 from guessbench.montecarlo import rng_stream
 from guessbench.reporting import format_decimal, format_exact
@@ -79,6 +81,29 @@ def all_shuffles(m: int, n: int) -> list[tuple[int, ...]]:
     if len(canonical) > ORACLE_CARD_LIMIT:
         raise ValueError("oracle deck too large")
     return sorted(set(itertools.permutations(canonical)))
+
+
+def iter_shuffles(spec: DeckSpec) -> Iterator[tuple[int, ...]]:
+    """All distinct shuffles in lexicographic order (the package's earlier
+    enumerator, the reference for ``exact._shuffle_blocks``).
+
+    Each shuffle after the canonical word is its multiset next permutation:
+    raise the rightmost card with a larger card somewhere after it to the
+    smallest such card, then sort what follows.
+    """
+    word = list(spec.canonical_word())
+    while True:
+        yield tuple(word)
+        i = len(word) - 2
+        while i >= 0 and word[i] >= word[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = len(word) - 1
+        while word[j] <= word[i]:
+            j -= 1
+        word[i], word[j] = word[j], word[i]
+        word[i + 1 :] = reversed(word[i + 1 :])
 
 
 def banned_blocks(forbidden: tuple[int, ...]) -> list[int]:
@@ -736,7 +761,23 @@ class ReferencePartialMle(PartialMle):
         return guess
 
 
-# ===== Fraction-valued verification sweeps (references for the integer ones) =====
+# ===== ordered verification sweeps (references for exact.verify_pointwise) =====
+
+
+def _grid_vectors(
+    max_total: int, max_types: int
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """(remaining, forbidden) of every grid state, by type count and then
+    lexicographically; each pair is a valid ConstraintState."""
+    for ntypes in range(1, max_types + 1):
+        for remaining in itertools.product(range(max_total + 1), repeat=ntypes):
+            total = sum(remaining)
+            if not 0 < total <= max_total:
+                continue
+            caps = [range(total - m + 1) for m in remaining]
+            for forbidden in itertools.product(*caps):
+                if sum(forbidden) < total:
+                    yield remaining, forbidden
 
 
 def iter_constraint_grid(max_total: int, max_types: int = 4) -> Iterator[ConstraintState]:
@@ -776,6 +817,41 @@ def reference_verify_pointwise(
                 if len(witnesses) < witness_cap:
                     witnesses.append((state, card))
     return PointwiseReport(best, tuple(witnesses), witness_count, checked)
+
+
+def ordered_verify_pointwise(
+    max_total: int, max_types: int = 4, witness_cap: int = 64
+) -> PointwiseReport:
+    """The package's earlier integer sweep: every grid state in grid order,
+    each canonical pair multiset's ratios computed once per call by
+    ``exact._pointwise_ratios`` (looked up at call time, so a test can patch
+    it for both sweeps)."""
+    best_num, best_den = 0, 1
+    witnesses: list[tuple[ConstraintState, int]] = []
+    witness_count = 0
+    checked = 0
+    ratios_by_key: dict[PairState, dict[tuple[int, int], tuple[int, int]]] = {}
+    for remaining, forbidden in _grid_vectors(max_total, max_types):
+        checked += 1
+        pairs = tuple(zip(remaining, forbidden))
+        key = tuple(sorted(pairs))
+        ratios = ratios_by_key.get(key)
+        if ratios is None:
+            ratios = ratios_by_key[key] = exact._pointwise_ratios(key)
+        for card, pair in enumerate(pairs, start=1):
+            if not pair[0]:
+                continue
+            num, den = ratios[pair]
+            lhs, rhs = num * best_den, best_num * den
+            if lhs > rhs:
+                best_num, best_den = num, den
+                witnesses = [(ConstraintState(remaining, forbidden), card)]
+                witness_count = 1
+            elif lhs == rhs:
+                witness_count += 1
+                if len(witnesses) < witness_cap:
+                    witnesses.append((ConstraintState(remaining, forbidden), card))
+    return PointwiseReport(Fraction(best_num, best_den), tuple(witnesses), witness_count, checked)
 
 
 def reference_hyp_single_tail_exact(population: int, good: int, draws: int, lam: float) -> Fraction:

@@ -21,7 +21,6 @@ from guessbench.exact import (
     enumerable_specs,
     exact_chain_mean,
     exact_value,
-    iter_shuffles,
     optimal_complete,
     optimal_partial,
     verify_pointwise,
@@ -33,7 +32,13 @@ from guessbench.montecarlo import (
 )
 from guessbench.cli import main
 from guessbench.strategies import StrategyId, StrategySpec, make_strategy
-from oracles import brute_chain, expectimax_value, iter_arrangements, iter_constraint_grid
+from oracles import (
+    brute_chain,
+    expectimax_value,
+    iter_arrangements,
+    iter_constraint_grid,
+    iter_shuffles,
+)
 
 GREEDY_MAX = StrategySpec(StrategyId.COMPLETE_GREEDY_MAX)
 GREEDY_MIN = StrategySpec(StrategyId.COMPLETE_GREEDY_MIN)

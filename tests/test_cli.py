@@ -344,6 +344,32 @@ def test_verify_bounds_report_bytes_pinned(capsys, fmt, digest):
     assert hashlib.sha256(strip_provenance(out, fmt).encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("argv,fmt,digest", [
+    (("verify-pointwise", "--max-total", "8"), "csv",
+     "a9ee1cec090e47f1551ffd600a9656e1ea858a7b7d890d09653d34360946b144"),
+    (("verify-pointwise", "--max-total", "8", "--format", "json"), "json",
+     "82dbad9943f71da116e7990406f97d297e85caeddecbf5264fa2c9ab4f48a7e2"),
+    (("exact-value", "-m", "2", "-n", "5", "--strategy", "complete-greedy-max"), "csv",
+     "0694b03777ff173f0461fb42b17318557c4d087ceb10d930686856616dbfb58f"),
+])
+def test_exact_sweep_report_bytes_pinned(capsys, argv, fmt, digest):
+    # taken from the ordered grid walk and the next-permutation enumeration
+    # that the multiset walk and the shuffle blocks replaced
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    assert hashlib.sha256(strip_provenance(out, fmt).encode()).hexdigest() == digest
+
+
+def test_verify_pointwise_refuses_a_grid_past_the_state_limit(capsys):
+    started = time.perf_counter()
+    code, out, err = run_cli(capsys, "verify-pointwise", "--max-total", "40")
+    assert time.perf_counter() - started < 3.0
+    assert code == 2
+    assert out == ""
+    assert f"more than {exact.DEFAULT_STATE_LIMIT} pair multisets" in err
+    assert "454598 with at most 16 cards" in err
+
+
 def test_failing_dominance_row_names_its_witness(capsys, monkeypatch):
     # all mass on two hits in the first two draws of (1,6): Binomial(2, 1/2)
     # reaches 2 with chance 1/4 only, so the envelope fails at k = 2

@@ -7,6 +7,7 @@ from collections import Counter
 from pathlib import Path
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from guessbench import exact
@@ -19,7 +20,6 @@ from guessbench.exact import (
     exact_chain_mean,
     exact_value,
     first_third_distribution,
-    iter_shuffles,
     optimal_complete,
     optimal_partial,
     partial_values_or_none,
@@ -35,7 +35,9 @@ from oracles import (
     brute_value,
     expectimax_value,
     iter_constraint_grid,
+    iter_shuffles,
     make_oracle,
+    ordered_verify_pointwise,
     play,
     recursive_optimal_complete,
     recursive_probe_persistence,
@@ -61,6 +63,33 @@ def deterministic_strategies(spec):
 def test_iter_shuffles_lexicographic():
     for m, n in [(2, 2), (1, 3), (2, 3), (3, 2)]:
         assert list(iter_shuffles(DeckSpec(m, n))) == all_shuffles(m, n)
+
+
+def test_shuffle_blocks_hold_every_shuffle_once():
+    # (10,2) draws its 184,756 type-1 placements in many slices
+    for spec in enumerable_specs(10**4) + [DeckSpec(10, 2)]:
+        rows = []
+        for block in exact._shuffle_blocks(spec):
+            assert block.dtype == np.int16
+            assert 0 < len(block) <= exact._SCORE_CHUNK
+            rows += map(tuple, block.tolist())
+        # the reference lists each shuffle once, so equality rules out repeats
+        assert sorted(rows) == list(iter_shuffles(spec)), spec
+
+
+def test_score_pmf_checks_the_shuffle_count(monkeypatch):
+    blocks = exact._shuffle_blocks
+
+    def one_block_dropped(spec):
+        shown = blocks(spec)
+        next(shown)
+        return shown
+
+    spec = DeckSpec(2, 5)
+    assert len(list(blocks(spec))) > 1
+    monkeypatch.setattr(exact, "_shuffle_blocks", one_block_dropped)
+    with pytest.raises(AssertionError, match="shuffles"):
+        exact_value(spec, GREEDY_MAX)
 
 
 def test_enumerable_specs_catalog():
@@ -460,6 +489,40 @@ def test_verify_pointwise_matches_reference():
                 assert verify_pointwise(max_total, max_types, cap) == reference_verify_pointwise(
                     max_total, max_types, cap
                 )
+
+
+def test_multiset_walk_matches_the_ordered_sweep():
+    cases = [(max_total, 4, cap) for max_total in range(1, 9) for cap in (1, 64)]
+    cases += [(max_total, max_types, cap) for max_total in range(1, 7)
+              for max_types in range(1, 5) for cap in (1, 64)]
+    for case in cases:
+        assert verify_pointwise(*case) == ordered_verify_pointwise(*case), case
+
+
+def test_multiset_walk_matches_the_ordered_sweep_on_a_fail(monkeypatch):
+    # two maximal three-type multisets, one with a repeated pair, and one
+    # two-type multiset: the witnesses span type counts and orderings
+    ratios = exact._pointwise_ratios
+    boosted = {
+        ((0, 1), (1, 0), (2, 0)): [(1, 0)],
+        ((1, 0), (1, 0), (1, 1)): [(1, 0), (1, 1)],
+        ((1, 1), (3, 0)): [(3, 0)],
+    }
+
+    def patched(pairs):
+        out = ratios(pairs)
+        for pair in boosted.get(pairs, ()):
+            out[pair] = (3, 2)
+        return out
+
+    monkeypatch.setattr(exact, "_pointwise_ratios", patched)
+    for cap in (1, 4, 64):
+        report = verify_pointwise(5, 4, cap)
+        assert report == ordered_verify_pointwise(5, 4, cap)
+        assert report.max_ratio == Fraction(3, 2) and not report.passed
+    # 6 orderings with one witness each, 3 with three and 2 with one
+    assert report.witness_count == 6 + 9 + 2
+    assert len(report.witnesses) == 17
 
 
 def test_enumeration_limits_and_misuse():
