@@ -7,8 +7,10 @@ a move names its successors by their index in the next level's list, and
 the pass up reads flat lists of those weights.  The terminal level's
 arrangement counts come from a recurrence over level 1's hits, once per
 down pass; each pass up checks the root's count against one
-inclusion-exclusion ``_count``.  Only the root's value is divided out
-unless ``PartialSolution.values`` is read.  The tests check it against an
+inclusion-exclusion ``_count``.  Only the root's value is divided out:
+``PartialSolution.values`` and ``policy`` are built from the kept weights
+when first read, and the persistence probe reads optimal guesses only for
+the states its walk reaches.  The tests check it against an
 expectimax search over the raw tree of observable histories, which needs
 no state reduction.
 """
@@ -20,7 +22,7 @@ import itertools
 import math
 import operator
 from collections import Counter
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterator, Literal
@@ -212,46 +214,39 @@ class _Sweep:
     counts: list[int]
 
 
-class _SweptValues(Mapping):
-    """State -> W / N of one up pass over a sweep, as a dict of Fractions
-    built the first time anything but its size is read."""
+class _Lazy(Mapping):
+    """A dict that ``build()`` makes the first time anything but its size
+    is read."""
 
-    def __init__(self, sweep: _Sweep, weights: list[tuple[list[int], list[int]]]):
-        self._sweep = sweep
-        self._weights = weights  # (N, W) per level from the terminal level up
-        self._built: dict[PairState, Fraction] | None = None
+    def __init__(self, size: int, build: Callable[[], dict]):
+        self._size = size
+        self._build = build
+        self._built: dict | None = None
 
-    def _values(self) -> dict[PairState, Fraction]:
+    def _dict(self) -> dict:
         if self._built is None:
-            radix = self._sweep.radix
-            self._built = {
-                _pairs(state, radix): Fraction(w, n)
-                for states, (ns, ws) in zip(reversed(self._sweep.states), self._weights)
-                for state, n, w in zip(states, ns, ws)
-            }
+            self._built = self._build()
         return self._built
 
     def __len__(self) -> int:
-        return sum(map(len, self._sweep.states))
+        return self._size
 
-    def __getitem__(self, state: PairState) -> Fraction:
-        return self._values()[state]
+    def __getitem__(self, key):
+        return self._dict()[key]
 
-    def __iter__(self) -> Iterator[PairState]:
-        return iter(self._values())
+    def __iter__(self) -> Iterator:
+        return iter(self._dict())
 
     def __repr__(self) -> str:
-        return repr(self._values())
+        return repr(self._dict())
 
 
 @dataclass(frozen=True)
 class PartialSolution:
     spec: DeckSpec
-    sense: Sense
     value: Fraction
-    root: PairState
     values: Mapping[PairState, Fraction]
-    policy: dict[PairState, tuple[tuple[int, int], ...]] | None
+    policy: Mapping[PairState, tuple[tuple[int, int], ...]]
 
 
 def _partial_moves(state: _Codes, radix: int, left: int) -> list[tuple[int, int, int, int]]:
@@ -429,8 +424,14 @@ def _terminal_counts(
     return counts
 
 
-def _sweep_up(sweep: _Sweep, sense: Sense, track_policy: bool = False) -> PartialSolution:
-    """Solve every level of a down pass from the terminal level up.
+# N and W by rank of each level of a down pass, root level first, each
+# list ending in a 0 for rank -1, the successors with no arrangements
+_Weights = list[tuple[list[int], list[int]]]
+
+
+def _sweep_up(sweep: _Sweep, sense: Sense) -> tuple[Fraction, _Weights]:
+    """Solve every level of a down pass from the terminal level up; the
+    root's value and every level's weights.
 
     The terminal level starts from the sweep's ``counts`` with W = 0, so
     another sense over the same sweep counts nothing again.  The root's N
@@ -438,52 +439,54 @@ def _sweep_up(sweep: _Sweep, sense: Sense, track_policy: bool = False) -> Partia
     inclusion-exclusion count; a mismatch raises AssertionError.
     """
     pick = max if sense == "max" else min
-    radix = sweep.radix
-    # N and W by rank of the level just solved, with a 0 at rank -1 for the
-    # successors that have no arrangements
     ns = sweep.counts
     ws = [0] * len(ns)
     weights = [(ns, ws)]
-    policy: dict[PairState, tuple[tuple[int, int], ...]] | None = (
-        {} if track_policy else None
-    )
-    for states, level_moves in zip(reversed(sweep.states[:-1]), reversed(sweep.moves)):
+    for level_moves in reversed(sweep.moves):
         nws = list(map(operator.add, ns, ws))
         above_n = []
         above_w = []
-        for state, flat in zip(states, level_moves):
+        for flat in level_moves:
             # N(hit) + W(hit) + W(miss) per guess; the two inner maps take
             # turns drawing from one iterator, so they read hit and miss
             ranks = iter(flat)
-            acts = map(operator.add, map(nws.__getitem__, ranks), map(ws.__getitem__, ranks))
-            if policy is None:
-                best = pick(acts)
-            else:
-                acts = list(acts)
-                best = pick(acts)
-                pairs = _pairs(state, radix)
-                policy[pairs] = tuple(
-                    pair for pair, act in zip(dict.fromkeys(pairs), acts) if act == best
-                )
+            above_w.append(
+                pick(map(operator.add, map(nws.__getitem__, ranks), map(ws.__getitem__, ranks)))
+            )
             above_n.append(ns[flat[0]] + ns[flat[1]])  # the same for every guess
-            above_w.append(best)
         ns = above_n + [0]
         ws = above_w + [0]
         weights.append((ns, ws))
-    root = _pairs(sweep.states[0][0], radix)
+    weights.reverse()
+    root = _pairs(sweep.states[0][0], sweep.radix)
     # the solve's one inclusion-exclusion count checks the terminal recurrence
     if ns[0] != _count(*zip(*root)):
         raise AssertionError(f"terminal counts give {ns[0]} shuffles at {root}")
-    value = Fraction(ws[0], ns[0])
-    values = _SweptValues(sweep, weights)
-    return PartialSolution(sweep.spec, sense, value, root, values, policy)
+    return Fraction(ws[0], ns[0]), weights
+
+
+def _optimal_guesses(
+    sweep: _Sweep, weights: _Weights, sense: Sense, level: int, rank: int
+) -> list[tuple[tuple[int, int], int, int]]:
+    """(pair, hit, miss) for each optimal guess at a non-terminal state,
+    given by its level and rank, in code order: every guess whose
+    N(hit) + W(hit) + W(miss) equals the best, read from the level below's
+    weights, with its successors' ranks there."""
+    ns, ws = weights[level + 1]
+    flat = sweep.moves[level][rank]
+    hits, misses = flat[::2], flat[1::2]
+    acts = [ns[hit] + ws[hit] + ws[miss] for hit, miss in zip(hits, misses)]
+    best = max(acts) if sense == "max" else min(acts)
+    codes = dict.fromkeys(sweep.states[level][rank])
+    return [
+        (divmod(code, sweep.radix), hit, miss)
+        for code, hit, miss, act in zip(codes, hits, misses, acts)
+        if act == best
+    ]
 
 
 def solve_partial(
-    spec: DeckSpec,
-    sense: Sense = "max",
-    track_policy: bool = False,
-    state_limit: int = DEFAULT_STATE_LIMIT,
+    spec: DeckSpec, sense: Sense = "max", state_limit: int = DEFAULT_STATE_LIMIT
 ) -> PartialSolution:
     """Backward induction over canonical (remaining, wrong-guess) pair multisets.
 
@@ -503,13 +506,37 @@ def solve_partial(
     by a recurrence over level 1's hits (``_terminal_counts``); one pass up
     solves each level from flat lists of N and W by rank of the level below,
     so deep decks need no recursion, and checks the root's N against one
-    ``_count``, the solve's only inclusion-exclusion count.  Only the
-    root's value is a Fraction until ``values`` is read.  Raises
-    RuntimeError once more than ``state_limit`` states turn up, or at once
-    when ``_partial_state_floor`` already exceeds it.
+    ``_count``, the solve's only inclusion-exclusion count.  ``values``
+    (W / N per state) and ``policy`` (each non-terminal state's optimal
+    pairs, by ``_optimal_guesses``) are built from the kept weights when
+    first read; until then only the root's value is a Fraction.  Raises RuntimeError once more than ``state_limit`` states turn up, or
+    at once when ``_partial_state_floor`` already exceeds it.
     """
     _check_sense(sense)
-    return _sweep_up(_sweep_down(spec, state_limit), sense, track_policy)
+    sweep = _sweep_down(spec, state_limit)
+    value, weights = _sweep_up(sweep, sense)
+    radix = sweep.radix
+
+    def values() -> dict[PairState, Fraction]:
+        return {
+            _pairs(state, radix): Fraction(w, n)
+            for states, (ns, ws) in zip(sweep.states, weights)
+            for state, n, w in zip(states, ns, ws)
+        }
+
+    def policy() -> dict[PairState, tuple[tuple[int, int], ...]]:
+        return {
+            _pairs(state, radix): tuple(
+                pair for pair, _, _ in _optimal_guesses(sweep, weights, sense, level, rank)
+            )
+            for level, states in enumerate(sweep.states[:-1])
+            for rank, state in enumerate(states)
+        }
+
+    size = sum(map(len, sweep.states))
+    return PartialSolution(
+        spec, value, _Lazy(size, values), _Lazy(size - len(sweep.states[-1]), policy)
+    )
 
 
 def optimal_partial(
@@ -526,7 +553,7 @@ def partial_values_or_none(spec: DeckSpec, state_limit: int) -> dict[str, Fracti
         sweep = _sweep_down(spec, state_limit)
     except RuntimeError:
         return {"max": None, "min": None}
-    return {sense: _sweep_up(sweep, sense).value for sense in ("max", "min")}
+    return {sense: _sweep_up(sweep, sense)[0] for sense in ("max", "min")}
 
 
 # ===== persistence probe =====
@@ -550,34 +577,32 @@ def probe_persistence(
     Walks every state reachable under some optimal action, depth first by
     (level, rank) over the sweep's moves, and checks that a type guessed
     optimally and incorrectly stays in the successor's optimal action set.
-    An empty list means persistence holds for this spec.
+    Optimal guesses are read only for walked states and their miss
+    successors.  An empty list means persistence holds for this spec.
     """
     sweep = _sweep_down(spec, state_limit)
-    policy = _sweep_up(sweep, "max", track_policy=True).policy
-    assert policy is not None
+    _, weights = _sweep_up(sweep, "max")
     radix = sweep.radix
+    terminal = len(sweep.moves)
     violations: list[PersistenceViolation] = []
     seen: set[tuple[int, int]] = set()
     stack = [(0, 0)]  # (level, rank); the terminal level has no moves
     while stack:
         level, rank = stack.pop()
-        if (level, rank) in seen or level == len(sweep.moves):
+        if (level, rank) in seen or level == terminal:
             continue
         seen.add((level, rank))
-        pairs = _pairs(sweep.states[level][rank], radix)
-        below = sweep.states[level + 1]
-        flat = sweep.moves[level][rank]
-        for pair, hit, miss in zip(dict.fromkeys(pairs), flat[::2], flat[1::2]):
-            if pair not in policy[pairs]:
+        for pair, hit, miss in _optimal_guesses(sweep, weights, "max", level, rank):
+            stack += [(level + 1, below) for below in (hit, miss) if below >= 0]
+            if miss < 0 or level + 1 == terminal:
                 continue
-            if hit >= 0:
-                stack.append((level + 1, hit))
-            if miss >= 0:
-                stack.append((level + 1, miss))
-                successor = _pairs(below[miss], radix)
-                after = policy.get(successor)  # None at terminal states
-                if after is not None and (pair[0], pair[1] + 1) not in after:
-                    violations.append(PersistenceViolation(pairs, pair, successor, after))
+            after = _optimal_guesses(sweep, weights, "max", level + 1, miss)
+            if all(p != (pair[0], pair[1] + 1) for p, _, _ in after):
+                state, successor = sweep.states[level][rank], sweep.states[level + 1][miss]
+                optimal = tuple(p for p, _, _ in after)
+                violations.append(
+                    PersistenceViolation(_pairs(state, radix), pair, _pairs(successor, radix), optimal)
+                )
     return violations
 
 

@@ -186,11 +186,14 @@ def _score_block_job(payload) -> list[tuple[int, int]]:
 def _score_histogram(
     spec: DeckSpec, strategy: StrategySpec, trials: int, seed: int, workers: int = 1
 ) -> Counter[int]:
-    """Scores of ``trials`` simulated games as a histogram, block by block."""
+    """Scores of ``trials`` simulated games as a histogram, block by block,
+    in a pool of at most one process per block (a forked pool starts all
+    its processes at once), or in-process when that is one."""
     jobs = [
         (spec.multiplicity, spec.num_types, strategy, count, seed, block_id)
         for block_id, count in _blocks(trials)
     ]
+    workers = min(workers, len(jobs))
     hist: Counter[int] = Counter()
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor

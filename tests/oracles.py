@@ -371,7 +371,6 @@ def _state_vectors(state: PairState) -> tuple[tuple[int, ...], tuple[int, ...]]:
 def recursive_solve_partial(
     spec: DeckSpec,
     sense: str = "max",
-    track_policy: bool = False,
     state_limit: int = 400_000,
 ) -> PartialSolution:
     """Backward induction over canonical (remaining, wrong-guess) pair multisets.
@@ -384,9 +383,7 @@ def recursive_solve_partial(
     """
     choose = _check_sense(sense)
     values: dict[PairState, Fraction] = {}
-    policy: dict[PairState, tuple[tuple[int, int], ...]] | None = (
-        {} if track_policy else None
-    )
+    policy: dict[PairState, tuple[tuple[int, int], ...]] = {}
 
     def value(state: PairState) -> Fraction:
         cached = values.get(state)
@@ -425,13 +422,12 @@ def recursive_solve_partial(
             elif act == best and pair not in best_actions:
                 best_actions.append(pair)
         values[state] = best
-        if policy is not None:
-            policy[state] = tuple(best_actions)
+        policy[state] = tuple(best_actions)
         return best
 
     root: PairState = tuple((spec.multiplicity, 0) for _ in range(spec.num_types))
     top = value(root)
-    return PartialSolution(spec, sense, top, root, values, policy)
+    return PartialSolution(spec, top, values, policy)
 
 
 def terminal_states(spec: DeckSpec) -> list[PairState]:
@@ -469,11 +465,10 @@ def recursive_probe_persistence(
     a type guessed optimally and incorrectly stays in the successor's optimal
     action set.  An empty list means persistence holds for this spec.
     """
-    solution = recursive_solve_partial(spec, "max", track_policy=True, state_limit=state_limit)
-    assert solution.policy is not None
+    solution = recursive_solve_partial(spec, "max", state_limit=state_limit)
     violations: list[PersistenceViolation] = []
     seen: set[PairState] = set()
-    stack: list[PairState] = [solution.root]
+    stack: list[PairState] = [((spec.multiplicity, 0),) * spec.num_types]
     while stack:
         state = stack.pop()
         if state in seen:
@@ -963,8 +958,6 @@ class PolicyPlayer:
     model = FeedbackModel.PARTIAL
 
     def __init__(self, solution: PartialSolution):
-        if solution.policy is None:
-            raise ValueError("solution was computed without track_policy")
         self._policy = solution.policy
         self._pairs = [
             [solution.spec.multiplicity, 0] for _ in range(solution.spec.num_types)

@@ -121,8 +121,8 @@ def test_integer_dps_match_recursive_references():
         for n in range(1, 12 // m + 1):
             spec = DeckSpec(m, n)
             for sense in ("max", "min"):
-                got = solve_partial(spec, sense, track_policy=True)
-                want = recursive_solve_partial(spec, sense, track_policy=True)
+                got = solve_partial(spec, sense)
+                want = recursive_solve_partial(spec, sense)
                 assert got.value == want.value
                 assert got.values == want.values
                 assert got.policy == want.policy
@@ -137,7 +137,7 @@ def test_integer_dps_match_recursive_references():
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
 # sha256 of repr(sorted(values.items())) and of repr(sorted(policy.items()))
-# from solve_partial(spec, sense, track_policy=True), taken from the
+# from solve_partial(spec, sense), taken from the
 # level sweep that searched sorted pair tuples, before states became ranked
 # code tuples; they pin values, policies and tie order beyond the oracle's
 # mn <= 12 specs
@@ -167,7 +167,7 @@ def _digest(mapping) -> str:
 
 def test_partial_solutions_match_pinned_digests():
     for (m, n, sense), digests in PINNED_PARTIAL_DIGESTS.items():
-        solution = solve_partial(DeckSpec(m, n), sense, track_policy=True)
+        solution = solve_partial(DeckSpec(m, n), sense)
         assert (_digest(solution.values), _digest(solution.policy)) == digests
 
 
@@ -340,15 +340,9 @@ def test_arbitrary_strategies_lie_between_optima():
 def test_policy_player_achieves_dp_value():
     for m, n in [(1, 3), (2, 2)]:
         spec = DeckSpec(m, n)
-        solution = solve_partial(spec, "max", track_policy=True)
+        solution = solve_partial(spec, "max")
         value = brute_value(spec, lambda deck: PolicyPlayer(solution), FeedbackModel.PARTIAL)
         assert value == solution.value
-
-
-def test_policy_player_requires_policy():
-    solution = solve_partial(DeckSpec(1, 2), "max")
-    with pytest.raises(ValueError):
-        PolicyPlayer(solution)
 
 
 def test_persistence_holds_on_small_specs():
@@ -392,22 +386,40 @@ SWAPPED_POLICY_VIOLATIONS = [
 def test_persistence_probe_walks_in_depth_first_order(monkeypatch):
     # optimal play persists on every spec above, so only a policy changed
     # after the solve gives the walk violations to list in order
-    sweep_up = exact._sweep_up
+    optimal_guesses = exact._optimal_guesses
     dropped = (3, 2)
 
-    def swapped(sweep, sense, track_policy=False):
-        solution = sweep_up(sweep, sense, track_policy)
-        for state, optimal in solution.policy.items():
-            if dropped in optimal:
-                solution.policy[state] = tuple(p for p in dict.fromkeys(state) if p != dropped)
-        return solution
+    def swapped(sweep, weights, sense, level, rank):
+        optimal = optimal_guesses(sweep, weights, sense, level, rank)
+        if all(pair != dropped for pair, _, _ in optimal):
+            return optimal
+        # every guess of the state but the dropped one, with its successors
+        flat = sweep.moves[level][rank]
+        pairs = dict.fromkeys(exact._pairs(sweep.states[level][rank], sweep.radix))
+        return [g for g in zip(pairs, flat[::2], flat[1::2]) if g[0] != dropped]
 
-    monkeypatch.setattr(exact, "_sweep_up", swapped)
+    monkeypatch.setattr(exact, "_optimal_guesses", swapped)
     got = [
         (v.state, v.guess, v.successor, v.successor_optimal)
         for v in probe_persistence(DeckSpec(3, 3))
     ]
     assert got == SWAPPED_POLICY_VIOLATIONS
+
+
+def test_persistence_probe_reads_only_walked_states(monkeypatch):
+    # (4,4) has 16,145 non-terminal states, and optimal play reaches
+    # about a tenth of them
+    optimal_guesses = exact._optimal_guesses
+    calls = 0
+
+    def spy(*args):
+        nonlocal calls
+        calls += 1
+        return optimal_guesses(*args)
+
+    monkeypatch.setattr(exact, "_optimal_guesses", spy)
+    assert probe_persistence(DeckSpec(4, 4)) == []
+    assert 0 < calls < len(solve_partial(DeckSpec(4, 4)).policy) == 16_145
 
 
 def test_exact_chain_mean():

@@ -239,6 +239,35 @@ def test_workers_do_not_change_results():
     assert one.trials == 9000
 
 
+def test_pool_never_exceeds_the_block_count(monkeypatch):
+    import concurrent.futures
+
+    sizes = []
+
+    class InProcessPool:
+        # records the pool size asked for and scores every block here
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    spec = DeckSpec(2, 4)
+    one = estimate_value(spec, None, CONSTANT, 10, 11, workers=64)
+    assert sizes == []  # one block: scored in-process, no pool
+    assert one.histogram == estimate_value(spec, None, CONSTANT, 10, 11).histogram
+    many = estimate_value(spec, None, CONSTANT, 9000, 11, workers=64)
+    assert sizes == [3]  # 9,000 trials make three 4,096-row blocks
+    assert many.histogram == estimate_value(spec, None, CONSTANT, 9000, 11).histogram
+
+
 def test_single_trial_and_validation():
     spec = DeckSpec(2, 2)
     summary = estimate_value(spec, None, CONSTANT, 1, 0)
@@ -342,7 +371,7 @@ def test_mle_matches_reference_on_replayed_decks(sid, maximize):
 
 def test_policy_player_simulation_consistent():
     spec = DeckSpec(1, 3)
-    solution = solve_partial(spec, "max", track_policy=True)
+    solution = solve_partial(spec, "max")
     word = np.array(spec.canonical_word(), dtype=np.int16)
     scores = [
         play(PolicyPlayer(solution), FeedbackModel.PARTIAL, deck)
