@@ -13,13 +13,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping
+from typing import TYPE_CHECKING, Iterator, Mapping
 
 from .combinatorics import binomial_pmf
 from .core import DeckSpec
 from .exact import enumerable_specs, first_third_distribution
-from .montecarlo import _blocks, deck_chunks, rng_stream
+from .montecarlo import _CHUNK, _blocks, deck_chunks, rng_stream
 from .strategies import StrategyId, StrategySpec
+
+if TYPE_CHECKING:  # annotations only; see the package docstring
+    import numpy as np
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -91,6 +94,18 @@ def union_bound_rhs(
     return (8.0 * c_prime * k1) / (lam * k0) * math.exp(-c * lam**3 * p * k0 / 256.0)
 
 
+def _walks(p: float, steps: int, trials: int, seed: int) -> Iterator[np.ndarray]:
+    """``trials`` rows of ``steps`` Bernoulli(p) draws as bool arrays.
+    Block b of ``_SIM_BLOCK`` rows draws its rows in order from
+    ``rng_stream(seed, _BOUNDS_TAG, b)``, in slices of at most ``_CHUNK``
+    rows; ``random`` fills rows in order, so the slices join into the rows
+    of one whole-block draw, and no block's floats are held at once."""
+    for block, rows in _blocks(trials, _SIM_BLOCK):
+        rng = rng_stream(seed, _BOUNDS_TAG, block)
+        for _, size in _blocks(rows, _CHUNK):
+            yield rng.random((size, steps)) < p
+
+
 def empirical_maximal(
     p: float, lam: float, k0: int, k1: int, trials: int, seed: int
 ) -> BoundReport:
@@ -104,11 +119,7 @@ def empirical_maximal(
     rhs = union_bound_rhs(0.5, 1.0, lam, p, k0, k1)
     ks = np.arange(k0, k1 + 1, dtype=np.float64)
     cutoff = (1.0 + lam) * p * ks
-    walks = (
-        rng_stream(seed, _BOUNDS_TAG, block).random((rows, k1)) < p
-        for block, rows in _blocks(trials, _SIM_BLOCK)
-    )
-    lhs, radius = _window_frequency(walks, k0, cutoff)
+    lhs, radius = _window_frequency(_walks(p, k1, trials, seed), k0, cutoff)
     return BoundReport(
         bound="maximal-walk",
         params=(

@@ -2,14 +2,16 @@
 
 Values are Fractions throughout; the two value DPs reach them through
 integer weights (arrangement count times value).  ``solve_partial`` runs
-backward induction on canonical tally states, swept as ranked level lists:
-a move names its successors by their index in the next level's list, and
-the pass up reads flat lists of those weights.  The terminal level's
-arrangement counts come from a recurrence over level 1's hits, once per
-down pass; each pass up checks the root's count against one
-inclusion-exclusion ``_count``.  Only the root's value is divided out:
-``PartialSolution.values`` and ``policy`` are built from the kept weights
-when first read, and the persistence probe reads optimal guesses only for
+backward induction on canonical tally states, swept as ranked levels kept
+in flat stdlib arrays: a move names its successors by their index in the
+next level, and the pass up solves each level at once from flat lists of
+the level below's weights.  The terminal level's arrangement counts come
+from a recurrence over level 1's hits, once per down pass; each pass up
+checks the root's count against one inclusion-exclusion ``_count``.  A
+value-only solve keeps two levels' weights at a time and divides out only
+the root's value: ``PartialSolution.values`` and ``policy`` come from one
+more pass up that keeps every level's weights, run when either is first
+read, and the persistence probe reads optimal guesses once each, only for
 the states its walk reaches.  The tests check it against an
 expectimax search over the raw tree of observable histories, which needs
 no state reduction.
@@ -18,9 +20,11 @@ no state reduction.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
 import operator
+from array import array
 from collections import Counter
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass
@@ -199,19 +203,45 @@ def _pairs(state: _Codes, radix: int) -> PairState:
     return tuple(map(divmod, state, itertools.repeat(radix)))
 
 
+def _typecode(top: int) -> str:
+    """The ``array`` typecode for ints from -1 to ``top``: 4 bytes below
+    2**31, else 8.  Past 8 bytes ``array`` raises OverflowError, never
+    wraps, and no sweep that fits in memory gets there."""
+    return "i" if top < 2**31 else "q"
+
+
 @dataclass(frozen=True)
 class _Sweep:
-    """A down pass: per level from the root down, its states in rank order
-    and, per state, its moves as one flat (hit, miss, hit, miss, ...) tuple
-    of successor ranks in the next level's list, -1 where the successor has
-    no arrangements; and ``counts``, N by rank of the terminal level then a
-    0 for rank -1, shared by every up pass over the sweep."""
+    """A down pass, as flat arrays per level from the root down.
+
+    ``codes[level]`` holds its states' sorted codes, n per state, in rank
+    order.  Every level but the terminal one has its moves in code order per
+    state: ``hits[level]`` and ``misses[level]`` hold each move's successor
+    ranks in the next level, -1 where the successor has no arrangements,
+    and ``starts[level]`` the index of each state's first move, then the
+    level's move count.  ``counts`` is N by rank of the terminal level then
+    a 0 for rank -1, shared by every up pass over the sweep."""
 
     spec: DeckSpec
     radix: int
-    states: list[list[_Codes]]
-    moves: list[list[tuple[int, ...]]]
+    codes: list[array]
+    hits: list[array]
+    misses: list[array]
+    starts: list[array]
     counts: list[int]
+
+    def states(self, level: int) -> Iterator[_Codes]:
+        """The level's states in rank order."""
+        return zip(*[iter(self.codes[level])] * self.spec.num_types)
+
+    def state(self, level: int, rank: int) -> _Codes:
+        n = self.spec.num_types
+        return tuple(self.codes[level][rank * n : rank * n + n])
+
+    def moves(self, level: int, rank: int) -> tuple[array, array]:
+        """The hit and miss ranks of a non-terminal state's moves."""
+        first, end = self.starts[level][rank : rank + 2]
+        return self.hits[level][first:end], self.misses[level][first:end]
 
 
 class _Lazy(Mapping):
@@ -317,10 +347,11 @@ def _sweep_down(spec: DeckSpec, state_limit: int) -> _Sweep:
     """Every state reachable from the root, level by level, with its moves
     as successor ranks.  A successor is deduplicated by an exact positional
     key, its codes as the digits of one integer in base (m + 1)(mn + 1),
-    which a move updates in a few adds; its tuple is built only the first
-    time its key turns up.  Raises RuntimeError once more than
-    ``state_limit`` states turn up, or at once when ``_partial_state_floor``
-    already exceeds it.
+    which a move updates in a few adds; its codes are listed only the first
+    time its key turns up.  Each level is built in lists and kept as arrays
+    (see ``_Sweep``).  Raises RuntimeError once more than ``state_limit``
+    states turn up, or at once when ``_partial_state_floor`` already
+    exceeds it.
     """
     limit_error = RuntimeError(
         f"more than {state_limit} partial states; raise state_limit if intended"
@@ -332,21 +363,26 @@ def _sweep_down(spec: DeckSpec, state_limit: int) -> _Sweep:
     powers = [((m + 1) * radix) ** k for k in range(n + 1)]
     drops = [radix * p for p in powers]
     steps = [b - a for a, b in itertools.pairwise(powers)]
+    code_type = _typecode(powers[1])  # every code is a digit in that base
     root = (m * radix,) * n
     # key -> rank, in rank order, for the level being expanded
     ranks = {sum(code * p for code, p in zip(root, powers)): 0}
-    states = [root]
-    levels: list[list[_Codes]] = []
-    moves: list[list[tuple[int, ...]]] = []
+    level = array(code_type, root)
+    codes: list[array] = []
+    hits: list[array] = []
+    misses: list[array] = []
+    starts: list[array] = []
     found = 1
     for left in range(spec.total, 0, -1):
-        below: list[_Codes] = []
+        below: list[int] = []
         below_ranks: dict[int, int] = {}
         rank_of = below_ranks.setdefault
-        level_moves = []
-        size = 0  # len(below)
-        for key, state in zip(ranks, states):
-            flat = []
+        level_hits: list[int] = []
+        level_misses: list[int] = []
+        level_starts: list[int] = []
+        size = 0  # states in ``below``
+        for key, state in zip(ranks, zip(*[iter(level)] * n)):
+            level_starts.append(len(level_hits))
             for code, first, hit_at, miss_at in _partial_moves(state, radix, left):
                 hit = miss = -1
                 if hit_at >= 0:
@@ -358,33 +394,36 @@ def _sweep_down(spec: DeckSpec, state_limit: int) -> _Sweep:
                             k += state[i] * steps[i]
                     hit = rank_of(k, size)
                     if hit == size:
-                        below.append(_moved(state, first, hit_at, code - radix))
+                        below += _moved(state, first, hit_at, code - radix)
                         size += 1
                 if miss_at >= 0:
                     miss = rank_of(key + powers[miss_at], size)
                     if miss == size:
-                        below.append(_moved(state, miss_at, miss_at, code + 1))
+                        below += _moved(state, miss_at, miss_at, code + 1)
                         size += 1
-                flat += (hit, miss)
-            level_moves.append(tuple(flat))
+                level_hits.append(hit)
+                level_misses.append(miss)
             if found + size > state_limit:
                 raise limit_error
+        level_starts.append(len(level_hits))
         found += size
-        levels.append(states)
-        moves.append(level_moves)
-        above, states, ranks = ranks, below, below_ranks
-    levels.append(states)
-    counts = _terminal_counts(states, ranks, above, moves[-1], radix, powers)
-    return _Sweep(spec, radix, levels, moves, counts)
+        codes.append(level)
+        hits.append(array(_typecode(size), level_hits))
+        misses.append(array(_typecode(size), level_misses))
+        starts.append(array(_typecode(len(level_hits)), level_starts))
+        above, ranks, level = ranks, below_ranks, array(code_type, below)
+    codes.append(level)
+    counts = _terminal_counts(level, n, ranks, above, hits[-1], starts[-1], radix, powers)
+    return _Sweep(spec, radix, codes, hits, misses, starts, counts)
 
 
 def _terminal_counts(
-    states: list[_Codes], ranks: dict[int, int], above: dict[int, int],
-    above_moves: list[tuple[int, ...]], radix: int, powers: list[int],
+    level: array, n: int, ranks: dict[int, int], above: dict[int, int],
+    above_hits: array, above_starts: array, radix: int, powers: list[int],
 ) -> list[int]:
-    """N by rank of the terminal level, then a 0 for rank -1; ``ranks`` maps
-    each state's positional key to its rank, and ``above`` and
-    ``above_moves`` are level 1's.
+    """N by rank of the terminal level, given as its codes, n per state,
+    then a 0 for rank -1; ``ranks`` maps each state's positional key to its
+    rank, and ``above``, ``above_hits`` and ``above_starts`` are level 1's.
 
     A terminal state s has every remaining card in a banned slot.  Take the
     first type j with a_j > 0 and fill its first banned slot with a card of
@@ -400,22 +439,23 @@ def _terminal_counts(
     The state with no cards has N = 1.  States are solved in order of their
     card count M, which is sum(codes) / (radix + 1) at level 0.
     """
-    counts = [0] * (len(states) + 1)
+    counts = [0] * (len(ranks) + 1)
     by_cards: list[list[int]] = [[] for _ in range(radix)]
-    for rank, state in enumerate(states):
+    for rank, state in enumerate(zip(*[iter(level)] * n)):
         by_cards[sum(state) // (radix + 1)].append(rank)
     for rank in by_cards[0]:
         counts[rank] = 1
     keys = list(ranks)
-    for level in by_cards[1:]:
-        for rank in level:
-            state = states[rank]
+    for cards in by_cards[1:]:
+        for rank in cards:
+            state = tuple(level[rank * n : rank * n + n])
             j = 0
             while not state[j] % radix:
                 j += 1
             lowered = state[j] - 1
             middle = state[:j] + (lowered,) + state[j + 1 :]
-            hits = above_moves[above[keys[rank] - powers[j]]][::2]
+            lifted = above[keys[rank] - powers[j]]  # the rank of s'
+            hits = above_hits[above_starts[lifted] : above_starts[lifted + 1]]
             total = 0
             for code, hit in zip(dict.fromkeys(middle), hits):
                 # the types holding this code, j left out
@@ -424,45 +464,63 @@ def _terminal_counts(
     return counts
 
 
-# N and W by rank of each level of a down pass, root level first, each
-# list ending in a 0 for rank -1, the successors with no arrangements
+# N and W by rank of each level of a down pass, each list ending in a 0 for
+# rank -1, the successors with no arrangements
 _Weights = list[tuple[list[int], list[int]]]
 
 
-def _sweep_up(sweep: _Sweep, sense: Sense) -> tuple[Fraction, _Weights]:
-    """Solve every level of a down pass from the terminal level up; the
-    root's value and every level's weights.
+def _solve_level(
+    ns: list[int], ws: list[int], hits: array, misses: array, starts: array, pick: Callable
+) -> tuple[list[int], list[int]]:
+    """N and W by rank of a level from those of the level below, each list
+    ending in a 0 for rank -1.  N(hit) + W(hit) + W(miss) is read for every
+    move of the level in one pass, and each state's W picked from its
+    moves' slice; N(hit) + N(miss) is N of the state for any of its moves,
+    so its first move's successors give it."""
+    nws = list(map(operator.add, ns, ws))
+    acts = list(map(operator.add, map(nws.__getitem__, hits), map(ws.__getitem__, misses)))
+    firsts = starts[:-1]
+    above_w = list(map(pick, map(acts.__getitem__, map(slice, firsts, starts[1:]))))
+    above_n = list(map(operator.add, map(ns.__getitem__, map(hits.__getitem__, firsts)),
+                       map(ns.__getitem__, map(misses.__getitem__, firsts))))
+    above_n.append(0)
+    above_w.append(0)
+    return above_n, above_w
+
+
+def _sweep_up(sweep: _Sweep, sense: Sense) -> Iterator[tuple[list[int], list[int]]]:
+    """Solve a down pass from the terminal level up, yielding each level's
+    N and W by rank as soon as it is solved, so a caller keeps only the
+    levels it needs.
 
     The terminal level starts from the sweep's ``counts`` with W = 0, so
-    another sense over the same sweep counts nothing again.  The root's N
-    is then checked against ``_count`` of the root, the pass's one
-    inclusion-exclusion count; a mismatch raises AssertionError.
+    another sense over the same sweep counts nothing again.  Once the root
+    is solved its N is checked against ``_count`` of the root, the pass's
+    one inclusion-exclusion count; a mismatch raises AssertionError.
     """
     pick = max if sense == "max" else min
     ns = sweep.counts
     ws = [0] * len(ns)
-    weights = [(ns, ws)]
-    for level_moves in reversed(sweep.moves):
-        nws = list(map(operator.add, ns, ws))
-        above_n = []
-        above_w = []
-        for flat in level_moves:
-            # N(hit) + W(hit) + W(miss) per guess; the two inner maps take
-            # turns drawing from one iterator, so they read hit and miss
-            ranks = iter(flat)
-            above_w.append(
-                pick(map(operator.add, map(nws.__getitem__, ranks), map(ws.__getitem__, ranks)))
-            )
-            above_n.append(ns[flat[0]] + ns[flat[1]])  # the same for every guess
-        ns = above_n + [0]
-        ws = above_w + [0]
-        weights.append((ns, ws))
-    weights.reverse()
-    root = _pairs(sweep.states[0][0], sweep.radix)
+    yield ns, ws
+    for moves in zip(*map(reversed, (sweep.hits, sweep.misses, sweep.starts))):
+        ns, ws = _solve_level(ns, ws, *moves, pick)
+        yield ns, ws
+    root = _pairs(sweep.state(0, 0), sweep.radix)
     # the solve's one inclusion-exclusion count checks the terminal recurrence
     if ns[0] != _count(*zip(*root)):
         raise AssertionError(f"terminal counts give {ns[0]} shuffles at {root}")
-    return Fraction(ws[0], ns[0]), weights
+
+
+def _root_value(sweep: _Sweep, sense: Sense) -> Fraction:
+    """The root's value, keeping only the (N, W) lists of two levels at once."""
+    for ns, ws in _sweep_up(sweep, sense):
+        pass
+    return Fraction(ws[0], ns[0])
+
+
+def _all_weights(sweep: _Sweep, sense: Sense) -> _Weights:
+    """Every level's N and W, root level first."""
+    return list(_sweep_up(sweep, sense))[::-1]
 
 
 def _optimal_guesses(
@@ -473,11 +531,10 @@ def _optimal_guesses(
     N(hit) + W(hit) + W(miss) equals the best, read from the level below's
     weights, with its successors' ranks there."""
     ns, ws = weights[level + 1]
-    flat = sweep.moves[level][rank]
-    hits, misses = flat[::2], flat[1::2]
+    hits, misses = sweep.moves(level, rank)
     acts = [ns[hit] + ws[hit] + ws[miss] for hit, miss in zip(hits, misses)]
     best = max(acts) if sense == "max" else min(acts)
-    codes = dict.fromkeys(sweep.states[level][rank])
+    codes = dict.fromkeys(sweep.state(level, rank))
     return [
         (divmod(code, sweep.radix), hit, miss)
         for code, hit, miss, act in zip(codes, hits, misses, acts)
@@ -501,41 +558,49 @@ def solve_partial(
     for every guess, W(s) = opt over guesses of N(hit) + W(hit) + W(miss).
     Every guess draws one card, so the states fall into levels by draws
     left, and level 0 holds exactly the terminal states, where W = 0.  One
-    pass down lists each level's states, names each move's successors by
-    their rank in the next level's list, and counts level 0's arrangements
-    by a recurrence over level 1's hits (``_terminal_counts``); one pass up
-    solves each level from flat lists of N and W by rank of the level below,
-    so deep decks need no recursion, and checks the root's N against one
-    ``_count``, the solve's only inclusion-exclusion count.  ``values``
+    pass down keeps each level's states and each move's successor ranks in
+    the next level as flat arrays, and counts level 0's arrangements by a
+    recurrence over level 1's hits (``_terminal_counts``); one pass up
+    solves each level at once from flat lists of N and W by rank of the
+    level below, so deep decks need no recursion, and checks the root's N
+    against one ``_count``, the solve's only inclusion-exclusion count.
+    The solve keeps only two levels' (N, W) lists at a time.  ``values``
     (W / N per state) and ``policy`` (each non-terminal state's optimal
-    pairs, by ``_optimal_guesses``) are built from the kept weights when
-    first read; until then only the root's value is a Fraction.  Raises RuntimeError once more than ``state_limit`` states turn up, or
-    at once when ``_partial_state_floor`` already exceeds it.
+    pairs, by ``_optimal_guesses``) are built when first read, from one
+    more pass up that keeps every level's lists; until then only the root's
+    value is a Fraction.  Raises RuntimeError once more than
+    ``state_limit`` states turn up, or at once when ``_partial_state_floor``
+    already exceeds it.
     """
     _check_sense(sense)
     sweep = _sweep_down(spec, state_limit)
-    value, weights = _sweep_up(sweep, sense)
     radix = sweep.radix
+    weights = functools.cache(lambda: _all_weights(sweep, sense))
 
     def values() -> dict[PairState, Fraction]:
         return {
             _pairs(state, radix): Fraction(w, n)
-            for states, (ns, ws) in zip(sweep.states, weights)
-            for state, n, w in zip(states, ns, ws)
+            for level, (ns, ws) in enumerate(weights())
+            for state, n, w in zip(sweep.states(level), ns, ws)
         }
 
     def policy() -> dict[PairState, tuple[tuple[int, int], ...]]:
+        levels = weights()
         return {
             _pairs(state, radix): tuple(
-                pair for pair, _, _ in _optimal_guesses(sweep, weights, sense, level, rank)
+                pair for pair, _, _ in _optimal_guesses(sweep, levels, sense, level, rank)
             )
-            for level, states in enumerate(sweep.states[:-1])
-            for rank, state in enumerate(states)
+            for level in range(len(sweep.hits))
+            for rank, state in enumerate(sweep.states(level))
         }
 
-    size = sum(map(len, sweep.states))
+    types = spec.num_types
+    size = sum(map(len, sweep.codes)) // types
     return PartialSolution(
-        spec, value, _Lazy(size, values), _Lazy(size - len(sweep.states[-1]), policy)
+        spec,
+        _root_value(sweep, sense),
+        _Lazy(size, values),
+        _Lazy(size - len(sweep.codes[-1]) // types, policy),
     )
 
 
@@ -553,7 +618,7 @@ def partial_values_or_none(spec: DeckSpec, state_limit: int) -> dict[str, Fracti
         sweep = _sweep_down(spec, state_limit)
     except RuntimeError:
         return {"max": None, "min": None}
-    return {sense: _sweep_up(sweep, sense)[0] for sense in ("max", "min")}
+    return {sense: _root_value(sweep, sense) for sense in ("max", "min")}
 
 
 # ===== persistence probe =====
@@ -577,13 +642,18 @@ def probe_persistence(
     Walks every state reachable under some optimal action, depth first by
     (level, rank) over the sweep's moves, and checks that a type guessed
     optimally and incorrectly stays in the successor's optimal action set.
-    Optimal guesses are read only for walked states and their miss
-    successors.  An empty list means persistence holds for this spec.
+    Optimal guesses are read once each, only for walked states and their
+    miss successors.  An empty list means persistence holds for this spec.
     """
     sweep = _sweep_down(spec, state_limit)
-    _, weights = _sweep_up(sweep, "max")
+    weights = _all_weights(sweep, "max")
     radix = sweep.radix
-    terminal = len(sweep.moves)
+    terminal = len(sweep.hits)
+
+    @functools.cache
+    def guesses(level: int, rank: int) -> list[tuple[tuple[int, int], int, int]]:
+        return _optimal_guesses(sweep, weights, "max", level, rank)
+
     violations: list[PersistenceViolation] = []
     seen: set[tuple[int, int]] = set()
     stack = [(0, 0)]  # (level, rank); the terminal level has no moves
@@ -592,13 +662,13 @@ def probe_persistence(
         if (level, rank) in seen or level == terminal:
             continue
         seen.add((level, rank))
-        for pair, hit, miss in _optimal_guesses(sweep, weights, "max", level, rank):
+        for pair, hit, miss in guesses(level, rank):
             stack += [(level + 1, below) for below in (hit, miss) if below >= 0]
             if miss < 0 or level + 1 == terminal:
                 continue
-            after = _optimal_guesses(sweep, weights, "max", level + 1, miss)
+            after = guesses(level + 1, miss)
             if all(p != (pair[0], pair[1] + 1) for p, _, _ in after):
-                state, successor = sweep.states[level][rank], sweep.states[level + 1][miss]
+                state, successor = sweep.state(level, rank), sweep.state(level + 1, miss)
                 optimal = tuple(p for p, _, _ in after)
                 violations.append(
                     PersistenceViolation(_pairs(state, radix), pair, _pairs(successor, radix), optimal)

@@ -20,10 +20,12 @@ from guessbench.bounds import (
     _ratio,
     _single_tail_reports,
     _single_tails,
+    _walks,
 )
 from guessbench.combinatorics import binomial_pmf
 from guessbench.core import DeckSpec
 from guessbench.exact import first_third_distribution
+from guessbench.montecarlo import rng_stream
 from guessbench.strategies import StrategyId, StrategySpec
 from oracles import (
     brute_hypergeom,
@@ -88,6 +90,15 @@ def test_empirical_maximal_deterministic_and_bounded():
     assert a.lhs_radius > 0
     with pytest.raises(ValueError):
         empirical_maximal(0.5, 1.0, 16, 32, 0, 0)
+
+
+def test_walks_join_into_whole_block_draws():
+    # a full 2048-row block, then 1300 rows: two 512-row slices and a 276
+    p, steps, seed = 0.3, 40, 5
+    sliced = list(_walks(p, steps, 2048 + 1300, seed))
+    assert [len(rows) for rows in sliced] == [512] * 6 + [276]
+    whole = [rng_stream(seed, 2, b).random((rows, steps)) < p for b, rows in ((0, 2048), (1, 1300))]
+    assert np.array_equal(np.concatenate(sliced), np.concatenate(whole))
 
 
 def single_tail(population, good, draws, lam):

@@ -3,6 +3,8 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
+from array import array
 from collections import Counter
 from pathlib import Path
 from fractions import Fraction
@@ -180,6 +182,28 @@ def test_value_only_solves_equal_the_full_solve():
             assert partial_values_or_none(spec, DEFAULT_STATE_LIMIT) == values
 
 
+def test_value_only_solve_keeps_levels_compact():
+    # a solve that keeps every level as tuples of codes and of moves, with
+    # its (N, W) lists, peaks near 200 bytes a state here
+    spec = DeckSpec(6, 3)
+    states = len(solve_partial(spec).values)
+    assert states == 14_014
+    tracemalloc.start()
+    try:
+        optimal_partial(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 150 * states
+
+
+def test_sweep_typecodes_hold_their_largest_values():
+    # 4-byte ints up to 2**31 - 1; (1200,1)'s codes stay below 1201 ** 2
+    assert exact._typecode(1201**2) == "i"
+    for top in (2**31 - 1, 2**31, 2**63 - 1):
+        assert array(exact._typecode(top), [-1, top])[1] == top
+
+
 DEEP_PARTIAL_SCRIPT = """
 from guessbench import DeckSpec, optimal_partial
 print(*(optimal_partial(DeckSpec(1200, 1), sense) for sense in ("max", "min")))
@@ -241,7 +265,7 @@ def test_terminal_recurrence_matches_inclusion_exclusion():
         if n > 1:
             assert any(mi == 0 < ai for state in level for mi, ai in state)
         sweep = exact._sweep_down(spec, DEFAULT_STATE_LIMIT)
-        swept = [exact._pairs(state, sweep.radix) for state in sweep.states[-1]]
+        swept = [exact._pairs(state, sweep.radix) for state in sweep.states(-1)]
         assert sorted(swept) == sorted(level)
         assert sweep.counts == [_count(*zip(*state)) for state in swept] + [0]
 
@@ -394,9 +418,9 @@ def test_persistence_probe_walks_in_depth_first_order(monkeypatch):
         if all(pair != dropped for pair, _, _ in optimal):
             return optimal
         # every guess of the state but the dropped one, with its successors
-        flat = sweep.moves[level][rank]
-        pairs = dict.fromkeys(exact._pairs(sweep.states[level][rank], sweep.radix))
-        return [g for g in zip(pairs, flat[::2], flat[1::2]) if g[0] != dropped]
+        hits, misses = sweep.moves(level, rank)
+        pairs = dict.fromkeys(exact._pairs(sweep.state(level, rank), sweep.radix))
+        return [g for g in zip(pairs, hits, misses) if g[0] != dropped]
 
     monkeypatch.setattr(exact, "_optimal_guesses", swapped)
     got = [
@@ -408,18 +432,17 @@ def test_persistence_probe_walks_in_depth_first_order(monkeypatch):
 
 def test_persistence_probe_reads_only_walked_states(monkeypatch):
     # (4,4) has 16,145 non-terminal states, and optimal play reaches
-    # about a tenth of them
+    # about a tenth of them; each is read once
     optimal_guesses = exact._optimal_guesses
-    calls = 0
+    calls = []
 
-    def spy(*args):
-        nonlocal calls
-        calls += 1
-        return optimal_guesses(*args)
+    def spy(sweep, weights, sense, level, rank):
+        calls.append((level, rank))
+        return optimal_guesses(sweep, weights, sense, level, rank)
 
     monkeypatch.setattr(exact, "_optimal_guesses", spy)
     assert probe_persistence(DeckSpec(4, 4)) == []
-    assert 0 < calls < len(solve_partial(DeckSpec(4, 4)).policy) == 16_145
+    assert 0 < len(calls) == len(set(calls)) < len(solve_partial(DeckSpec(4, 4)).policy) == 16_145
 
 
 def test_exact_chain_mean():
