@@ -699,6 +699,18 @@ def first_third_distribution(spec: DeckSpec, strategy: StrategySpec) -> dict[int
 # ===== pointwise bound sweep =====
 
 
+def _next_pairs(
+    total: int, low_m: int, low_a: int, left_m: int, left_a: int, slots: int
+) -> Iterator[tuple[int, int]]:
+    """The pairs that may take the next of ``slots`` places in a sorted
+    multiset with ``total`` cards, after a pair (low_m, low_a), with
+    ``left_m`` cards and ``left_a`` banned slots still to place."""
+    # the pairs still to come are no smaller, and the last takes what is left
+    for m in range(max(low_m, left_m if slots == 1 else 0), left_m // slots + 1):
+        for a in range(low_a if m == low_m else 0, min(total - m, left_a) + 1):
+            yield m, a
+
+
 def _pair_multisets(total: int, max_types: int) -> Iterator[PairState]:
     """Every sorted tuple of at most ``max_types`` (m_i, a_i) pairs with
     sum(m) = total, sum(a) < total and a_i <= total - m_i: the pair
@@ -708,13 +720,27 @@ def _pair_multisets(total: int, max_types: int) -> Iterator[PairState]:
         if not slots:
             yield prefix
             return
-        # the pairs still to come are no smaller, and the last takes what is left
-        for m in range(max(low_m, left_m if slots == 1 else 0), left_m // slots + 1):
-            for a in range(low_a if m == low_m else 0, min(total - m, left_a) + 1):
-                yield from extend(prefix + ((m, a),), m, a, left_m - m, left_a - a, slots - 1)
+        for m, a in _next_pairs(total, low_m, low_a, left_m, left_a, slots):
+            yield from extend(prefix + ((m, a),), m, a, left_m - m, left_a - a, slots - 1)
 
     for types in range(1, max_types + 1):
         yield from extend((), 0, 0, total, total - 1, types)
+
+
+def _pair_multiset_count(total: int, max_types: int) -> int:
+    """How many multisets ``_pair_multisets`` lists, counted without
+    listing them."""
+
+    @functools.lru_cache(maxsize=None)
+    def extend(low_m: int, low_a: int, left_m: int, left_a: int, slots: int) -> int:
+        if not slots:
+            return 1
+        return sum(
+            extend(m, a, left_m - m, left_a - a, slots - 1)
+            for m, a in _next_pairs(total, low_m, low_a, left_m, left_a, slots)
+        )
+
+    return sum(extend(0, 0, total, total - 1, types) for types in range(1, max_types + 1))
 
 
 @dataclass(frozen=True)
@@ -754,17 +780,20 @@ def verify_pointwise(max_total: int, max_types: int = 4, witness_cap: int = 64) 
     integer pairs by cross-multiplying, depend only on a state's pair
     multiset: each multiset is checked once and counts for its k!/prod(mult!)
     orderings, the grid states that share it.  Raises RuntimeError before any
-    ratio is computed when the grid holds more than ``DEFAULT_STATE_LIMIT``
+    multiset is listed when the grid holds more than ``DEFAULT_STATE_LIMIT``
     multisets.
     """
-    multisets: list[PairState] = []
+    grid = 0
     for total in range(1, max_total + 1):
-        multisets += _pair_multisets(total, max_types)
-        if len(multisets) > DEFAULT_STATE_LIMIT:
+        grid += _pair_multiset_count(total, max_types)
+        if grid > DEFAULT_STATE_LIMIT:
             raise RuntimeError(
                 f"max_total {max_total} needs more than {DEFAULT_STATE_LIMIT} pair multisets:"
-                f" {len(multisets)} with at most {total} cards"
+                f" {grid} with at most {total} cards"
             )
+    multisets = [
+        pairs for total in range(1, max_total + 1) for pairs in _pair_multisets(total, max_types)
+    ]
     best_num, best_den = 0, 1
     maximal: dict[PairState, set[tuple[int, int]]] = {}  # multiset -> its maximal pairs
     witness_count = checked = 0

@@ -225,6 +225,7 @@ def estimate_value(
     # validated only: a compatible model other than the strategy's own never
     # changes a score, since only no-feedback strategies run under one
     _resolve_model(strategy, model)
+    strategy.resolve(spec)  # so a spec that does not fit fails before any block
     return StatSummary.from_counter(_score_histogram(spec, strategy, trials, seed, workers))
 
 

@@ -86,6 +86,10 @@ class StrategySpec:
         kind = _STRATEGIES[self.id]
         if deck.num_types < kind.min_types:
             raise ValueError(f"{self.id.value} needs at least {kind.min_types} types")
+        if kind.max_cards is not None and deck.total > kind.max_cards:
+            raise ValueError(
+                f"{self.id.value} plays at most {kind.max_cards} cards (m*n), got {deck.total}"
+            )
         params = {}
         for name, default in kind.defaults.items():
             value = getattr(self, name)
@@ -137,19 +141,17 @@ def parse_strategy(text: str) -> StrategySpec:
 
 
 # Integer next-card counts N(s - e_i) by (remaining, wrong) pair, one entry
-# per canonical pair multiset s; posterior_by_pair and every memo miss of
-# the partial-mle kernels read it.
+# per canonical pair multiset s that posterior_by_pair meets.  The
+# partial-mle kernels keep no counts: a run leaves this empty.
 _DIST_CACHE: dict[PairState, dict[tuple[int, int], int]] = {}
 # Per (m, n, maximize), partial-mle's guessed type index by labelled-state
 # key (see _state_keys).
 _GUESS_MEMO: dict[tuple[int, int, bool], dict[int, int]] = {}
-
-
-def _counts_by_pair(pairs: PairState) -> dict[tuple[int, int], int]:
-    by_pair = _DIST_CACHE.get(pairs)
-    if by_pair is None:
-        by_pair = _DIST_CACHE[pairs] = next_card_counts(pairs)
-    return by_pair
+# Per (m, n, maximize), the winning codes (see _winning_codes) by canonical
+# key: the state's sorted digit codes read in radix (m + 1)(mn + 1).  At
+# (4,13) the two memos hold about 210 bytes per labelled state, where
+# keeping each canonical state's next-card counts took about 710.
+_BEST_MEMO: dict[tuple[int, int, bool], dict[int, int | tuple[int, ...]]] = {}
 
 
 def posterior_by_pair(remaining: list[int], wrong: list[int]) -> list[Fraction]:
@@ -159,22 +161,43 @@ def posterior_by_pair(remaining: list[int], wrong: list[int]) -> list[Fraction]:
     entry serves every relabeling.  The next slot is never banned, so the
     counts of the types sum to the shared denominator N(s).
     """
-    by_pair = _counts_by_pair(tuple(sorted(zip(remaining, wrong))))
+    pairs = tuple(sorted(zip(remaining, wrong)))
+    by_pair = _DIST_CACHE.get(pairs)
+    if by_pair is None:
+        by_pair = _DIST_CACHE[pairs] = next_card_counts(pairs)
     counts = [by_pair[pair] for pair in zip(remaining, wrong)]
     denom = sum(counts)
     return [Fraction(c, denom) for c in counts]
 
 
-def _mle_guess(pairs: list[tuple[int, int]], maximize: bool) -> int:
-    """Index of the type to guess under partial-mle (partial-min-mle when not
-    ``maximize``), given each type's (remaining, wrong) pair.
+def _winning_codes(codes: list[int], width: int, maximize: bool) -> int | tuple[int, ...]:
+    """The pairs partial-mle (partial-min-mle when not ``maximize``) may
+    guess on the state whose sorted codes remaining * width + wrong are
+    ``codes``, each as its code: one int, or a tuple when distinct pairs tie.
 
     Probabilities share the denominator N(s), so comparing the integer
-    counts N(s - e_i) suffices; ties go to the lowest type index.
+    counts N(s - e_i) suffices.
     """
-    by_pair = _counts_by_pair(tuple(sorted(pairs)))
-    counts = [by_pair[pair] for pair in pairs]
-    return counts.index((max if maximize else min)(counts))
+    by_pair = next_card_counts(tuple(divmod(code, width) for code in codes))
+    best = (max if maximize else min)(by_pair.values())
+    won = tuple(m * width + a for (m, a), count in by_pair.items() if count == best)
+    return won[0] if len(won) == 1 else won
+
+
+def _first_winner(codes: list[int], won: int | tuple[int, ...]) -> int:
+    """The lowest type index whose code is among ``won``."""
+    if isinstance(won, int):
+        return codes.index(won)
+    return next(i for i, code in enumerate(codes) if code in won)
+
+
+def _mle_guess(pairs: list[tuple[int, int]], maximize: bool) -> int:
+    """Index of the type to guess under partial-mle (partial-min-mle when not
+    ``maximize``), given each type's (remaining, wrong) pair; ties go to
+    the lowest type index."""
+    width = max(a for _, a in pairs) + 1
+    codes = [m * width + a for m, a in pairs]
+    return _first_winner(codes, _winning_codes(sorted(codes), width, maximize))
 
 
 # ===== kernels: one implementation per strategy =====
@@ -215,6 +238,15 @@ def _kernel_cyclic(spec, params, decks, strat_rng):
     return (decks == pattern).sum(axis=1)
 
 
+def _codes(key: int, n: int, radix: int) -> list[int]:
+    """The ``n`` digits of ``key`` in radix ``radix``, lowest place first."""
+    codes = []
+    for _ in range(n):
+        key, code = divmod(key, radix)
+        codes.append(code)
+    return codes
+
+
 def _state_keys(
     spec: DeckSpec,
 ) -> tuple[int, list[int], list[int], Callable[[int], list[tuple[int, int]]]]:
@@ -222,43 +254,55 @@ def _state_keys(
     the start key, each type's hit and miss steps, and the decoder from a
     key back to the list of (remaining, wrong) pairs.
 
-    Type i's pair is the digit remaining * (mn + 1) + wrong, in radix
-    (m + 1)(mn + 1), at place i.  A hit on type i subtracts hits[i] from the
-    key and a miss adds misses[i].  Decoded pairs are shared tuples, one
-    per digit, so they are not copied into every ``_DIST_CACHE`` key.
+    Type i's pair is the digit, or code, remaining * (mn + 1) + wrong, in
+    radix (m + 1)(mn + 1), at place i.  A hit on type i subtracts hits[i]
+    from the key and a miss adds misses[i].
     """
     m, n = spec.multiplicity, spec.num_types
     width = spec.total + 1
     radix = (m + 1) * width
     misses = [radix**i for i in range(n)]
     hits = [width * step for step in misses]
-    pair_of = [divmod(code, width) for code in range(radix)]
 
     def decode(key: int) -> list[tuple[int, int]]:
-        pairs = []
-        for _ in range(n):
-            key, code = divmod(key, radix)
-            pairs.append(pair_of[code])
-        return pairs
+        return [divmod(code, width) for code in _codes(key, n, radix)]
 
     return m * width * sum(misses), hits, misses, decode
 
 
 def _kernel_mle(maximize: bool):
-    # Each row walks its game by integer steps on its state key; the memo
-    # for the deck spec and sense gives every guess after a state's first.
+    # Each row walks its game by integer steps on its labelled state key.
+    # The labelled memo gives every guess after a state's first; on its
+    # miss the canonical memo gives the winning codes, and only a state
+    # new to both counts arrangements.
     def kernel(spec: DeckSpec, params: dict, decks: np.ndarray, strat_rng) -> np.ndarray:
         import numpy as np
 
-        start, hits, misses, decode = _state_keys(spec)
-        memo = _GUESS_MEMO.setdefault((spec.multiplicity, spec.num_types, maximize), {})
+        m, n = spec.multiplicity, spec.num_types
+        width = spec.total + 1
+        radix = (m + 1) * width
+        start, hits, misses, _ = _state_keys(spec)
+        memo = _GUESS_MEMO.setdefault((m, n, maximize), {})
+        best = _BEST_MEMO.setdefault((m, n, maximize), {})
+
+        def guess(key: int) -> int:
+            codes = _codes(key, n, radix)
+            ordered = sorted(codes)
+            canon = 0
+            for code in ordered:
+                canon = canon * radix + code
+            won = best.get(canon)
+            if won is None:
+                won = best[canon] = _winning_codes(ordered, width, maximize)
+            return _first_winner(codes, won)
+
         scores = []
         for deck in decks.tolist():
             key, score = start, 0
             for card in deck:
                 i = memo.get(key)
                 if i is None:
-                    i = memo[key] = _mle_guess(decode(key), maximize)
+                    i = memo[key] = guess(key)
                 if card == i + 1:
                     score += 1
                     key -= hits[i]
@@ -303,7 +347,8 @@ def _kernel_ladder(spec, params, decks, strat_rng):
 class _Kind(NamedTuple):
     """One strategy: its native model, each parameter it reads with its
     default on a deck, and what the deck must satisfy: bounds on parameters
-    and a least number of types.  Its kernel is its entry in ``_KERNELS``.
+    and a least number of types or a most number of cards.  Its kernel is
+    its entry in ``_KERNELS``.
 
     ``reads_types`` = k says the kernel compares cards only against types
     1..k, so simulation may deal it decks holding only those km cards, with
@@ -313,8 +358,14 @@ class _Kind(NamedTuple):
     defaults: dict[str, Callable[[DeckSpec], int | float]] = {}
     bounds: dict[str, Callable[[DeckSpec], tuple[int, int]]] = {}
     min_types: int = 1
+    max_cards: int | None = None
     reads_types: int | None = None
 
+
+# A partial-mle game's cost grows steeply with the deck: on a 2-CPU
+# machine a game takes about 0.025 s at (10,10), 0.17 s at (20,10) and
+# 5.7 s at (40,10) and at (20,20).
+_MLE_MAX_CARDS = 200
 
 _STRATEGIES = {
     StrategyId.COMPLETE_GREEDY_MAX: _Kind(FeedbackModel.COMPLETE),
@@ -325,8 +376,8 @@ _STRATEGIES = {
         bounds={"card": lambda deck: (1, deck.num_types)},
     ),
     StrategyId.NOFB_CYCLIC: _Kind(FeedbackModel.NONE),
-    StrategyId.PARTIAL_MLE: _Kind(FeedbackModel.PARTIAL),
-    StrategyId.PARTIAL_MIN_MLE: _Kind(FeedbackModel.PARTIAL),
+    StrategyId.PARTIAL_MLE: _Kind(FeedbackModel.PARTIAL, max_cards=_MLE_MAX_CARDS),
+    StrategyId.PARTIAL_MIN_MLE: _Kind(FeedbackModel.PARTIAL, max_cards=_MLE_MAX_CARDS),
     StrategyId.PARTIAL_UNIFORM: _Kind(FeedbackModel.PARTIAL, {"seed": lambda deck: 0}),
     StrategyId.PARTIAL_TWO_PHASE: _Kind(
         FeedbackModel.PARTIAL,

@@ -360,10 +360,23 @@ def test_exact_sweep_report_bytes_pinned(capsys, argv, fmt, digest):
     assert hashlib.sha256(strip_provenance(out, fmt).encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("sid", ["partial-mle", "partial-min-mle"])
+def test_simulate_refuses_partial_mle_past_its_card_limit(capsys, sid):
+    started = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "simulate", "-m", "400", "-n", "50", "--strategy", sid, "--trials", "2000"
+    )
+    assert time.perf_counter() - started < 1.0
+    assert code == 2
+    assert out == ""
+    assert f"{sid} plays at most 200 cards (m*n), got 20000" in err
+
+
 def test_verify_pointwise_refuses_a_grid_past_the_state_limit(capsys):
+    # the multisets are counted per total, so none is listed before the refusal
     started = time.perf_counter()
     code, out, err = run_cli(capsys, "verify-pointwise", "--max-total", "40")
-    assert time.perf_counter() - started < 3.0
+    assert time.perf_counter() - started < 0.5
     assert code == 2
     assert out == ""
     assert f"more than {exact.DEFAULT_STATE_LIMIT} pair multisets" in err

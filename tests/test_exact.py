@@ -526,6 +526,13 @@ def test_verify_pointwise_matches_reference():
                 )
 
 
+def test_pair_multiset_count_matches_the_listing():
+    for total in range(1, 13):
+        for max_types in range(1, 5):
+            listed = sum(1 for _ in exact._pair_multisets(total, max_types))
+            assert exact._pair_multiset_count(total, max_types) == listed, (total, max_types)
+
+
 def test_multiset_walk_matches_the_ordered_sweep():
     cases = [(max_total, 4, cap) for max_total in range(1, 9) for cap in (1, 64)]
     cases += [(max_total, max_types, cap) for max_total in range(1, 7)

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,6 +10,8 @@ import guessbench.montecarlo as mc
 from guessbench.core import DeckSpec, FeedbackModel
 from guessbench.exact import enumerable_specs, exact_value, solve_partial
 from guessbench.strategies import (
+    _BEST_MEMO,
+    _DIST_CACHE,
     _GUESS_MEMO,
     _KERNELS,
     _STRATEGIES,
@@ -278,6 +281,62 @@ def test_state_keys_round_trip_when_misses_pile_on_one_type():
     piled = start + 29 * misses[0]
     assert decode(piled) == [(1, 29)] + [(1, 0)] * 29
     assert _GUESS_MEMO[1, 30, True][piled] == 0
+
+
+def _forget_mle_memos(spec, maximize):
+    for memo in (_GUESS_MEMO, _BEST_MEMO):
+        memo.pop((spec.multiplicity, spec.num_types, maximize), None)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_mle_guess_and_kernel_agree_on_tied_states(m):
+    # every labelled state that any shuffle of (m,3) reaches, in both
+    # senses: a tie between distinct pairs goes to the lowest type index
+    spec = DeckSpec(m, 3)
+    decode = _state_keys(spec)[3]
+    decks = all_shuffles(m, 3)
+    for sid, maximize, pick in (
+        (StrategyId.PARTIAL_MLE, True, max),
+        (StrategyId.PARTIAL_MIN_MLE, False, min),
+    ):
+        _forget_mle_memos(spec, maximize)
+        kernel_scores(StrategySpec(sid), spec, decks)
+        for key, guess in _GUESS_MEMO[m, 3, maximize].items():
+            pairs = decode(key)
+            assert guess == _mle_guess(pairs, maximize)
+            expected = reference_posterior_by_pair(*map(list, zip(*pairs)))
+            assert guess == expected.index(pick(expected))
+        assert any(isinstance(won, tuple) for won in _BEST_MEMO[m, 3, maximize].values())
+
+
+def test_mle_runs_leave_the_count_cache_empty():
+    _DIST_CACHE.clear()
+    for sid, maximize in ((StrategyId.PARTIAL_MLE, True), (StrategyId.PARTIAL_MIN_MLE, False)):
+        for spec in (DeckSpec(2, 3), DeckSpec(3, 4)):
+            _forget_mle_memos(spec, maximize)
+        mc.estimate_value(DeckSpec(3, 4), None, StrategySpec(sid), 500, 3)
+        exact_value(DeckSpec(2, 3), StrategySpec(sid))
+        assert _BEST_MEMO[3, 4, maximize] and _BEST_MEMO[2, 3, maximize]
+    assert _DIST_CACHE == {}
+
+
+def test_mle_memos_stay_compact_per_labelled_state():
+    # a small int per labelled state and a code per canonical state: about
+    # 230 bytes per labelled state at the peak, where caching each canonical
+    # state's next-card counts took about 730
+    spec = DeckSpec(4, 13)
+    decks = next(mc.deck_chunks(mc._deck_word(spec), [(0, 300)], 5))
+    score = make_strategy(StrategySpec(StrategyId.PARTIAL_MLE), spec)
+    _forget_mle_memos(spec, True)
+    tracemalloc.start()
+    try:
+        score(decks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    states = len(_GUESS_MEMO[4, 13, True])
+    assert states > 5_000
+    assert peak < 270 * states
 
 
 def test_uniform_strategy_draws_from_stream():
