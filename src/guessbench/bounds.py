@@ -11,9 +11,8 @@ compare whole distributions exactly, so their reports carry no sides.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterator, Mapping
+from typing import TYPE_CHECKING, Iterator, Mapping, NamedTuple
 
 from .combinatorics import binomial_pmf
 from .core import DeckSpec
@@ -33,11 +32,11 @@ _BOUNDS_TAG = 2
 _SIM_BLOCK = 2048
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """One evaluated inequality: parameters, both sides, and a verdict.
     A comparison of whole distributions has no single pair of sides, so
-    its lhs, lhs_radius and rhs are None."""
+    its lhs, lhs_radius and rhs are None.  A tuple, since the tail grid
+    builds tens of thousands of them."""
 
     bound: str
     params: tuple[tuple[str, float | int | str], ...]
@@ -181,22 +180,19 @@ def _single_tail_reports(
     exact LHS vs 3*exp(-lam^2*b*m/2N) at b = draws."""
     hypothesis_ok, notes = _hypothesis(population, good)
     tails = _single_tails(population, good, draws, ratios)
+    params = (("population", population), ("good", good), ("draws", draws))
+    notes += "exact lhs "
     for lam, (num, den) in zip(lams, tails):
         lhs = num / den
         rhs = 3.0 * math.exp(-(lam**2) * draws * good / (2.0 * population))
         yield BoundReport(
-            bound="hyp-tail-single",
-            params=(
-                ("population", population),
-                ("good", good),
-                ("draws", draws),
-                ("lam", lam),
-            ),
-            rhs=rhs,
-            lhs=lhs,
-            lhs_radius=0.0,
-            verdict=_exact_verdict(lhs, rhs, hypothesis_ok, slack=1e-12),
-            notes=notes + f"exact lhs {num}/{den}",
+            "hyp-tail-single",
+            params + (("lam", lam),),
+            rhs,
+            lhs,
+            0.0,
+            _exact_verdict(lhs, rhs, hypothesis_ok, slack=1e-12),
+            f"{notes}{num}/{den}",
         )
 
 

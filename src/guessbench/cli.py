@@ -192,12 +192,12 @@ def _cmd_optimal(config: RunConfig):
     spec = _require_spec(config)
     if config.model is None:
         raise UsageError("--model is required (none|partial|complete)")
-    if config.state_limit is not None and config.model != "partial":
-        raise UsageError(f"--state-limit is read only with --model partial, not {config.model}")
+    if config.state_limit is not None and config.model == "none":
+        raise UsageError("--state-limit is read only with --model partial or complete, not none")
+    state_limit = _or_default(config.state_limit, exact.DEFAULT_STATE_LIMIT)
     if config.model == "complete":
-        value = exact.optimal_complete(spec, config.sense)
+        value = exact.optimal_complete(spec, config.sense, state_limit)
     elif config.model == "partial":
-        state_limit = _or_default(config.state_limit, exact.DEFAULT_STATE_LIMIT)
         value = exact.optimal_partial(spec, config.sense, state_limit=state_limit)
     else:
         # with no feedback every fixed guess sequence scores m in expectation
@@ -256,14 +256,15 @@ def _cmd_verify_pointwise(config: RunConfig):
 
 
 def _bound_report_row(report: bounds.BoundReport) -> dict:
+    bound, params, rhs, lhs, lhs_radius, verdict, notes = report
     return {
-        "bound": report.bound,
-        "params": dict(report.params),
-        "lhs": report.lhs,
-        "lhs_radius": report.lhs_radius,
-        "rhs": report.rhs,
-        "verdict": report.verdict,
-        "notes": report.notes,
+        "bound": bound,
+        "params": dict(params),
+        "lhs": lhs,
+        "lhs_radius": lhs_radius,
+        "rhs": rhs,
+        "verdict": verdict,
+        "notes": notes,
     }
 
 
@@ -357,13 +358,19 @@ def _cmd_table(config: RunConfig):
         m, n = spec.multiplicity, spec.num_types
         row = {"m": m, "n": n, "shuffles": shuffle_count(spec)}
         row.update(exact_cells("nofb", Fraction(m)))
-        for sense, value in exact.partial_values_or_none(spec, state_limit).items():
+        # a cell past the state limit is left empty in both senses
+        values = exact.partial_values_or_none(spec, state_limit)
+        cells = {f"partial_{sense}": value for sense, value in values.items()}
+        try:
+            for sense in ("max", "min"):
+                cells[f"complete_{sense}"] = exact.optimal_complete(spec, sense, state_limit)
+        except RuntimeError:
+            cells["complete_max"] = cells["complete_min"] = None
+        for name, value in cells.items():
             if value is None:
-                row[f"partial_{sense}"] = row[f"partial_{sense}_decimal"] = None
+                row[name] = row[f"{name}_decimal"] = None
             else:
-                row.update(exact_cells(f"partial_{sense}", value))
-        for sense in ("max", "min"):
-            row.update(exact_cells(f"complete_{sense}", exact.optimal_complete(spec, sense)))
+                row.update(exact_cells(name, value))
         row["asymptotic_error_forms"] = list(ASYMPTOTIC_ERROR_FORMS)
         rows.append(row)
     return rows

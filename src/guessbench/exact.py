@@ -151,7 +151,9 @@ def exact_value(
 # ===== complete feedback: integer weights on count multisets =====
 
 
-def optimal_complete(spec: DeckSpec, sense: Sense = "max") -> Fraction:
+def optimal_complete(
+    spec: DeckSpec, sense: Sense = "max", state_limit: int = DEFAULT_STATE_LIMIT
+) -> Fraction:
     """Value of best (or worst) play under complete feedback.
 
     The drawn card is revealed either way, so a state is just the multiset of
@@ -162,9 +164,15 @@ def optimal_complete(spec: DeckSpec, sense: Sense = "max") -> Fraction:
     c with one card of type j drawn, N(c) = sum_j N(c - e_j) and
     W(c) = N(c - e_best) + sum_j W(c - e_j).  The sweep runs up from the
     empty deck one size at a time, each state adding its share to the states
-    one card larger, and keeps only two sizes.
+    one card larger, and keeps only two sizes.  It visits all C(m + n, n)
+    multisets, so it raises RuntimeError before the sweep when that count
+    exceeds ``state_limit``.
     """
     _check_sense(sense)
+    if math.comb(spec.multiplicity + spec.num_types, spec.num_types) > state_limit:
+        raise RuntimeError(
+            f"more than {state_limit} complete-feedback states; raise state_limit if intended"
+        )
     maximize = sense == "max"
     top = spec.multiplicity
     layer: dict[tuple[int, ...], list[int]] = {(0,) * spec.num_types: [1, 0]}

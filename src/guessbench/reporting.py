@@ -36,16 +36,51 @@ def exact_cells(name: str, value: Fraction | int) -> list[tuple[str, str]]:
     return [(name, format_exact(value)), (f"{name}_decimal", format_decimal(value))]
 
 
+_JSON_PROBE = '{"a":[1,-2.5,null,true,"\\u00e9\\n"],"b":["1/3"],"c":{}}'
+
+
+def _json_encoder():
+    """The encode of a compact JSONEncoder whose default writes Fractions
+    as "num/den", with the C encoder it builds on every call built once.
+    ``c_make_encoder`` is not public API, so where it is missing, takes
+    other arguments or encodes a probe otherwise, the public encode is
+    returned."""
+    encoder = json.JSONEncoder(separators=(",", ":"), default=format_exact)
+    markers: dict = {}
+    try:
+        from json.encoder import c_make_encoder, encode_basestring_ascii
+
+        iterencode = c_make_encoder(
+            markers, encoder.default, encode_basestring_ascii, None, ":", ",", False, False, True
+        )
+    except (ImportError, TypeError):
+        return encoder.encode
+
+    def encode(value) -> str:
+        try:
+            return "".join(iterencode(value, 0))
+        finally:
+            # a failed encode leaves its containers in the circular check
+            markers.clear()
+
+    try:
+        probe = encode({"a": [1, -2.5, None, True, "é\n"], "b": (Fraction(1, 3),), "c": {}})
+    except (TypeError, ValueError):
+        probe = None
+    return encode if probe == _JSON_PROBE else encoder.encode
+
+
 # JSON rows and CSV container cells; Fractions become "num/den" strings
-_encode_json = json.JSONEncoder(separators=(",", ":"), default=format_exact).encode
+_encode_json = _json_encoder()
 
 # CSV cell encoders by exact type; any other type (a subclass, a numpy
 # scalar) takes the entry of its first base class that has one, or str.
+# The float entry is format_decimal without its float() call.
 _ENCODE_CELL = {
     type(None): lambda value: "",
     bool: lambda value: "true" if value else "false",
     Fraction: format_exact,
-    float: format_decimal,
+    float: f"{{:.{FLOAT_DECIMALS}f}}".format,
     int: str,
     str: str,
     list: _encode_json,
@@ -59,6 +94,24 @@ def _encode_inherited(value) -> str:
         if base in _ENCODE_CELL:
             return _ENCODE_CELL[base](value)
     return str(value)
+
+
+def _encode_cell(value) -> str:
+    return _ENCODE_CELL.get(type(value), _encode_inherited)(value)
+
+
+def _encode_column(column: tuple):
+    """The CSV cells of one column of a block.  A column of one exact type
+    that has an entry maps that entry over it, and a str column passes
+    through; any other column encodes cell by cell."""
+    kinds = set(map(type, column))
+    if len(kinds) == 1:
+        (kind,) = kinds
+        if kind is str:
+            return column
+        if kind in _ENCODE_CELL:
+            return map(_ENCODE_CELL[kind], column)
+    return map(_encode_cell, column)
 
 
 def emit_table(
@@ -88,10 +141,10 @@ def emit_table(
     writer = csv.writer(buf, lineterminator="\n")
     if header:
         writer.writerow(columns)
-    encode = _ENCODE_CELL.get
-    writer.writerows(
-        [encode(type(value), _encode_inherited)(value) for value in row.values()] for row in rows
-    )
+    # encoded a column at a time, so each column looks up its encoder once;
+    # rows with no columns have no column to zip, so they are written as is
+    cells = [_encode_column(column) for column in zip(*[row.values() for row in rows])]
+    writer.writerows(zip(*cells) if columns else rows)
     return buf.getvalue()
 
 

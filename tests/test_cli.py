@@ -8,7 +8,6 @@ import subprocess
 import sys
 import time
 import tracemalloc
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -135,14 +134,34 @@ def test_optimal_fails_fast_past_state_limit(capsys):
     assert "state_limit" in err
 
 
-@pytest.mark.parametrize("model", ["complete", "none"])
+@pytest.mark.parametrize("model", ["none"])
 def test_optimal_rejects_state_limit_it_does_not_read(capsys, model):
     code, out, err = run_cli(
         capsys, "optimal", "-m", "2", "-n", "2", "--model", model, "--state-limit", "1"
     )
     assert code == 2
     assert out == ""
-    assert f"--state-limit is read only with --model partial, not {model}" in err
+    assert f"--state-limit is read only with --model partial or complete, not {model}" in err
+
+
+def test_optimal_complete_refuses_past_the_state_limit(capsys):
+    # C(450, 50) complete-feedback states: refused before the sweep starts
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "optimal", "-m", "400", "-n", "50", "--model", "complete")
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert out == ""
+    assert "more than 400000 complete-feedback states" in err
+    # (2,3) has C(5, 3) = 10 states: a limit of 10 solves it, 9 refuses it
+    code, out, err = run_cli(capsys, "optimal", "-m", "2", "-n", "3", "--model", "complete",
+                             "--state-limit", "10")
+    assert code == 0, err
+    assert dict(zip(*read_csv(out)))["value"] == "101/30"
+    code, out, err = run_cli(capsys, "optimal", "-m", "2", "-n", "3", "--model", "complete",
+                             "--state-limit", "9")
+    assert code == 2
+    assert out == ""
+    assert "more than 9 complete-feedback states" in err
 
 
 def test_workers_must_be_positive(capsys):
@@ -339,6 +358,19 @@ def strip_provenance(text, fmt):
 def test_verify_bounds_report_bytes_pinned(capsys, fmt, digest):
     # every row of the report, grid, simulated and dominance alike
     code, out, err = run_cli(capsys, "verify-bounds", "--max-total", "20", "--trials", "2000",
+                             "--seed", "0", "--format", fmt)
+    assert code == 0, err
+    assert hashlib.sha256(strip_provenance(out, fmt).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("fmt,digest", [
+    ("csv", "58afb354a1152ac20149630c6f6fefc06029d2143dd6f906a313078bf91f6a91"),
+    ("json", "7d81e83eef5c764d613488a15a67a4305181e0a54fc0bf153f38fcce031e2178"),
+])
+def test_verify_bounds_60_report_bytes_pinned(capsys, fmt, digest):
+    # the benchmark's tail grid: 39,844 grid rows, every block of the
+    # column encoder, and the grid/dominance boundary where lhs turns None
+    code, out, err = run_cli(capsys, "verify-bounds", "--max-total", "60", "--trials", "10000",
                              "--seed", "0", "--format", fmt)
     assert code == 0, err
     assert hashlib.sha256(strip_provenance(out, fmt).encode()).hexdigest() == digest
@@ -588,7 +620,7 @@ def test_fail_inside_grid_exits_1_after_every_row(capsys, monkeypatch, tmp_path)
 
     def failing_once(max_population):
         for index, report in enumerate(grid(max_population)):
-            yield replace(report, verdict=bounds.FAIL) if index == 100 else report
+            yield report._replace(verdict=bounds.FAIL) if index == 100 else report
 
     monkeypatch.setattr(cli, "_BLOCK_ROWS", 64)
     monkeypatch.setattr(bounds, "single_tail_grid", failing_once)
@@ -623,13 +655,33 @@ def test_table_validates_every_cell_before_solving(capsys, monkeypatch):
 
 
 def test_table_state_limit_flag(capsys):
-    code, out, err = run_cli(capsys, "table", "-m", "2", "-n", "3", "--state-limit", "9")
+    # (2,3) has C(5, 3) = 10 complete-feedback states and more partial ones
+    code, out, err = run_cli(capsys, "table", "-m", "2", "-n", "3", "--state-limit", "10")
     assert code == 0, err
     row = dict(zip(*read_csv(out)))
     for sense in ("max", "min"):
         assert row[f"partial_{sense}"] == row[f"partial_{sense}_decimal"] == ""
     assert row["complete_max"] == "101/30"
     assert row["complete_min"] == "13/15"
+
+
+def test_table_leaves_complete_cells_empty_past_the_state_limit(capsys):
+    # C(24, 12) = 2,704,156 complete states at (12,12): every value cell
+    # but nofb is left empty, and nothing is swept
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "table", "-m", "12", "-n", "12")
+    assert time.perf_counter() - start < 1
+    assert code == 0, err
+    row = dict(zip(*read_csv(out)))
+    assert row["nofb"] == "12"
+    for model in ("partial", "complete"):
+        for sense in ("max", "min"):
+            assert row[f"{model}_{sense}"] == row[f"{model}_{sense}_decimal"] == ""
+    # (2,3) has C(5, 3) = 10 complete states
+    for limit, complete_max in (("9", ""), ("10", "101/30")):
+        code, out, err = run_cli(capsys, "table", "-m", "2", "-n", "3", "--state-limit", limit)
+        assert code == 0, err
+        assert dict(zip(*read_csv(out)))["complete_max"] == complete_max
 
 
 def test_table_runs_one_down_pass_per_cell(capsys, monkeypatch):

@@ -1,8 +1,11 @@
 import hashlib
+import itertools
+import math
 import os
 import random
 import subprocess
 import sys
+import time
 import tracemalloc
 from array import array
 from collections import Counter
@@ -235,6 +238,22 @@ def test_state_limits_fail_before_the_search():
     with pytest.raises(RuntimeError, match="more than 400000 partial states"):
         optimal_partial(DeckSpec(1, 1500))
     assert _partial_state_floor(DeckSpec(1, 1500)) == 1_127_250
+
+
+def test_complete_state_limit_is_the_multiset_count():
+    # the sweep visits every non-increasing count tuple, C(m + n, n) of them
+    for spec in (DeckSpec(2, 3), DeckSpec(1, 6), DeckSpec(4, 2), DeckSpec(3, 3)):
+        m, n = spec.multiplicity, spec.num_types
+        states = len(list(itertools.combinations_with_replacement(range(m + 1), n)))
+        assert states == math.comb(m + n, n)
+        for sense in ("max", "min"):
+            assert optimal_complete(spec, sense, states) == optimal_complete(spec, sense)
+            with pytest.raises(RuntimeError, match=f"more than {states - 1} complete-feedback"):
+                optimal_complete(spec, sense, states - 1)
+    start = time.perf_counter()
+    with pytest.raises(RuntimeError, match="more than 400000 complete-feedback states"):
+        optimal_complete(DeckSpec(400, 50))
+    assert time.perf_counter() - start < 1
 
 
 def test_state_limit_counts_every_state():

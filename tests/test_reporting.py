@@ -1,10 +1,12 @@
 import enum
 import json
+import json.encoder
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from guessbench import reporting
 from guessbench.reporting import (
     emit_table,
     exact_cells,
@@ -93,6 +95,75 @@ def test_cells_match_the_reference_renderers(fmt):
     numpy_int = [{"a": np.int64(7), "b": np.bool_(True)}]
     if fmt == "csv":
         assert emit_table(numpy_int) == render_csv(numpy_int) == "a,b\n7,True\n"
+
+
+class Verdict(str, enum.Enum):
+    PASS = "PASS"
+
+
+def mixed_column_rows(count):
+    """Rows whose every column but "same" mixes types somewhere: a float
+    column that turns None (as the tail grid's lhs does where the dominance
+    rows begin), float next to np.float64, str next to a str-Enum, int next
+    to bool, and a column that is all None."""
+    rows = []
+    for i in range(count):
+        rows.append({
+            "lhs": 0.125 * i if i < count - 2 else None,
+            "rhs": np.float64(i / 7) if i % 5 == 2 else i / 7,
+            "verdict": Verdict.PASS if i % 4 == 3 else "PASS",
+            "k": bool(i % 2) if i % 6 == 1 else i,
+            "nothing": None,
+            "same": "x",
+        })
+    return rows
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("size", [1, 3, 512])
+def test_mixed_columns_match_the_reference_renderers(fmt, size):
+    # long enough that the 512-row blocks hold both pure and mixed columns
+    rows = mixed_column_rows(1030)
+    assert emit_in_blocks(rows, fmt, size) == REFERENCE[fmt](rows)
+    # a block holding only the mixed tail and one holding only the pure head
+    for part in (rows[-3:], rows[:2]):
+        assert emit_in_blocks(part, fmt, size) == REFERENCE[fmt](part)
+
+
+def test_rows_without_columns_write_empty_lines():
+    assert emit_table([{}, {}]) == render_csv([{}, {}]) == "\n\n\n"
+    assert emit_table([{}], "csv", [], 3) == "\n"
+
+
+def test_json_encoder_falls_back_to_the_public_encoder(monkeypatch):
+    # no C encoder, and one whose arguments mean something else, so that
+    # it fails the probe
+    for fake in (None, lambda *args: lambda value, level: "?"):
+        with monkeypatch.context() as patch:
+            patch.setattr(json.encoder, "c_make_encoder", fake)
+            public = reporting._json_encoder()
+        assert isinstance(public.__self__, json.JSONEncoder)
+    for row in EDGE_ROWS + mixed_column_rows(4):
+        assert reporting._encode_json(row) == public(row)
+        for value in row.values():
+            assert reporting._encode_json(value) == public(value)
+
+
+def test_json_encoder_recovers_after_a_failed_encode():
+    # the same containers encode once the fault is gone, so nothing of the
+    # failed calls is left in the circular check
+    encode = reporting._json_encoder()
+    loop = []
+    loop.append(loop)
+    with pytest.raises(ValueError, match="Circular"):
+        encode(loop)
+    loop.clear()
+    assert encode(loop) == "[]"
+    bad = [[1], {"k": object()}]
+    with pytest.raises(TypeError):
+        encode(bad)
+    bad.pop()
+    assert encode(bad) == "[[1]]"
 
 
 def test_header_follows_row_key_order():
