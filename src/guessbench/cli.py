@@ -353,10 +353,19 @@ def _cmd_table(config: RunConfig):
         specs = [DeckSpec(m, n) for m in m_values for n in n_values]
     except ValueError as err:
         raise UsageError(str(err)) from None
+    # the interpreter writes no int of more digits in decimal (0: no limit)
+    digits = sys.get_int_max_str_digits()
+    shuffles = [shuffle_count(spec) for spec in specs]
+    for spec, count in zip(specs, shuffles):
+        if digits and count >= 10**digits:
+            raise UsageError(
+                f"the shuffle count of deck m={spec.multiplicity}, n={spec.num_types} has more"
+                f" than {digits} digits, the most sys.get_int_max_str_digits() lets a report print"
+            )
     rows = []
-    for spec in specs:
+    for spec, count in zip(specs, shuffles):
         m, n = spec.multiplicity, spec.num_types
-        row = {"m": m, "n": n, "shuffles": shuffle_count(spec)}
+        row = {"m": m, "n": n, "shuffles": count}
         row.update(exact_cells("nofb", Fraction(m)))
         # a cell past the state limit is left empty in both senses
         values = exact.partial_values_or_none(spec, state_limit)

@@ -144,6 +144,37 @@ def _count(remaining: tuple[int, ...], forbidden: tuple[int, ...]) -> int:
 PairState = tuple[tuple[int, int], ...]
 
 
+def _state_layout(spec: DeckSpec) -> tuple[int, int, list[int], list[int], int]:
+    """(width, base, places, drops, root): the integers that write a
+    partial-feedback state on ``spec`` as one key, for the exact DP and
+    partial-mle alike.
+
+    Type i's pair (m_i, a_i) is its code m_i * width + a_i, with
+    width = mn + 1, so codes sort as their pairs do.  A state's key has
+    type i's code as its digit in base (m + 1)(mn + 1) at place i, worth
+    places[i]: partial-mle keys labelled states, the exact DP keys the
+    sorted codes.  A hit on type i lowers the key by
+    drops[i] = width * places[i] and a miss raises it by places[i].
+    ``root`` is the key of the full deck, (m, 0) for every type.
+    """
+    m, n = spec.multiplicity, spec.num_types
+    width = spec.total + 1
+    base = (m + 1) * width
+    places = [base**i for i in range(n)]
+    drops = [width * place for place in places]
+    return width, base, places, drops, m * width * sum(places)
+
+
+def _state_codes(key: int, n: int, base: int) -> list[int]:
+    """The ``n`` digits of ``key`` in ``base``, lowest place first: each
+    type's code (see ``_state_layout``)."""
+    codes = []
+    for _ in range(n):
+        key, code = divmod(key, base)
+        codes.append(code)
+    return codes
+
+
 def next_card_counts(pairs: PairState) -> dict[tuple[int, int], int]:
     """N(s - e_i) for the state s with pair (m_i, a_i) for type i, by pair:
     the count of the state with one copy of a type with that pair set aside,

@@ -38,6 +38,7 @@ from .combinatorics import (  # noqa: F401
     ConstraintState,
     PairState,
     _count,
+    _state_layout,
     last_card_fraction,
     next_card_counts,
     shuffle_count,
@@ -203,7 +204,7 @@ def optimal_complete(
 
 
 # A partial state in the sweep: the codes m_i * radix + a_i of its pairs,
-# sorted, with radix = mn + 1.  Codes sort as their pairs do.
+# sorted, with radix the width mn + 1 of combinatorics._state_layout.
 _Codes = tuple[int, ...]
 
 
@@ -354,8 +355,8 @@ def _partial_state_floor(spec: DeckSpec) -> int:
 def _sweep_down(spec: DeckSpec, state_limit: int) -> _Sweep:
     """Every state reachable from the root, level by level, with its moves
     as successor ranks.  A successor is deduplicated by an exact positional
-    key, its codes as the digits of one integer in base (m + 1)(mn + 1),
-    which a move updates in a few adds; its codes are listed only the first
+    key, its sorted codes as one key of ``_state_layout``, which a move
+    updates in a few adds; its codes are listed only the first
     time its key turns up.  Each level is built in lists and kept as arrays
     (see ``_Sweep``).  Raises RuntimeError once more than ``state_limit``
     states turn up, or at once when ``_partial_state_floor`` already
@@ -367,15 +368,12 @@ def _sweep_down(spec: DeckSpec, state_limit: int) -> _Sweep:
     if _partial_state_floor(spec) > state_limit:
         raise limit_error
     m, n = spec.multiplicity, spec.num_types
-    radix = spec.total + 1
-    powers = [((m + 1) * radix) ** k for k in range(n + 1)]
-    drops = [radix * p for p in powers]
+    radix, base, powers, drops, root = _state_layout(spec)
     steps = [b - a for a, b in itertools.pairwise(powers)]
-    code_type = _typecode(powers[1])  # every code is a digit in that base
-    root = (m * radix,) * n
+    code_type = _typecode(base)  # every code is a digit in that base
     # key -> rank, in rank order, for the level being expanded
-    ranks = {sum(code * p for code, p in zip(root, powers)): 0}
-    level = array(code_type, root)
+    ranks = {root: 0}
+    level = array(code_type, (m * radix,) * n)
     codes: list[array] = []
     hits: list[array] = []
     misses: list[array] = []
@@ -799,9 +797,9 @@ def verify_pointwise(max_total: int, max_types: int = 4, witness_cap: int = 64) 
                 f"max_total {max_total} needs more than {DEFAULT_STATE_LIMIT} pair multisets:"
                 f" {grid} with at most {total} cards"
             )
-    multisets = [
+    multisets = (
         pairs for total in range(1, max_total + 1) for pairs in _pair_multisets(total, max_types)
-    ]
+    )
     best_num, best_den = 0, 1
     maximal: dict[PairState, set[tuple[int, int]]] = {}  # multiset -> its maximal pairs
     witness_count = checked = 0

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple
 
 # _count is unused here; perfbench/test_perfbench.py checks that tracing
 # rebinds it in this module too.
-from .combinatorics import PairState, _count, next_card_counts  # noqa: F401
+from .combinatorics import _count, _state_codes, _state_layout, next_card_counts  # noqa: F401
 from .core import DeckSpec, FeedbackModel
 
 if TYPE_CHECKING:  # annotations only; see the package docstring
@@ -140,31 +140,27 @@ def parse_strategy(text: str) -> StrategySpec:
     return StrategySpec(sid, **params)
 
 
-# Integer next-card counts N(s - e_i) by (remaining, wrong) pair, one entry
-# per canonical pair multiset s that posterior_by_pair meets.  The
-# partial-mle kernels keep no counts: a run leaves this empty.
-_DIST_CACHE: dict[PairState, dict[tuple[int, int], int]] = {}
+# Nothing writes this; it stays, empty, only because perfbench/job.py
+# reports its size, and perfbench/ is fixed with the benchmark.
+_DIST_CACHE: dict = {}
 # Per (m, n, maximize), partial-mle's guessed type index by labelled-state
-# key (see _state_keys).
+# key (see combinatorics._state_layout).
 _GUESS_MEMO: dict[tuple[int, int, bool], dict[int, int]] = {}
 # Per (m, n, maximize), the winning codes (see _winning_codes) by canonical
-# key: the state's sorted digit codes read in radix (m + 1)(mn + 1).  At
-# (4,13) the two memos hold about 210 bytes per labelled state, where
-# keeping each canonical state's next-card counts took about 710.
+# key: the state's sorted codes read, most significant first, as the digits
+# of one integer in the base of _state_layout.  At (4,13) the two memos hold
+# about 210 bytes per labelled state, where keeping each canonical state's
+# next-card counts took about 710.
 _BEST_MEMO: dict[tuple[int, int, bool], dict[int, int | tuple[int, ...]]] = {}
 
 
 def posterior_by_pair(remaining: list[int], wrong: list[int]) -> list[Fraction]:
-    """Next-card probabilities per type, cached on the canonical pair multiset.
+    """Next-card probabilities per type.
 
-    Types with equal (remaining, wrong) pairs are exchangeable, so one cache
-    entry serves every relabeling.  The next slot is never banned, so the
-    counts of the types sum to the shared denominator N(s).
+    The next slot is never banned, so the counts of the types sum to the
+    shared denominator N(s).
     """
-    pairs = tuple(sorted(zip(remaining, wrong)))
-    by_pair = _DIST_CACHE.get(pairs)
-    if by_pair is None:
-        by_pair = _DIST_CACHE[pairs] = next_card_counts(pairs)
+    by_pair = next_card_counts(tuple(zip(remaining, wrong)))
     counts = [by_pair[pair] for pair in zip(remaining, wrong)]
     denom = sum(counts)
     return [Fraction(c, denom) for c in counts]
@@ -191,13 +187,21 @@ def _first_winner(codes: list[int], won: int | tuple[int, ...]) -> int:
     return next(i for i, code in enumerate(codes) if code in won)
 
 
-def _mle_guess(pairs: list[tuple[int, int]], maximize: bool) -> int:
+def _mle_guess_at(key: int, n: int, width: int, base: int, best: dict, maximize: bool) -> int:
     """Index of the type to guess under partial-mle (partial-min-mle when not
-    ``maximize``), given each type's (remaining, wrong) pair; ties go to
-    the lowest type index."""
-    width = max(a for _, a in pairs) + 1
-    codes = [m * width + a for m, a in pairs]
-    return _first_winner(codes, _winning_codes(sorted(codes), width, maximize))
+    ``maximize``) on the labelled state ``key`` of ``_state_layout``; ties
+    go to the lowest type index.  ``best`` is the canonical memo (see
+    ``_BEST_MEMO``), filled here for a state new to it.
+    """
+    codes = _state_codes(key, n, base)
+    ordered = sorted(codes)
+    canon = 0
+    for code in ordered:
+        canon = canon * base + code
+    won = best.get(canon)
+    if won is None:
+        won = best[canon] = _winning_codes(ordered, width, maximize)
+    return _first_winner(codes, won)
 
 
 # ===== kernels: one implementation per strategy =====
@@ -238,71 +242,25 @@ def _kernel_cyclic(spec, params, decks, strat_rng):
     return (decks == pattern).sum(axis=1)
 
 
-def _codes(key: int, n: int, radix: int) -> list[int]:
-    """The ``n`` digits of ``key`` in radix ``radix``, lowest place first."""
-    codes = []
-    for _ in range(n):
-        key, code = divmod(key, radix)
-        codes.append(code)
-    return codes
-
-
-def _state_keys(
-    spec: DeckSpec,
-) -> tuple[int, list[int], list[int], Callable[[int], list[tuple[int, int]]]]:
-    """The partial-mle kernel's integer keys for labelled states on ``spec``:
-    the start key, each type's hit and miss steps, and the decoder from a
-    key back to the list of (remaining, wrong) pairs.
-
-    Type i's pair is the digit, or code, remaining * (mn + 1) + wrong, in
-    radix (m + 1)(mn + 1), at place i.  A hit on type i subtracts hits[i]
-    from the key and a miss adds misses[i].
-    """
-    m, n = spec.multiplicity, spec.num_types
-    width = spec.total + 1
-    radix = (m + 1) * width
-    misses = [radix**i for i in range(n)]
-    hits = [width * step for step in misses]
-
-    def decode(key: int) -> list[tuple[int, int]]:
-        return [divmod(code, width) for code in _codes(key, n, radix)]
-
-    return m * width * sum(misses), hits, misses, decode
-
-
 def _kernel_mle(maximize: bool):
-    # Each row walks its game by integer steps on its labelled state key.
-    # The labelled memo gives every guess after a state's first; on its
-    # miss the canonical memo gives the winning codes, and only a state
-    # new to both counts arrangements.
+    # Each row walks its game by integer steps on its labelled state key
+    # (see _state_layout).  The labelled memo gives every guess after a
+    # state's first; on its miss the canonical memo gives the winning codes,
+    # and only a state new to both counts arrangements.
     def kernel(spec: DeckSpec, params: dict, decks: np.ndarray, strat_rng) -> np.ndarray:
         import numpy as np
 
         m, n = spec.multiplicity, spec.num_types
-        width = spec.total + 1
-        radix = (m + 1) * width
-        start, hits, misses, _ = _state_keys(spec)
+        width, base, misses, hits, start = _state_layout(spec)
         memo = _GUESS_MEMO.setdefault((m, n, maximize), {})
         best = _BEST_MEMO.setdefault((m, n, maximize), {})
-
-        def guess(key: int) -> int:
-            codes = _codes(key, n, radix)
-            ordered = sorted(codes)
-            canon = 0
-            for code in ordered:
-                canon = canon * radix + code
-            won = best.get(canon)
-            if won is None:
-                won = best[canon] = _winning_codes(ordered, width, maximize)
-            return _first_winner(codes, won)
-
         scores = []
         for deck in decks.tolist():
             key, score = start, 0
             for card in deck:
                 i = memo.get(key)
                 if i is None:
-                    i = memo[key] = guess(key)
+                    i = memo[key] = _mle_guess_at(key, n, width, base, best, maximize)
                 if card == i + 1:
                     score += 1
                     key -= hits[i]

@@ -654,6 +654,20 @@ def test_table_validates_every_cell_before_solving(capsys, monkeypatch):
     assert solved == []
 
 
+def test_table_refuses_a_shuffle_count_too_long_to_print(capsys, monkeypatch):
+    # (400,50)'s shuffle count has more digits than the interpreter prints;
+    # the deck is refused before any cell of the grid is solved
+    solved = []
+    monkeypatch.setattr(exact, "_sweep_down", lambda spec, limit: solved.append(spec))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "table", "--m-grid", "1,400", "-n", "50")
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert out == ""
+    assert "m=400, n=50" in err and str(sys.get_int_max_str_digits()) in err
+    assert solved == []
+
+
 def test_table_state_limit_flag(capsys):
     # (2,3) has C(5, 3) = 10 complete-feedback states and more partial ones
     code, out, err = run_cli(capsys, "table", "-m", "2", "-n", "3", "--state-limit", "10")

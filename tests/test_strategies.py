@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import guessbench.montecarlo as mc
+from guessbench.combinatorics import _state_codes, _state_layout
 from guessbench.core import DeckSpec, FeedbackModel
 from guessbench.exact import enumerable_specs, exact_value, solve_partial
 from guessbench.strategies import (
@@ -17,8 +18,7 @@ from guessbench.strategies import (
     _STRATEGIES,
     StrategyId,
     StrategySpec,
-    _mle_guess,
-    _state_keys,
+    _mle_guess_at,
     compatible,
     make_strategy,
     parse_strategy,
@@ -51,6 +51,26 @@ def play(spec, model, sspec, deck):
 
 def kernel_scores(sspec, spec, decks):
     return make_strategy(sspec, spec)(np.array(decks, dtype=np.int16)).tolist()
+
+
+def layout_key(spec, pairs):
+    """The ``_state_layout`` key of the labelled state ``pairs``."""
+    width, _, places, _, _ = _state_layout(spec)
+    return sum((m * width + a) * place for (m, a), place in zip(pairs, places))
+
+
+def layout_pairs(spec, key):
+    """The labelled (remaining, wrong) pairs of a ``_state_layout`` key."""
+    width, base = _state_layout(spec)[:2]
+    return [divmod(code, width) for code in _state_codes(key, spec.num_types, base)]
+
+
+def kernel_guess(spec, pairs, maximize, best=None):
+    """The partial-mle kernel's guess on the labelled state ``pairs``, with
+    ``best`` as its canonical memo, a fresh one when None."""
+    width, base = _state_layout(spec)[:2]
+    best = {} if best is None else best
+    return _mle_guess_at(layout_key(spec, pairs), spec.num_types, width, base, best, maximize)
 
 
 @pytest.mark.parametrize(
@@ -212,6 +232,8 @@ def test_mle_matches_reference_on_solver_states():
     specs = [DeckSpec(m, n) for m in range(1, 13) for n in range(1, 12 // m + 1)]
     checked = 0
     for spec in specs:
+        # one canonical memo per sense, shared by a state's labellings
+        memos = {True: {}, False: {}}
         for state in solve_partial(spec, "max").values:
             if sum(p[1] for p in state) == sum(p[0] for p in state):
                 continue
@@ -221,7 +243,7 @@ def test_mle_matches_reference_on_solver_states():
                 expected = reference_posterior_by_pair(remaining, wrong)
                 assert posterior_by_pair(remaining, wrong) == expected
                 for maximize, pick in ((True, max), (False, min)):
-                    guess = _mle_guess(list(labelled), maximize)
+                    guess = kernel_guess(spec, labelled, maximize, memos[maximize])
                     assert guess == expected.index(pick(expected))
             checked += 1
     assert checked > 10_000
@@ -229,9 +251,9 @@ def test_mle_matches_reference_on_solver_states():
 
 def test_mle_picks_posterior_mode_and_persists():
     deck = DeckSpec(2, 2)
-    assert _mle_guess([(2, 0), (2, 0)], True) == 0
+    assert kernel_guess(deck, [(2, 0), (2, 0)], True) == 0
     # a missed type stays the most likely next card here
-    assert _mle_guess([(2, 1), (2, 0)], True) == 0
+    assert kernel_guess(deck, [(2, 1), (2, 0)], True) == 0
     mle = StrategySpec(StrategyId.PARTIAL_MLE)
     guesses, score = play(deck, FeedbackModel.PARTIAL, mle, (2, 1, 2, 1))
     assert guesses == [1, 1, 1, 1]
@@ -239,9 +261,9 @@ def test_mle_picks_posterior_mode_and_persists():
 
 
 def test_min_mle_picks_least_likely():
-    assert _mle_guess([(1, 0), (1, 0), (1, 0)], False) == 0
+    assert kernel_guess(DeckSpec(1, 3), [(1, 0), (1, 0), (1, 0)], False) == 0
     # type 1 missed once: its posterior 1/2 beats 1/4, so min play avoids it
-    assert _mle_guess([(1, 1), (1, 0), (1, 0)], False) == 1
+    assert kernel_guess(DeckSpec(1, 3), [(1, 1), (1, 0), (1, 0)], False) == 1
     guesses, score = play(
         DeckSpec(1, 3), FeedbackModel.PARTIAL, StrategySpec(StrategyId.PARTIAL_MIN_MLE), (2, 1, 3)
     )
@@ -261,25 +283,25 @@ def test_mle_kernel_matches_reference_past_64_bit_keys(sid, maximize):
         reference_play(ReferencePartialMle(spec, maximize), FeedbackModel.PARTIAL, deck)
         for deck in decks
     ]
-    assert _state_keys(spec)[0] > 2**64
+    assert _state_layout(spec)[4] > 2**64
     assert kernel_scores(StrategySpec(sid), spec, decks) == expected
 
 
 def test_state_keys_round_trip_when_misses_pile_on_one_type():
     spec = DeckSpec(1, 30)
-    start, hits, misses, decode = _state_keys(spec)
-    assert decode(start) == [(1, 0)] * 30
+    _, _, misses, hits, start = _state_layout(spec)
+    assert layout_pairs(spec, start) == [(1, 0)] * 30
     # all 29 misses on the last type, whose place is the key's highest
     key = start + 29 * misses[29] - hits[0]
     assert key > 2**64
-    assert decode(key) == [(0, 0)] + [(1, 0)] * 28 + [(1, 29)]
+    assert layout_pairs(spec, key) == [(0, 0)] + [(1, 0)] * 28 + [(1, 29)]
     # partial-mle keeps guessing a type while it misses, so a deck with
     # type 1 last piles every miss on type 1 and hits with the last card
     deck = tuple(range(2, 31)) + (1,)
     mle = StrategySpec(StrategyId.PARTIAL_MLE)
     assert play(spec, FeedbackModel.PARTIAL, mle, deck) == ([1] * 30, 1)
     piled = start + 29 * misses[0]
-    assert decode(piled) == [(1, 29)] + [(1, 0)] * 29
+    assert layout_pairs(spec, piled) == [(1, 29)] + [(1, 0)] * 29
     assert _GUESS_MEMO[1, 30, True][piled] == 0
 
 
@@ -293,7 +315,6 @@ def test_mle_guess_and_kernel_agree_on_tied_states(m):
     # every labelled state that any shuffle of (m,3) reaches, in both
     # senses: a tie between distinct pairs goes to the lowest type index
     spec = DeckSpec(m, 3)
-    decode = _state_keys(spec)[3]
     decks = all_shuffles(m, 3)
     for sid, maximize, pick in (
         (StrategyId.PARTIAL_MLE, True, max),
@@ -302,11 +323,27 @@ def test_mle_guess_and_kernel_agree_on_tied_states(m):
         _forget_mle_memos(spec, maximize)
         kernel_scores(StrategySpec(sid), spec, decks)
         for key, guess in _GUESS_MEMO[m, 3, maximize].items():
-            pairs = decode(key)
-            assert guess == _mle_guess(pairs, maximize)
+            pairs = layout_pairs(spec, key)
+            assert guess == kernel_guess(spec, pairs, maximize)
             expected = reference_posterior_by_pair(*map(list, zip(*pairs)))
             assert guess == expected.index(pick(expected))
         assert any(isinstance(won, tuple) for won in _BEST_MEMO[m, 3, maximize].values())
+
+
+@pytest.mark.parametrize("m, n", [(2, 3), (3, 3), (3, 4)])
+def test_mle_states_are_partial_solver_states(m, n):
+    # the kernel and the exact DP write states in one layout: every labelled
+    # state partial-mle guesses on over every shuffle, sorted, is a state
+    # that the solver reaches
+    spec = DeckSpec(m, n)
+    solved = solve_partial(spec, "max").values
+    for sid, maximize in ((StrategyId.PARTIAL_MLE, True), (StrategyId.PARTIAL_MIN_MLE, False)):
+        _forget_mle_memos(spec, maximize)
+        exact_value(spec, StrategySpec(sid))
+        guessed = _GUESS_MEMO[m, n, maximize]
+        assert guessed
+        for key in guessed:
+            assert tuple(sorted(layout_pairs(spec, key))) in solved
 
 
 def test_mle_runs_leave_the_count_cache_empty():
