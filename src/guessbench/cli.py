@@ -340,7 +340,7 @@ def _cmd_lstat(config: RunConfig):
         "se": summary.se,
     }
     enum_limit = _or_default(config.max_total, 10**4)
-    if shuffle_count(spec) <= enum_limit:
+    if shuffle_count(spec, enum_limit) is not None:
         row.update(exact_cells("mean_exact", exact.exact_chain_mean(spec, enum_limit)))
     return [row]
 
@@ -355,12 +355,13 @@ def _cmd_table(config: RunConfig):
         raise UsageError(str(err)) from None
     # the interpreter writes no int of more digits in decimal (0: no limit)
     digits = sys.get_int_max_str_digits()
-    shuffles = [shuffle_count(spec) for spec in specs]
+    shuffles = [shuffle_count(spec, 10**digits - 1 if digits else None) for spec in specs]
     for spec, count in zip(specs, shuffles):
-        if digits and count >= 10**digits:
+        if count is None:
             raise UsageError(
                 f"the shuffle count of deck m={spec.multiplicity}, n={spec.num_types} has more"
-                f" than {digits} digits, the most sys.get_int_max_str_digits() lets a report print"
+                f" than {digits} digits, the limit sys.get_int_max_str_digits() sets on"
+                " printing an int"
             )
     rows = []
     for spec, count in zip(specs, shuffles):

@@ -228,9 +228,23 @@ def last_card_fraction(state: ConstraintState, card: int) -> Fraction:
     return Fraction(_count(reduced, state.forbidden), _count(state.remaining, state.forbidden))
 
 
-def shuffle_count(spec: DeckSpec) -> int:
-    """Number of distinct shuffles: (mn)! / (m!)^n."""
-    return math.factorial(spec.total) // math.factorial(spec.multiplicity) ** spec.num_types
+def shuffle_count(spec: DeckSpec, limit: int | None = None) -> int | None:
+    """Number of distinct shuffles, (mn)! / (m!)^n, or None once it passes
+    ``limit``.
+
+    The count is the product over t = 1..n-1 of C((t + 1)m, m), built one
+    factor (tm + i) / i at a time for i = 1..m.  Each step is an exact
+    division and at least doubles the count, so a refusal stops within
+    log2(limit) + 2 steps however large the deck.
+    """
+    m = spec.multiplicity
+    count = 1
+    for t in range(1, spec.num_types):
+        for i in range(1, m + 1):
+            if limit is not None and count > limit:
+                return None
+            count = count * (t * m + i) // i
+    return count if limit is None or count <= limit else None
 
 
 def binomial_pmf(trials: int, p: Fraction, k: int) -> Fraction:

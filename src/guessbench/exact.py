@@ -19,12 +19,12 @@ no state reduction.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import itertools
 import math
 import operator
 from array import array
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass
@@ -68,7 +68,7 @@ def enumerable_specs(size_limit: int = 10**4) -> list[DeckSpec]:
     for m in range(1, 17):
         for n in range(1, 16 // m + 1):
             spec = DeckSpec(m, n)
-            if shuffle_count(spec) <= size_limit:
+            if shuffle_count(spec, size_limit) is not None:
                 out.append(spec)
     return out
 
@@ -119,10 +119,11 @@ def _score_pmf(
     """
     if not strategy.deterministic:
         raise ValueError(f"{strategy.label()} is randomized; use montecarlo.estimate_value")
-    size = shuffle_count(spec)
-    if size > limit:
+    size = shuffle_count(spec, limit)
+    if size is None:
         raise ValueError(
-            f"{size} shuffles exceed the enumeration limit {limit}; raise it or simulate"
+            f"the shuffles of deck m={spec.multiplicity}, n={spec.num_types} exceed the"
+            f" enumeration limit {limit}; raise it or simulate"
         )
     import numpy as np
 
@@ -288,58 +289,6 @@ class PartialSolution:
     policy: Mapping[PairState, tuple[tuple[int, int], ...]]
 
 
-def _partial_moves(state: _Codes, radix: int, left: int) -> list[tuple[int, int, int, int]]:
-    """(code, first, hit_at, miss_at) for each distinct code of a state with
-    ``left`` draws to come, in code order.
-
-    Guessing a type with pair (m_i, a_i) leaves (m_i - 1, a_i) on a hit and
-    (m_i, a_i + 1) on a miss.  ``first`` is the index of the code's first
-    copy; a hit lowers that copy by ``radix`` and moves it to ``hit_at`` (the
-    lowered code's place in the prefix before it), and a miss raises the copy
-    at ``miss_at`` (the last of the run) by one, so neither successor needs
-    sorting (see ``_moved``).  ``hit_at`` or ``miss_at`` is -1 when no
-    arrangement is consistent with that successor, and a terminal state
-    (as many banned positions as remaining copies, so ``left`` is 0) has no
-    moves.  ``state`` itself must have arrangements.  By Hall's condition
-    (see ConstraintState) N(m, a) > 0 iff sum(a) <= sum(m) and
-    a_j + m_j <= sum(m) for every j.  With M = sum(m) here, a miss therefore
-    stays possible iff m_i + a_i < M, and a hit iff m_i > 0 and no other
-    type has m_j + a_j = M.  At most one type can be that tight, since two
-    would need sum(a) >= M.
-    """
-    if not left:
-        return []
-    # sum(codes) = radix * M + sum(a) and left = M - sum(a)
-    total = (sum(state) + left) // (radix + 1)
-    moves = []
-    tight = -1
-    size = len(state)
-    first = 0
-    while first < size:
-        code = state[first]
-        last = first
-        while last + 1 < size and state[last + 1] == code:
-            last += 1
-        mi, ai = divmod(code, radix)
-        hit_at = bisect.bisect_left(state, code - radix, 0, first) if mi else -1
-        if mi + ai == total:
-            tight = code
-            moves.append((code, first, hit_at, -1))
-        else:
-            moves.append((code, first, hit_at, last))
-        first = last + 1
-    if tight >= 0:
-        # only the tight type can still be hit
-        moves = [mv if mv[0] == tight else (mv[0], mv[1], -1, mv[3]) for mv in moves]
-    return moves
-
-
-def _moved(state: _Codes, src: int, dst: int, code: int) -> _Codes:
-    """``state`` with the code at ``src`` replaced by ``code`` at ``dst`` <= src,
-    the codes in between shifting up one place."""
-    return state[:dst] + (code,) + state[dst:src] + state[src + 1 :]
-
-
 def _partial_state_floor(spec: DeckSpec) -> int:
     """A lower bound on the states ``solve_partial`` visits: C(n + 2m, n) - m.
 
@@ -354,13 +303,13 @@ def _partial_state_floor(spec: DeckSpec) -> int:
 
 def _sweep_down(spec: DeckSpec, state_limit: int) -> _Sweep:
     """Every state reachable from the root, level by level, with its moves
-    as successor ranks.  A successor is deduplicated by an exact positional
-    key, its sorted codes as one key of ``_state_layout``, which a move
-    updates in a few adds; its codes are listed only the first
-    time its key turns up.  Each level is built in lists and kept as arrays
-    (see ``_Sweep``).  Raises RuntimeError once more than ``state_limit``
-    states turn up, or at once when ``_partial_state_floor`` already
-    exceeds it.
+    as successor ranks: one move per distinct code, in code order.  A
+    successor is deduplicated by an exact positional key, its sorted codes
+    as one key of ``_state_layout``, which a move updates in a few adds;
+    its codes are listed only the first time its key turns up.  Each level
+    is built in lists and kept as arrays (see ``_Sweep``).  Raises
+    RuntimeError once more than ``state_limit`` states turn up, or at once
+    when ``_partial_state_floor`` already exceeds it.
     """
     limit_error = RuntimeError(
         f"more than {state_limit} partial states; raise state_limit if intended"
@@ -387,28 +336,52 @@ def _sweep_down(spec: DeckSpec, state_limit: int) -> _Sweep:
         level_misses: list[int] = []
         level_starts: list[int] = []
         size = 0  # states in ``below``
+        # Guessing a type with pair (m_i, a_i) leaves (m_i - 1, a_i) on a hit
+        # and (m_i, a_i + 1) on a miss; a successor with no arrangement gets
+        # rank -1.  By Hall's condition (see ConstraintState) N(m, a) > 0 iff
+        # sum(a) <= sum(m) and a_j + m_j <= sum(m) for every j.  With
+        # M = sum(m) here, a miss stays possible iff m_i + a_i < M, and a hit
+        # iff m_i > 0 and no other type is tight, m_j + a_j = M.  At most one
+        # type can be tight, since two would need sum(a) >= M, and
+        # left = M - sum(a) is positive.
         for key, state in zip(ranks, zip(*[iter(level)] * n)):
             level_starts.append(len(level_hits))
-            for code, first, hit_at, miss_at in _partial_moves(state, radix, left):
+            # sum(codes) = radix * M + sum(a)
+            total = (sum(state) + left) // (radix + 1)
+            tight = -1
+            for code in state:
+                if code // radix + code % radix == total:
+                    tight = code
+                    break
+            first = 0
+            while first < n:
+                code = state[first]
+                end = bisect_right(state, code, first)
                 hit = miss = -1
-                if hit_at >= 0:
-                    if hit_at == first:
+                if code >= radix and (tight < 0 or tight == code):
+                    # lower the run's first copy, moving it to its place in
+                    # the prefix, so the successor needs no sort
+                    lowered = code - radix
+                    at = bisect_left(state, lowered, 0, first)
+                    if at == first:
                         k = key - drops[first]
                     else:
-                        k = key + (code - radix) * powers[hit_at] - code * powers[first]
-                        for i in range(hit_at, first):
+                        k = key + lowered * powers[at] - code * powers[first]
+                        for i in range(at, first):
                             k += state[i] * steps[i]
                     hit = rank_of(k, size)
                     if hit == size:
-                        below += _moved(state, first, hit_at, code - radix)
+                        below += state[:at] + (lowered,) + state[at:first] + state[first + 1 :]
                         size += 1
-                if miss_at >= 0:
-                    miss = rank_of(key + powers[miss_at], size)
+                if code != tight:
+                    # raise the run's last copy, which keeps the codes sorted
+                    miss = rank_of(key + powers[end - 1], size)
                     if miss == size:
-                        below += _moved(state, miss_at, miss_at, code + 1)
+                        below += state[: end - 1] + (code + 1,) + state[end:]
                         size += 1
                 level_hits.append(hit)
                 level_misses.append(miss)
+                first = end
             if found + size > state_limit:
                 raise limit_error
         level_starts.append(len(level_hits))

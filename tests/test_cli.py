@@ -668,6 +668,24 @@ def test_table_refuses_a_shuffle_count_too_long_to_print(capsys, monkeypatch):
     assert solved == []
 
 
+@pytest.mark.parametrize(
+    "argv, limit",
+    [
+        (["exact-value", "-m", "8000", "-n", "50", "--strategy", "nofb-cyclic"], "1000000"),
+        (["exact-value", "-m", "2000", "-n", "50", "--strategy", "nofb-cyclic"], "1000000"),
+        (["table", "-m", "20000", "-n", "50"], str(sys.get_int_max_str_digits())),
+    ],
+)
+def test_huge_shuffle_counts_are_refused_at_once(capsys, argv, limit):
+    # the exact count has millions of digits; the capped count stops early
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert out == ""
+    assert limit in err and "limit" in err
+
+
 def test_table_state_limit_flag(capsys):
     # (2,3) has C(5, 3) = 10 complete-feedback states and more partial ones
     code, out, err = run_cli(capsys, "table", "-m", "2", "-n", "3", "--state-limit", "10")

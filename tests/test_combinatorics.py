@@ -1,3 +1,5 @@
+import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -231,6 +233,18 @@ def test_shuffle_count():
     assert shuffle_count(DeckSpec(1, 4)) == 24
     for m, n in [(2, 3), (3, 2), (2, 4)]:
         assert shuffle_count(DeckSpec(m, n)) == len(all_shuffles(m, n))
+    for m in range(1, 7):
+        for n in range(1, 7):
+            spec = DeckSpec(m, n)
+            count = shuffle_count(spec)
+            assert count == math.factorial(m * n) // math.factorial(m) ** n
+            assert shuffle_count(spec, count) == count
+            assert shuffle_count(spec, count - 1) is None
+    # decks whose counts run to millions of digits are refused at once
+    start = time.perf_counter()
+    for m, n in [(20_000, 50), (10**6, 2), (1, 10**6)]:
+        assert shuffle_count(DeckSpec(m, n), 10**6) is None
+    assert time.perf_counter() - start < 1
 
 
 def test_binomial_pmf():

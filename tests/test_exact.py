@@ -176,6 +176,30 @@ def test_partial_solutions_match_pinned_digests():
         assert (_digest(solution.values), _digest(solution.policy)) == digests
 
 
+# sha256 of repr((codes, hits, misses, starts, counts)) of
+# _sweep_down(spec, DEFAULT_STATE_LIMIT), each array as a list, taken from
+# the down pass that built a move list per state; they pin every level's
+# rank order, which values and policies keyed by PairState cannot see
+PINNED_SWEEP_DIGESTS = {
+    (2, 3): "4e094df12f1912d74f37b4aefefdbf40dfbc56a92d7d20ec97be13df4bacc8c4",
+    (1, 8): "b76a9b6ad516b615376683bf5099859755ae7c05cf6d4fdce6620db53f4edc9c",
+    (2, 6): "1eaba1fb6342ca5949b1a7a3cea1916e22281eff5f3c53b177f2920f212c25c4",
+    (3, 4): "c5bf717d2968347256e842a4eaa959a30fd0d34b2bd29bb3d2ba04c4035155ac",
+    (4, 4): "0f8d3713f2649e2adedb25fc262911248e56aea5e490df1bf644cce35d7cfe9b",
+    (5, 3): "15957bcc2cc5ea59313f83722a373eaf01f47fb7e1d642783a253246aab5c1b2",
+}
+
+
+def test_down_pass_arrays_match_pinned_digests():
+    for (m, n), digest in PINNED_SWEEP_DIGESTS.items():
+        sweep = exact._sweep_down(DeckSpec(m, n), DEFAULT_STATE_LIMIT)
+        arrays = tuple(
+            [list(level) for level in levels]
+            for levels in (sweep.codes, sweep.hits, sweep.misses, sweep.starts)
+        ) + (sweep.counts,)
+        assert hashlib.sha256(repr(arrays).encode()).hexdigest() == digest, (m, n)
+
+
 def test_value_only_solves_equal_the_full_solve():
     for m in range(1, 17):
         for n in range(1, 16 // m + 1):
