@@ -4,19 +4,18 @@ tests for the tail bounds the asymptotics lean on.
 
 numpy is imported inside the functions that run array code (the strategy
 kernels, the deck sampler, the enumerated score pmf and the simulated bound
-checks), so the pure-integer exact engines start without it."""
+checks), so the pure-integer exact engines start without it.
+
+The names exported here are the library face of the nine subcommands and
+the types needed to call them; every other name is imported from its
+module."""
 
 from ._version import __version__
-from .combinatorics import ConstraintState, binomial_pmf, shuffle_count
+from .combinatorics import shuffle_count
 from .core import DeckSpec, FeedbackModel
 from .exact import (
-    PartialSolution,
-    PersistenceViolation,
-    PointwiseReport,
-    enumerable_specs,
     exact_chain_mean,
     exact_value,
-    first_third_distribution,
     optimal_complete,
     optimal_partial,
     probe_persistence,
@@ -24,48 +23,29 @@ from .exact import (
     verify_pointwise,
 )
 from .montecarlo import (
-    StatSummary,
     estimate_chain,
     estimate_repeat_time,
     estimate_value,
     exact_distinct_prefix_probability,
-    rng_stream,
 )
-from .strategies import (
-    StrategyId,
-    StrategySpec,
-    compatible,
-    make_strategy,
-    parse_strategy,
-)
+from .strategies import StrategyId, StrategySpec, parse_strategy
 
 __all__ = [
     "__version__",
-    "ConstraintState",
     "DeckSpec",
     "FeedbackModel",
-    "PartialSolution",
-    "PersistenceViolation",
-    "PointwiseReport",
-    "StatSummary",
     "StrategyId",
     "StrategySpec",
-    "binomial_pmf",
-    "compatible",
-    "enumerable_specs",
     "estimate_chain",
     "estimate_repeat_time",
     "estimate_value",
     "exact_chain_mean",
     "exact_distinct_prefix_probability",
     "exact_value",
-    "first_third_distribution",
-    "make_strategy",
     "optimal_complete",
     "optimal_partial",
     "parse_strategy",
     "probe_persistence",
-    "rng_stream",
     "shuffle_count",
     "solve_partial",
     "verify_pointwise",

@@ -14,9 +14,8 @@ import math
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterator, Mapping, NamedTuple
 
-from .combinatorics import binomial_pmf
 from .core import DeckSpec
-from .exact import enumerable_specs, first_third_distribution
+from .exact import DEFAULT_STATE_LIMIT, enumerable_specs, first_third_distribution
 from .montecarlo import _CHUNK, _blocks, deck_chunks, rng_stream
 from .strategies import StrategyId, StrategySpec
 
@@ -262,10 +261,17 @@ class _TailGrid:
 
     def __init__(self, max_population: int):
         self.max_population = max_population
+        self.size = 0
+        for population in range(1, max_population + 1):
+            self.size += len(_GRID_LAMS) * (population + 1) * _grid_goods(population)
+            if self.size > DEFAULT_STATE_LIMIT:
+                raise RuntimeError(
+                    f"--max-total {max_population} needs more than {DEFAULT_STATE_LIMIT} tail"
+                    f" reports: {self.size} with populations up to {population}"
+                )
 
     def __len__(self) -> int:
-        populations = range(1, self.max_population + 1)
-        return len(_GRID_LAMS) * sum((p + 1) * _grid_goods(p) for p in populations)
+        return self.size
 
     def __iter__(self) -> Iterator[BoundReport]:
         ratios = [_ratio(lam) for lam in _GRID_LAMS]
@@ -280,7 +286,8 @@ def single_tail_grid(max_population: int = 60) -> _TailGrid:
     meets the population >= good^2+good hypothesis, at lam 0.25, 0.5, 1 and 2,
     in order of population, good, draws and lam.  The reports are built as
     the grid is iterated, so a pass over it holds one (population, good,
-    draws) at a time."""
+    draws) at a time.  Raises RuntimeError, before any report is built, when
+    the grid holds more than ``DEFAULT_STATE_LIMIT`` reports."""
     return _TailGrid(max_population)
 
 
@@ -314,7 +321,11 @@ def check_dominance(
 
 
 def binomial_pmf_map(trials: int, p: Fraction) -> dict[int, Fraction]:
-    return {k: binomial_pmf(trials, p, k) for k in range(trials + 1)}
+    """Exact Binomial(trials, p) pmf for rational p, as {k: mass} over k = 0..trials."""
+    p = Fraction(p)
+    if trials < 0 or not 0 <= p <= 1:
+        raise ValueError("need trials >= 0 and p in [0, 1]")
+    return {k: math.comb(trials, k) * p**k * (1 - p) ** (trials - k) for k in range(trials + 1)}
 
 
 # ===== first-third score domination =====

@@ -3,10 +3,9 @@ delimited reports.
 
 Each subcommand accepts only the flags and config-file keys it reads, as
 listed in ``_COMMANDS``.  Precedence is flags over config file over
-defaults.  The config path itself comes from --config or the
-GUESSBENCH_CONFIG environment variable.  Exit codes: 0 success, 1 some
-row's verdict is FAIL, 2 usage errors, 141 (128 + SIGPIPE) stdout closed
-before the report ended.
+defaults.  The config path comes only from --config.  Exit codes: 0
+success, 1 some row's verdict is FAIL, 2 usage errors, 141 (128 + SIGPIPE)
+stdout closed before the report ended.
 
 A report is written as it is built, a block of rows at a time.  Every
 handler does all that can fail before it returns its rows, so a run that
@@ -27,9 +26,7 @@ from . import bounds, exact, montecarlo
 from .core import DeckSpec, FeedbackModel
 from .combinatorics import shuffle_count
 from .reporting import emit_table, exact_cells, provenance
-from .strategies import parse_strategy
-
-CONFIG_ENV = "GUESSBENCH_CONFIG"
+from .strategies import _resolve_model, parse_strategy
 
 # Two recorded growth rates for the second-order error term of the
 # partial-feedback optimum at large m; metadata only, asserted nowhere.
@@ -131,10 +128,7 @@ def _or_default(value: int | None, default: int) -> int:
 def _require_spec(config: RunConfig) -> DeckSpec:
     if config.m is None or config.n is None:
         raise UsageError("--m and --n are required")
-    try:
-        return DeckSpec(config.m, config.n)
-    except ValueError as err:
-        raise UsageError(str(err)) from None
+    return DeckSpec(config.m, config.n)
 
 
 def _model_or_none(config: RunConfig) -> FeedbackModel | None:
@@ -174,7 +168,7 @@ def _parse_grid(config: RunConfig, key: str) -> list[int]:
 def _cmd_exact_value(config: RunConfig):
     spec = _require_spec(config)
     sspec = _require_strategy(config)
-    model = _model_or_none(config) or sspec.native_model
+    model = _resolve_model(sspec, _model_or_none(config))
     value = exact.exact_value(
         spec, sspec, model=model, limit=_or_default(config.max_total, exact.DEFAULT_ENUM_LIMIT)
     )
@@ -215,7 +209,7 @@ def _cmd_optimal(config: RunConfig):
 def _cmd_simulate(config: RunConfig):
     spec = _require_spec(config)
     sspec = _require_strategy(config)
-    model = _model_or_none(config) or sspec.native_model
+    model = _resolve_model(sspec, _model_or_none(config))
     summary = montecarlo.estimate_value(
         spec, model, sspec, config.trials, config.seed, config.workers
     )
@@ -269,14 +263,15 @@ def _bound_report_row(report: bounds.BoundReport) -> dict:
 
 
 def _cmd_verify_bounds(config: RunConfig):
-    # the simulated and dominance reports are built before any row is
-    # written, since they can fail (--trials 0); only the grid is lazy
+    # everything that can fail (a grid past its limit, --trials 0) runs
+    # before any row is written; the grid refuses before anything is
+    # simulated, and only its reports are built lazily
+    grid = bounds.single_tail_grid(_or_default(config.max_total, 60))
     simulated = [
         bounds.empirical_maximal(0.5, 1.0, 16, 256, config.trials, config.seed),
         bounds.hyp_tail_report(30, 4, 1.0, (8, 30), config.trials, config.seed),
     ]
     dominance = bounds.first_third_dominance_reports(size_limit=720)
-    grid = bounds.single_tail_grid(_or_default(config.max_total, 60))
     return map(_bound_report_row, chain(grid, simulated, dominance))
 
 
@@ -349,10 +344,7 @@ def _cmd_table(config: RunConfig):
     m_values = _parse_grid(config, "m")
     n_values = _parse_grid(config, "n")
     state_limit = _or_default(config.state_limit, exact.DEFAULT_STATE_LIMIT)
-    try:
-        specs = [DeckSpec(m, n) for m in m_values for n in n_values]
-    except ValueError as err:
-        raise UsageError(str(err)) from None
+    specs = [DeckSpec(m, n) for m in m_values for n in n_values]
     # the interpreter writes no int of more digits in decimal (0: no limit)
     digits = sys.get_int_max_str_digits()
     shuffles = [shuffle_count(spec, 10**digits - 1 if digits else None) for spec in specs]
@@ -473,14 +465,13 @@ def main(argv=None) -> int:
     except SystemExit as exit_:
         return int(exit_.code or 0)
     try:
-        config_path = args.config or os.environ.get(CONFIG_ENV)
         file_values: dict = {}
-        if config_path:
+        if args.config:
             try:
-                with open(config_path) as fh:
+                with open(args.config) as fh:
                     file_values = parse_config_text(fh.read())
             except OSError as err:
-                raise UsageError(f"cannot read config {config_path}: {err}") from None
+                raise UsageError(f"cannot read config {args.config}: {err}") from None
         flag_values = {key: value for key, value in vars(args).items() if key in _KEYS}
         config = merge_config(args.subcommand, file_values, flag_values)
         return run(config, args.subcommand)

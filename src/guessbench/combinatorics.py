@@ -245,13 +245,3 @@ def shuffle_count(spec: DeckSpec, limit: int | None = None) -> int | None:
                 return None
             count = count * (t * m + i) // i
     return count if limit is None or count <= limit else None
-
-
-def binomial_pmf(trials: int, p: Fraction, k: int) -> Fraction:
-    """Exact Binomial(trials, p) mass at k for rational p."""
-    p = Fraction(p)
-    if trials < 0 or not 0 <= p <= 1:
-        raise ValueError("need trials >= 0 and p in [0, 1]")
-    if k < 0 or k > trials:
-        return Fraction(0)
-    return math.comb(trials, k) * p**k * (1 - p) ** (trials - k)

@@ -379,16 +379,12 @@ def make_strategy(
     return lambda decks: _KERNELS[spec.id](deck, params, decks, rng)
 
 
-def compatible(spec: StrategySpec, model: FeedbackModel) -> bool:
-    """No-feedback strategies run under any model; others only their own."""
-    native = spec.native_model
-    return native is model or native is FeedbackModel.NONE
-
-
 def _resolve_model(spec: StrategySpec, model: FeedbackModel | None) -> FeedbackModel:
-    """``model``, which must be compatible with ``spec``, or when None the native one."""
+    """``model``, or when None the strategy's native one.  No-feedback
+    strategies run under any model; others only under their own."""
+    native = spec.native_model
     if model is None:
-        return spec.native_model
-    if not compatible(spec, model):
+        return native
+    if native is not model and native is not FeedbackModel.NONE:
         raise ValueError(f"{spec.label()} cannot play under {model.value} feedback")
     return model

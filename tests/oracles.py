@@ -181,8 +181,13 @@ def brute_uniform_prefix_hits(m: int, n: int) -> dict[int, Fraction]:
 
 
 def brute_binomial(trials: int, p: Fraction, k: int) -> Fraction:
+    """Binomial(trials, p) mass at k, summed over every hit/miss sequence."""
     p = Fraction(p)
-    return math.comb(trials, k) * p**k * (1 - p) ** (trials - k)
+    return sum(
+        (p ** sum(hits) * (1 - p) ** (trials - sum(hits))
+         for hits in itertools.product((0, 1), repeat=trials) if sum(hits) == k),
+        Fraction(0),
+    )
 
 
 def brute_hypergeom(population: int, good: int, draws: int, k: int) -> Fraction:

@@ -22,12 +22,12 @@ from guessbench.bounds import (
     _single_tails,
     _walks,
 )
-from guessbench.combinatorics import binomial_pmf
 from guessbench.core import DeckSpec
 from guessbench.exact import first_third_distribution
 from guessbench.montecarlo import rng_stream
 from guessbench.strategies import StrategyId, StrategySpec
 from oracles import (
+    brute_binomial,
     brute_hypergeom,
     brute_uniform_prefix_hits,
     reference_hyp_single_tail_exact,
@@ -247,10 +247,17 @@ def test_dominance_validates_pmfs():
         check_dominance({0: Fraction(3, 2), 1: Fraction(-1, 2)}, good)
 
 
-def test_pmf_maps_match_scalar_functions():
-    bmap = binomial_pmf_map(7, Fraction(2, 5))
-    assert sum(bmap.values()) == 1
-    assert all(bmap[k] == binomial_pmf(7, Fraction(2, 5), k) for k in bmap)
+def test_binomial_pmf_map():
+    for trials, p in [(7, Fraction(2, 5)), (6, Fraction(1, 3)), (0, Fraction(1, 2))]:
+        bmap = binomial_pmf_map(trials, p)
+        assert sum(bmap.values()) == 1
+        assert bmap == {k: brute_binomial(trials, p, k) for k in range(trials + 1)}
+    # the degenerate ends put all mass on one count
+    assert binomial_pmf_map(4, Fraction(0)) == {0: 1, 1: 0, 2: 0, 3: 0, 4: 0}
+    assert binomial_pmf_map(4, Fraction(1)) == {0: 0, 1: 0, 2: 0, 3: 0, 4: 1}
+    for trials, p in [(4, Fraction(-1, 3)), (4, Fraction(4, 3)), (-1, Fraction(1, 2))]:
+        with pytest.raises(ValueError):
+            binomial_pmf_map(trials, p)
 
 
 def test_first_third_pmf_uniform_closed_form():

@@ -17,7 +17,6 @@ import guessbench.bounds as bounds
 import guessbench.cli as cli
 import guessbench.exact as exact
 from guessbench.cli import (
-    CONFIG_ENV,
     SUBCOMMANDS,
     UsageError,
     _COMMANDS,
@@ -415,6 +414,23 @@ def test_verify_pointwise_refuses_a_grid_past_the_state_limit(capsys):
     assert "454598 with at most 16 cards" in err
 
 
+def test_verify_bounds_refuses_a_grid_past_the_state_limit(capsys, monkeypatch):
+    # the grid is counted before anything is simulated or written; 1,000
+    # would hold 48,764,364 reports
+    def never(*args):
+        raise AssertionError("simulated before the grid refused")
+
+    monkeypatch.setattr(bounds, "empirical_maximal", never)
+    started = time.perf_counter()
+    code, out, err = run_cli(capsys, "verify-bounds", "--max-total", "1000")
+    assert time.perf_counter() - started < 1.0
+    assert code == 2
+    assert out == ""
+    assert f"--max-total 1000 needs more than {exact.DEFAULT_STATE_LIMIT} tail reports" in err
+    assert "405416 with populations up to 150" in err
+    assert len(bounds.single_tail_grid(149)) == 398772
+
+
 def test_failing_dominance_row_names_its_witness(capsys, monkeypatch):
     # all mass on two hits in the first two draws of (1,6): Binomial(2, 1/2)
     # reaches 2 with chance 1/4 only, so the envelope fails at k = 2
@@ -770,13 +786,14 @@ def test_config_file_and_env(tmp_path, capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "optimal", "--config", str(config), "-n", "2")
     assert dict(zip(*read_csv(out)))["value"] == "3/2"
 
-    monkeypatch.setenv(CONFIG_ENV, str(config))
-    code, out, _ = run_cli(capsys, "optimal")
+    # the config path comes only from --config: a file named in the
+    # environment, here with a key optimal does not read, is never opened
+    other = tmp_path / "trials.cfg"
+    other.write_text("trials=5\n")
+    monkeypatch.setenv("GUESSBENCH_CONFIG", str(other))
+    code, out, _ = run_cli(capsys, "optimal", "-m", "2", "-n", "2", "--model", "complete")
     assert code == 0
-    assert dict(zip(*read_csv(out)))["value"] == "11/6"
-
-    monkeypatch.setenv(CONFIG_ENV, str(tmp_path / "missing.cfg"))
-    assert run_cli(capsys, "optimal", "-m", "1", "-n", "2", "--model", "none")[0] == 2
+    assert dict(zip(*read_csv(out)))["value"] == "17/6"
 
 
 def test_config_repeated_key_exits_2(tmp_path, capsys):

@@ -10,7 +10,6 @@ from guessbench.combinatorics import (
     ConstraintState,
     _count,
     _packing,
-    binomial_pmf,
     last_card_fraction,
     next_card_counts,
     shuffle_count,
@@ -20,7 +19,6 @@ from guessbench.exact import solve_partial
 from oracles import (
     PartialMle,
     all_shuffles,
-    brute_binomial,
     brute_count,
     brute_last_card,
     iter_arrangements,
@@ -246,12 +244,3 @@ def test_shuffle_count():
         assert shuffle_count(DeckSpec(m, n), 10**6) is None
     assert time.perf_counter() - start < 1
 
-
-def test_binomial_pmf():
-    p = Fraction(1, 3)
-    assert sum(binomial_pmf(6, p, k) for k in range(7)) == 1
-    for k in range(7):
-        assert binomial_pmf(6, p, k) == brute_binomial(6, p, k)
-    assert binomial_pmf(4, Fraction(0), 0) == 1
-    assert binomial_pmf(4, Fraction(1), 4) == 1
-    assert binomial_pmf(4, p, 9) == 0

@@ -1,3 +1,4 @@
+import importlib
 import os
 import subprocess
 import sys
@@ -32,6 +33,28 @@ def test_public_names_resolve():
     assert len(names) == len(set(names))
     missing = [name for name in names if not hasattr(guessbench, name)]
     assert missing == []
+
+
+def test_public_names_are_the_library_face_of_the_subcommands():
+    # the surface grows only by a deliberate edit here
+    assert sorted(guessbench.__all__) == sorted([
+        "__version__", "DeckSpec", "FeedbackModel", "StrategyId", "StrategySpec",
+        "parse_strategy", "exact_value", "optimal_complete", "optimal_partial",
+        "solve_partial", "probe_persistence", "verify_pointwise", "shuffle_count",
+        "estimate_value", "estimate_repeat_time", "exact_distinct_prefix_probability",
+        "estimate_chain", "exact_chain_mean",
+    ])
+    # internals stay importable from their own modules
+    internals = {
+        "combinatorics": ["ConstraintState"],
+        "exact": ["PartialSolution", "PersistenceViolation", "PointwiseReport",
+                  "enumerable_specs", "first_third_distribution"],
+        "montecarlo": ["StatSummary", "rng_stream"],
+        "strategies": ["make_strategy"],
+    }
+    for module, names in internals.items():
+        mod = importlib.import_module(f"guessbench.{module}")
+        assert all(hasattr(mod, name) for name in names), module
 
 
 def test_exact_subcommands_load_neither_numpy_nor_a_process_pool():

@@ -19,7 +19,7 @@ from guessbench.strategies import (
     StrategyId,
     StrategySpec,
     _mle_guess_at,
-    compatible,
+    _resolve_model,
     make_strategy,
     parse_strategy,
     posterior_by_pair,
@@ -453,16 +453,24 @@ def test_make_strategy_validation():
 
 
 def test_compatibility_rules():
+    # no-feedback strategies run under any model, others only their own;
+    # no model given means the strategy's own
     nofb = StrategySpec(StrategyId.NOFB_CONSTANT)
     for model in FeedbackModel:
-        assert compatible(nofb, model)
+        assert _resolve_model(nofb, model) is model
+    assert _resolve_model(nofb, None) is FeedbackModel.NONE
     mle = StrategySpec(StrategyId.PARTIAL_MLE)
-    assert compatible(mle, FeedbackModel.PARTIAL)
-    assert not compatible(mle, FeedbackModel.COMPLETE)
-    assert not compatible(mle, FeedbackModel.NONE)
+    assert _resolve_model(mle, FeedbackModel.PARTIAL) is FeedbackModel.PARTIAL
+    assert _resolve_model(mle, None) is FeedbackModel.PARTIAL
     greedy = StrategySpec(StrategyId.COMPLETE_GREEDY_MAX)
-    assert compatible(greedy, FeedbackModel.COMPLETE)
-    assert not compatible(greedy, FeedbackModel.PARTIAL)
+    assert _resolve_model(greedy, FeedbackModel.COMPLETE) is FeedbackModel.COMPLETE
+    for sspec, model in [
+        (mle, FeedbackModel.COMPLETE),
+        (mle, FeedbackModel.NONE),
+        (greedy, FeedbackModel.PARTIAL),
+    ]:
+        with pytest.raises(ValueError, match=f"cannot play under {model.value} feedback"):
+            _resolve_model(sspec, model)
 
 
 def test_one_kernel_table_serves_every_strategy():
