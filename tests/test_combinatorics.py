@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import guessbench.montecarlo as mc
+from guessbench.bounds import binomial_pmf_map
 from guessbench.combinatorics import (
     ConstraintState,
     _count,
@@ -19,6 +20,7 @@ from guessbench.exact import solve_partial
 from oracles import (
     PartialMle,
     all_shuffles,
+    brute_binomial,
     brute_count,
     brute_last_card,
     iter_arrangements,
@@ -244,3 +246,13 @@ def test_shuffle_count():
         assert shuffle_count(DeckSpec(m, n), 10**6) is None
     assert time.perf_counter() - start < 1
 
+
+def test_binomial_pmf():
+    p = Fraction(1, 3)
+    pmf = binomial_pmf_map(6, p)
+    assert sum(pmf.values()) == 1
+    assert pmf == {k: brute_binomial(6, p, k) for k in range(7)}
+    # the degenerate ends put all mass on one count
+    assert binomial_pmf_map(4, Fraction(0)) == {0: 1, 1: 0, 2: 0, 3: 0, 4: 0}
+    assert binomial_pmf_map(4, Fraction(1)) == {0: 0, 1: 0, 2: 0, 3: 0, 4: 1}
+    assert 9 not in binomial_pmf_map(4, p)
