@@ -19,7 +19,6 @@ from .exact import (
     optimal_complete,
     optimal_partial,
     probe_persistence,
-    solve_partial,
     verify_pointwise,
 )
 from .montecarlo import (
@@ -47,6 +46,5 @@ __all__ = [
     "parse_strategy",
     "probe_persistence",
     "shuffle_count",
-    "solve_partial",
     "verify_pointwise",
 ]

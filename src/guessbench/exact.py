@@ -9,10 +9,10 @@ the level below's weights.  The terminal level's arrangement counts come
 from a recurrence over level 1's hits, once per down pass; each pass up
 checks the root's count against one inclusion-exclusion ``_count``.  A
 value-only solve keeps two levels' weights at a time and divides out only
-the root's value: ``PartialSolution.values`` and ``policy`` come from one
-more pass up that keeps every level's weights, run when either is first
-read, and the persistence probe reads optimal guesses once each, only for
-the states its walk reaches.  The tests check it against an
+the root's value: ``PartialSolution.values`` comes from one more pass up
+that keeps every level's weights, run when it is first read, and the
+persistence probe reads optimal guesses once each, only for the states its
+walk reaches.  The tests check it against an
 expectimax search over the raw tree of observable histories, which needs
 no state reduction.
 """
@@ -283,10 +283,12 @@ class _Lazy(Mapping):
 
 @dataclass(frozen=True)
 class PartialSolution:
-    spec: DeckSpec
+    """The root's value, and W / N by state, built when first read.
+    perfbench counts a solve's states by ``len(values)``, which builds
+    nothing."""
+
     value: Fraction
     values: Mapping[PairState, Fraction]
-    policy: Mapping[PairState, tuple[tuple[int, int], ...]]
 
 
 def _partial_state_floor(spec: DeckSpec) -> int:
@@ -544,43 +546,24 @@ def solve_partial(
     level below, so deep decks need no recursion, and checks the root's N
     against one ``_count``, the solve's only inclusion-exclusion count.
     The solve keeps only two levels' (N, W) lists at a time.  ``values``
-    (W / N per state) and ``policy`` (each non-terminal state's optimal
-    pairs, by ``_optimal_guesses``) are built when first read, from one
-    more pass up that keeps every level's lists; until then only the root's
-    value is a Fraction.  Raises RuntimeError once more than
+    (W / N per state) is built when first read, from one more pass up that
+    keeps every level's lists, though its size is known at once; until then
+    only the root's value is a Fraction.  Raises RuntimeError once more than
     ``state_limit`` states turn up, or at once when ``_partial_state_floor``
     already exceeds it.
     """
     _check_sense(sense)
     sweep = _sweep_down(spec, state_limit)
-    radix = sweep.radix
-    weights = functools.cache(lambda: _all_weights(sweep, sense))
 
     def values() -> dict[PairState, Fraction]:
         return {
-            _pairs(state, radix): Fraction(w, n)
-            for level, (ns, ws) in enumerate(weights())
+            _pairs(state, sweep.radix): Fraction(w, n)
+            for level, (ns, ws) in enumerate(_all_weights(sweep, sense))
             for state, n, w in zip(sweep.states(level), ns, ws)
         }
 
-    def policy() -> dict[PairState, tuple[tuple[int, int], ...]]:
-        levels = weights()
-        return {
-            _pairs(state, radix): tuple(
-                pair for pair, _, _ in _optimal_guesses(sweep, levels, sense, level, rank)
-            )
-            for level in range(len(sweep.hits))
-            for rank, state in enumerate(sweep.states(level))
-        }
-
-    types = spec.num_types
-    size = sum(map(len, sweep.codes)) // types
-    return PartialSolution(
-        spec,
-        _root_value(sweep, sense),
-        _Lazy(size, values),
-        _Lazy(size - len(sweep.codes[-1]) // types, policy),
-    )
+    size = sum(map(len, sweep.codes)) // spec.num_types
+    return PartialSolution(_root_value(sweep, sense), _Lazy(size, values))
 
 
 def optimal_partial(

@@ -24,6 +24,7 @@ trial-by-trial scores.
 from __future__ import annotations
 
 import math
+import os
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -187,13 +188,13 @@ def _score_histogram(
     spec: DeckSpec, strategy: StrategySpec, trials: int, seed: int, workers: int = 1
 ) -> Counter[int]:
     """Scores of ``trials`` simulated games as a histogram, block by block,
-    in a pool of at most one process per block (a forked pool starts all
-    its processes at once), or in-process when that is one."""
+    in a pool of at most one process per block and per CPU (a forked pool
+    starts all its processes at once), or in-process when that is one."""
     jobs = [
         (spec.multiplicity, spec.num_types, strategy, count, seed, block_id)
         for block_id, count in _blocks(trials)
     ]
-    workers = min(workers, len(jobs))
+    workers = min(workers, len(jobs), os.cpu_count() or 1)
     hist: Counter[int] = Counter()
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor

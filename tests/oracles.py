@@ -6,7 +6,8 @@ draws seeded shuffles one at a time from ``rng_stream``, in the full or the
 reduced layout, which the chunked deck sampler must reproduce.  The recursive
 value DPs are the package's earlier Fraction-valued solvers,
 kept as references for the integer-weighted ones.  They import only the
-arrangement counter ``_count``, ``DeckSpec`` and two result records.
+arrangement counter ``_count``, ``DeckSpec`` and one result record, and the
+partial one returns its own record with a policy map.
 
 The package's earlier per-game strategy classes, its feedback function
 ``observe`` and its play loop ``play`` are the references for the
@@ -34,7 +35,8 @@ whole-report renderers, the byte reference for the block-wise
 ``format_decimal``.
 
 The last section holds references that once lived in the package: a
-recursive arrangement enumerator, a replayer of solved partial policies,
+recursive arrangement enumerator, ``swept_policy``, which reads each
+state's optimal pairs off the package's sweep, a replayer of such policies,
 the expectimax search over feedback histories (an independent route to the
 partial-feedback optimum) and ``brute_value``, which scores any strategy
 factory over every shuffle with ``play``.
@@ -50,7 +52,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 from functools import partial
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -63,7 +65,6 @@ from guessbench.combinatorics import (
 )
 from guessbench.core import DeckSpec, FeedbackModel
 from guessbench.exact import (
-    PartialSolution,
     PersistenceViolation,
     PointwiseReport,
     Sense,
@@ -373,11 +374,17 @@ def _state_vectors(state: PairState) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(p[0] for p in state), tuple(p[1] for p in state)
 
 
+class RecursivePartialSolution(NamedTuple):
+    value: Fraction
+    values: dict[PairState, Fraction]
+    policy: dict[PairState, tuple[tuple[int, int], ...]]
+
+
 def recursive_solve_partial(
     spec: DeckSpec,
     sense: str = "max",
     state_limit: int = 400_000,
-) -> PartialSolution:
+) -> RecursivePartialSolution:
     """Backward induction over canonical (remaining, wrong-guess) pair multisets.
 
     A guess of a type with pair (m_i, a_i) is correct with the exact
@@ -432,7 +439,7 @@ def recursive_solve_partial(
 
     root: PairState = tuple((spec.multiplicity, 0) for _ in range(spec.num_types))
     top = value(root)
-    return PartialSolution(spec, top, values, policy)
+    return RecursivePartialSolution(top, values, policy)
 
 
 def terminal_states(spec: DeckSpec) -> list[PairState]:
@@ -952,21 +959,34 @@ def iter_arrangements(state: ConstraintState, max_total: int = 10) -> Iterator[t
     return rec(0)
 
 
+def swept_policy(spec: DeckSpec, sense: Sense = "max") -> dict[PairState, tuple[tuple[int, int], ...]]:
+    """Each non-terminal state's optimal pairs, in code order, as the
+    package's sweep gives them: ``exact._optimal_guesses`` over every level
+    of ``exact._all_weights``."""
+    sweep = exact._sweep_down(spec, exact.DEFAULT_STATE_LIMIT)
+    weights = exact._all_weights(sweep, sense)
+    return {
+        exact._pairs(state, sweep.radix): tuple(
+            pair for pair, _, _ in exact._optimal_guesses(sweep, weights, sense, level, rank)
+        )
+        for level in range(len(sweep.hits))
+        for rank, state in enumerate(sweep.states(level))
+    }
+
+
 class PolicyPlayer:
     """Replays a solved partial-feedback policy against concrete decks.
 
     Tracks each concrete type's (remaining, wrong-guess) pair, looks up the
-    canonical multiset in the solution's policy, and maps the chosen pair
-    back to the lowest matching type index.
+    canonical multiset in the policy, and maps the chosen pair back to the
+    lowest matching type index.
     """
 
     model = FeedbackModel.PARTIAL
 
-    def __init__(self, solution: PartialSolution):
-        self._policy = solution.policy
-        self._pairs = [
-            [solution.spec.multiplicity, 0] for _ in range(solution.spec.num_types)
-        ]
+    def __init__(self, spec: DeckSpec, policy: dict[PairState, tuple[tuple[int, int], ...]]):
+        self._policy = policy
+        self._pairs = [[spec.multiplicity, 0] for _ in range(spec.num_types)]
         self._last = 0
 
     def next_guess(self) -> int:

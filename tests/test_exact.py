@@ -49,6 +49,7 @@ from oracles import (
     recursive_solve_partial,
     reference_verify_pointwise,
     small_constraint_states,
+    swept_policy,
     terminal_states,
 )
 
@@ -130,7 +131,7 @@ def test_integer_dps_match_recursive_references():
                 want = recursive_solve_partial(spec, sense)
                 assert got.value == want.value
                 assert got.values == want.values
-                assert got.policy == want.policy
+                assert swept_policy(spec, sense) == want.policy
                 assert _partial_state_floor(spec) <= len(got.values)
     for m in range(1, 7):
         for n in range(1, 7):
@@ -142,10 +143,10 @@ def test_integer_dps_match_recursive_references():
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
 # sha256 of repr(sorted(values.items())) and of repr(sorted(policy.items()))
-# from solve_partial(spec, sense), taken from the
-# level sweep that searched sorted pair tuples, before states became ranked
-# code tuples; they pin values, policies and tie order beyond the oracle's
-# mn <= 12 specs
+# from solve_partial(spec, sense).values and swept_policy(spec, sense), taken
+# from the level sweep that searched sorted pair tuples, before states became
+# ranked code tuples; they pin values, policies and tie order beyond the
+# oracle's mn <= 12 specs
 PINNED_PARTIAL_DIGESTS = {
     (10, 3, "max"): (
         "8ba6e2917866a5d71e3b04f3fb8c0a05b57b52a61b511eae9883fedaa4d9e0d3",
@@ -172,8 +173,9 @@ def _digest(mapping) -> str:
 
 def test_partial_solutions_match_pinned_digests():
     for (m, n, sense), digests in PINNED_PARTIAL_DIGESTS.items():
-        solution = solve_partial(DeckSpec(m, n), sense)
-        assert (_digest(solution.values), _digest(solution.policy)) == digests
+        spec = DeckSpec(m, n)
+        values = solve_partial(spec, sense).values
+        assert (_digest(values), _digest(swept_policy(spec, sense))) == digests
 
 
 # sha256 of repr((codes, hits, misses, starts, counts)) of
@@ -207,6 +209,28 @@ def test_value_only_solves_equal_the_full_solve():
             values = {sense: solve_partial(spec, sense).value for sense in ("max", "min")}
             assert {sense: optimal_partial(spec, sense) for sense in values} == values
             assert partial_values_or_none(spec, DEFAULT_STATE_LIMIT) == values
+
+
+def test_partial_state_count_builds_no_map(monkeypatch):
+    # perfbench counts a traced solve's states by len(values): sizing the
+    # map runs no pass up that keeps every level, and the first read runs one
+    spec = DeckSpec(4, 4)
+    sweep = exact._sweep_down(spec, DEFAULT_STATE_LIMIT)
+    all_weights = exact._all_weights
+    calls = []
+
+    def spy(sweep, sense):
+        calls.append(sense)
+        return all_weights(sweep, sense)
+
+    monkeypatch.setattr(exact, "_all_weights", spy)
+    values = solve_partial(spec, "min").values
+    assert len(values) == sum(map(len, sweep.codes)) // spec.num_types
+    assert calls == []
+    assert values[((4, 0),) * 4] == optimal_partial(spec, "min")
+    assert calls == ["min"]
+    assert len(dict(values)) == len(values)
+    assert calls == ["min"]
 
 
 def test_value_only_solve_keeps_levels_compact():
@@ -408,7 +432,8 @@ def test_policy_player_achieves_dp_value():
     for m, n in [(1, 3), (2, 2)]:
         spec = DeckSpec(m, n)
         solution = solve_partial(spec, "max")
-        value = brute_value(spec, lambda deck: PolicyPlayer(solution), FeedbackModel.PARTIAL)
+        policy = swept_policy(spec, "max")
+        value = brute_value(spec, lambda deck: PolicyPlayer(spec, policy), FeedbackModel.PARTIAL)
         assert value == solution.value
 
 
@@ -485,7 +510,7 @@ def test_persistence_probe_reads_only_walked_states(monkeypatch):
 
     monkeypatch.setattr(exact, "_optimal_guesses", spy)
     assert probe_persistence(DeckSpec(4, 4)) == []
-    assert 0 < len(calls) == len(set(calls)) < len(solve_partial(DeckSpec(4, 4)).policy) == 16_145
+    assert 0 < len(calls) == len(set(calls)) < len(swept_policy(DeckSpec(4, 4))) == 16_145
 
 
 def test_exact_chain_mean():

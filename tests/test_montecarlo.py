@@ -6,7 +6,7 @@ import pytest
 
 import guessbench.montecarlo as mc
 from guessbench.core import DeckSpec, FeedbackModel
-from guessbench.exact import exact_chain_mean, exact_value, solve_partial
+from guessbench.exact import exact_chain_mean, exact_value
 from guessbench.montecarlo import (
     StatSummary,
     deck_chunks,
@@ -26,6 +26,7 @@ from oracles import (
     make_oracle,
     play,
     replayed_decks,
+    swept_policy,
 )
 
 CONSTANT = StrategySpec(StrategyId.NOFB_CONSTANT)
@@ -259,6 +260,7 @@ def test_pool_never_exceeds_the_block_count(monkeypatch):
             return map(fn, jobs)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(mc.os, "cpu_count", lambda: 8)
     spec = DeckSpec(2, 4)
     one = estimate_value(spec, None, CONSTANT, 10, 11, workers=64)
     assert sizes == []  # one block: scored in-process, no pool
@@ -266,6 +268,13 @@ def test_pool_never_exceeds_the_block_count(monkeypatch):
     many = estimate_value(spec, None, CONSTANT, 9000, 11, workers=64)
     assert sizes == [3]  # 9,000 trials make three 4,096-row blocks
     assert many.histogram == estimate_value(spec, None, CONSTANT, 9000, 11).histogram
+    # nor the CPU count, or one process when that is unknown
+    monkeypatch.setattr(mc.os, "cpu_count", lambda: 2)
+    assert estimate_value(spec, None, CONSTANT, 9000, 11, workers=64).histogram == many.histogram
+    assert sizes == [3, 2]
+    monkeypatch.setattr(mc.os, "cpu_count", lambda: None)
+    assert estimate_value(spec, None, CONSTANT, 9000, 11, workers=64).histogram == many.histogram
+    assert sizes == [3, 2]
 
 
 def test_single_trial_and_validation():
@@ -371,10 +380,10 @@ def test_mle_matches_reference_on_replayed_decks(sid, maximize):
 
 def test_policy_player_simulation_consistent():
     spec = DeckSpec(1, 3)
-    solution = solve_partial(spec, "max")
+    policy = swept_policy(spec, "max")
     word = np.array(spec.canonical_word(), dtype=np.int16)
     scores = [
-        play(PolicyPlayer(solution), FeedbackModel.PARTIAL, deck)
+        play(PolicyPlayer(spec, policy), FeedbackModel.PARTIAL, deck)
         for decks in deck_chunks(word, mc._blocks(4000), 17)
         for deck in decks.tolist()
     ]
