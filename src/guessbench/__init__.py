@@ -12,7 +12,7 @@ module."""
 
 from ._version import __version__
 from .combinatorics import shuffle_count
-from .core import DeckSpec, FeedbackModel
+from .core import DeckSpec
 from .exact import (
     exact_chain_mean,
     exact_value,
@@ -32,7 +32,6 @@ from .strategies import StrategyId, StrategySpec, parse_strategy
 __all__ = [
     "__version__",
     "DeckSpec",
-    "FeedbackModel",
     "StrategyId",
     "StrategySpec",
     "estimate_chain",

@@ -43,8 +43,8 @@ from .combinatorics import (  # noqa: F401
     next_card_counts,
     shuffle_count,
 )
-from .core import DeckSpec, FeedbackModel
-from .strategies import StrategyId, StrategySpec, _resolve_model, make_strategy
+from .core import DeckSpec
+from .strategies import StrategyId, StrategySpec, make_strategy
 
 if TYPE_CHECKING:  # annotations only; see the package docstring
     import numpy as np
@@ -139,13 +139,9 @@ def _score_pmf(
 
 
 def exact_value(
-    spec: DeckSpec,
-    strategy: StrategySpec,
-    model: FeedbackModel | None = None,
-    limit: int = DEFAULT_ENUM_LIMIT,
+    spec: DeckSpec, strategy: StrategySpec, limit: int = DEFAULT_ENUM_LIMIT
 ) -> Fraction:
     """Expected score of a deterministic strategy over the whole deck."""
-    _resolve_model(strategy, model)  # a compatible model never changes a score
     pmf = _score_pmf(spec, strategy, spec.total, limit)
     return sum(k * p for k, p in pmf.items())
 

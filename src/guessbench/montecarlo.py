@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterator
 
-from .core import DeckSpec, FeedbackModel
+from .core import DeckSpec
 
 # _KERNELS is not read here; perfbench/tracer.py wraps the simulation
 # kernels through this name, and it is the same dict make_strategy reads.
@@ -39,7 +39,6 @@ from .strategies import (  # noqa: F401
     _STRATEGIES,
     StrategyId,
     StrategySpec,
-    _resolve_model,
     make_strategy,
 )
 
@@ -178,10 +177,8 @@ def _block_scores(
     return np.concatenate([score(decks) for decks in chunks])
 
 
-def _score_block_job(payload) -> list[tuple[int, int]]:
-    m, n, sspec, count, seed, block_id = payload
-    scores = _block_scores(DeckSpec(m, n), sspec, count, seed, block_id)
-    return sorted(Counter(scores.tolist()).items())
+def _score_block_job(job: tuple[DeckSpec, StrategySpec, int, int, int]) -> Counter[int]:
+    return Counter(_block_scores(*job).tolist())
 
 
 def _score_histogram(
@@ -190,31 +187,23 @@ def _score_histogram(
     """Scores of ``trials`` simulated games as a histogram, block by block,
     in a pool of at most one process per block and per CPU (a forked pool
     starts all its processes at once), or in-process when that is one."""
-    jobs = [
-        (spec.multiplicity, spec.num_types, strategy, count, seed, block_id)
-        for block_id, count in _blocks(trials)
-    ]
+    jobs = [(spec, strategy, count, seed, block_id) for block_id, count in _blocks(trials)]
     workers = min(workers, len(jobs), os.cpu_count() or 1)
     hist: Counter[int] = Counter()
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for items in pool.map(_score_block_job, jobs):
-                hist.update(dict(items))
+            for counts in pool.map(_score_block_job, jobs):
+                hist.update(counts)
     else:
         for job in jobs:
-            hist.update(dict(_score_block_job(job)))
+            hist.update(_score_block_job(job))
     return hist
 
 
 def estimate_value(
-    spec: DeckSpec,
-    model: FeedbackModel | None,
-    strategy: StrategySpec,
-    trials: int,
-    seed: int,
-    workers: int = 1,
+    spec: DeckSpec, strategy: StrategySpec, trials: int, seed: int, workers: int = 1
 ) -> StatSummary:
     """Simulate ``trials`` games and summarize scores.
 
@@ -223,9 +212,6 @@ def estimate_value(
     """
     if trials < 1:
         raise ValueError("trials must be positive")
-    # validated only: a compatible model other than the strategy's own never
-    # changes a score, since only no-feedback strategies run under one
-    _resolve_model(strategy, model)
     strategy.resolve(spec)  # so a spec that does not fit fails before any block
     return StatSummary.from_counter(_score_histogram(spec, strategy, trials, seed, workers))
 

@@ -172,7 +172,7 @@ def test_criterion_08_monte_carlo_matches_dp():
     for m, n in [(4, 13), (2, 2)]:
         spec = DeckSpec(m, n)
         exact = float(optimal_complete(spec, "max"))
-        summary = estimate_value(spec, None, GREEDY_MAX, 10**5, seed=20_240)
+        summary = estimate_value(spec, GREEDY_MAX, 10**5, seed=20_240)
         gap = abs(summary.mean - exact)
         assert gap <= 4 * summary.se, f"({m},{n}): gap {gap} vs se {summary.se}"
     assert float(optimal_complete(DeckSpec(2, 2), "max")) == float(Fraction(17, 6))
@@ -203,7 +203,7 @@ def test_criterion_10_two_phase_gain_and_chain_bounds():
     gains = []
     for m in (25, 100, 400):
         spec = DeckSpec(m, 50)
-        summary = estimate_value(spec, None, TWO_PHASE, 10**5, seed=9)
+        summary = estimate_value(spec, TWO_PHASE, 10**5, seed=9)
         gain = summary.mean - m
         assert gain > 4 * summary.se, f"m={m}: gain {gain} vs se {summary.se}"
         gains.append(gain)

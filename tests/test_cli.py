@@ -16,6 +16,7 @@ import pytest
 import guessbench.bounds as bounds
 import guessbench.cli as cli
 import guessbench.exact as exact
+import guessbench.montecarlo as montecarlo
 from guessbench.cli import (
     SUBCOMMANDS,
     UsageError,
@@ -249,6 +250,47 @@ def test_simulate_stdout_and_json(capsys):
     assert payload["trials"] == 300
     assert isinstance(payload["histogram"], list)
     assert sum(count for _, count in payload["histogram"]) == 300
+
+
+def test_model_is_checked_by_the_cli(capsys):
+    # the library's exact_value and estimate_value take no model: this is the
+    # one place a strategy meets a model it cannot play under
+    for command in ("simulate", "exact-value"):
+        code, out, err = run_cli(
+            capsys, command, "-m", "2", "-n", "3", "--strategy", "partial-mle",
+            "--model", "complete",
+        )
+        assert code == 2, command
+        assert out == ""
+        assert "cannot play under complete feedback" in err
+    # a no-feedback strategy plays under any model, and the report names it
+    code, out, _ = run_cli(
+        capsys, "exact-value", "-m", "2", "-n", "3", "--strategy", "nofb-constant",
+        "--model", "complete",
+    )
+    assert code == 0
+    assert dict(zip(*read_csv(out)))["model"] == "complete"
+
+
+def test_simulate_passes_trials_by_keyword(capsys, monkeypatch):
+    # perfbench's tracer counts games from estimate_value's trials argument by
+    # name before position, and position 3 is the seed
+    calls = []
+    real = montecarlo.estimate_value
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "estimate_value", spy)
+    code, out, _ = run_cli(
+        capsys, "simulate", "-m", "2", "-n", "3", "--strategy", "nofb-cyclic",
+        "--trials", "7", "--seed", "5",
+    )
+    assert code == 0
+    assert dict(zip(*read_csv(out)))["trials"] == "7"
+    assert len(calls) == 1
+    assert calls[0].get("trials") == 7
 
 
 def test_tj_exact_column(capsys):

@@ -555,7 +555,7 @@ def test_exact_value_matches_reference_play_under_every_model():
                 except ValueError:
                     continue  # a model this strategy cannot play under
                 want = brute_value(spec, lambda deck: make_oracle(sspec, deck), model)
-                assert exact_value(spec, sspec, model) == want, (spec, sspec.label(), model)
+                assert exact_value(spec, sspec) == want, (spec, sspec.label(), model)
 
 
 def test_first_third_distribution_rejects_randomized():
@@ -648,11 +648,10 @@ def test_enumeration_limits_and_misuse():
     with pytest.raises(ValueError, match="randomized"):
         exact_value(DeckSpec(2, 2), StrategySpec(StrategyId.PARTIAL_UNIFORM))
     with pytest.raises(ValueError, match="cannot play"):
-        exact_value(DeckSpec(2, 2), StrategySpec(StrategyId.PARTIAL_MLE), model=FeedbackModel.COMPLETE)
+        _resolve_model(StrategySpec(StrategyId.PARTIAL_MLE), FeedbackModel.COMPLETE)
 
 
 def test_no_feedback_strategy_under_complete_model():
-    value = exact_value(
-        DeckSpec(2, 3), StrategySpec(StrategyId.NOFB_CONSTANT), model=FeedbackModel.COMPLETE
-    )
-    assert value == 2
+    nofb = StrategySpec(StrategyId.NOFB_CONSTANT)
+    assert _resolve_model(nofb, FeedbackModel.COMPLETE) is FeedbackModel.COMPLETE
+    assert exact_value(DeckSpec(2, 3), nofb) == 2

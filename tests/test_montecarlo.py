@@ -16,7 +16,13 @@ from guessbench.montecarlo import (
     exact_distinct_prefix_probability,
     rng_stream,
 )
-from guessbench.strategies import _STRATEGIES, StrategyId, StrategySpec, make_strategy
+from guessbench.strategies import (
+    _STRATEGIES,
+    StrategyId,
+    StrategySpec,
+    _resolve_model,
+    make_strategy,
+)
 from oracles import (
     PolicyPlayer,
     ReferencePartialMle,
@@ -189,7 +195,7 @@ def test_kernel_matches_generic_path(sspec, deck):
         for t, d in enumerate(decks)
     ]
     assert fast.tolist() == slow
-    summary = estimate_value(deck, None, sspec, trials, seed)
+    summary = estimate_value(deck, sspec, trials, seed)
     assert summary.histogram == tuple(sorted(Counter(slow).items()))
 
 
@@ -215,27 +221,27 @@ def test_invalid_spec_fails_alike_with_and_without_kernels(sid, params, deck, me
             call(StrategySpec(sid, **params))
         return str(caught.value)
 
-    simulated = failure(lambda sspec: estimate_value(deck, None, sspec, 10, 0))
+    simulated = failure(lambda sspec: estimate_value(deck, sspec, 10, 0))
     assert failure(lambda sspec: exact_value(deck, sspec)) == simulated
     assert failure(lambda sspec: make_strategy(sspec, deck)) == simulated
 
 
 def test_workers_do_not_change_results():
     spec = DeckSpec(2, 4)
-    one = estimate_value(spec, None, CONSTANT, 5000, 11, workers=1)
-    two = estimate_value(spec, None, CONSTANT, 5000, 11, workers=2)
+    one = estimate_value(spec, CONSTANT, 5000, 11, workers=1)
+    two = estimate_value(spec, CONSTANT, 5000, 11, workers=2)
     assert one.histogram == two.histogram
     assert one.trials == 5000
     # two-phase deals reduced decks; each block still draws from its own stream
     spec = DeckSpec(3, 5)
-    one = estimate_value(spec, None, TWO_PHASE, 9000, 11, workers=1)
-    two = estimate_value(spec, None, TWO_PHASE, 9000, 11, workers=2)
+    one = estimate_value(spec, TWO_PHASE, 9000, 11, workers=1)
+    two = estimate_value(spec, TWO_PHASE, 9000, 11, workers=2)
     assert one.histogram == two.histogram
     assert one.trials == 9000
     # each worker builds its own partial-mle guess memo
     mle = StrategySpec(StrategyId.PARTIAL_MLE)
-    one = estimate_value(DeckSpec(3, 4), None, mle, 9000, 11, workers=1)
-    two = estimate_value(DeckSpec(3, 4), None, mle, 9000, 11, workers=2)
+    one = estimate_value(DeckSpec(3, 4), mle, 9000, 11, workers=1)
+    two = estimate_value(DeckSpec(3, 4), mle, 9000, 11, workers=2)
     assert one.histogram == two.histogram
     assert one.trials == 9000
 
@@ -262,31 +268,29 @@ def test_pool_never_exceeds_the_block_count(monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     monkeypatch.setattr(mc.os, "cpu_count", lambda: 8)
     spec = DeckSpec(2, 4)
-    one = estimate_value(spec, None, CONSTANT, 10, 11, workers=64)
+    one = estimate_value(spec, CONSTANT, 10, 11, workers=64)
     assert sizes == []  # one block: scored in-process, no pool
-    assert one.histogram == estimate_value(spec, None, CONSTANT, 10, 11).histogram
-    many = estimate_value(spec, None, CONSTANT, 9000, 11, workers=64)
+    assert one.histogram == estimate_value(spec, CONSTANT, 10, 11).histogram
+    many = estimate_value(spec, CONSTANT, 9000, 11, workers=64)
     assert sizes == [3]  # 9,000 trials make three 4,096-row blocks
-    assert many.histogram == estimate_value(spec, None, CONSTANT, 9000, 11).histogram
+    assert many.histogram == estimate_value(spec, CONSTANT, 9000, 11).histogram
     # nor the CPU count, or one process when that is unknown
     monkeypatch.setattr(mc.os, "cpu_count", lambda: 2)
-    assert estimate_value(spec, None, CONSTANT, 9000, 11, workers=64).histogram == many.histogram
+    assert estimate_value(spec, CONSTANT, 9000, 11, workers=64).histogram == many.histogram
     assert sizes == [3, 2]
     monkeypatch.setattr(mc.os, "cpu_count", lambda: None)
-    assert estimate_value(spec, None, CONSTANT, 9000, 11, workers=64).histogram == many.histogram
+    assert estimate_value(spec, CONSTANT, 9000, 11, workers=64).histogram == many.histogram
     assert sizes == [3, 2]
 
 
 def test_single_trial_and_validation():
     spec = DeckSpec(2, 2)
-    summary = estimate_value(spec, None, CONSTANT, 1, 0)
+    summary = estimate_value(spec, CONSTANT, 1, 0)
     assert summary.trials == 1
     with pytest.raises(ValueError):
-        estimate_value(spec, None, CONSTANT, 0, 0)
+        estimate_value(spec, CONSTANT, 0, 0)
     with pytest.raises(ValueError):
-        estimate_value(
-            spec, FeedbackModel.COMPLETE, StrategySpec(StrategyId.PARTIAL_MLE), 10, 0
-        )
+        _resolve_model(StrategySpec(StrategyId.PARTIAL_MLE), FeedbackModel.COMPLETE)
 
 
 def test_stat_summary_moments():
@@ -369,7 +373,7 @@ def test_mle_matches_reference_on_replayed_decks(sid, maximize):
     # two blocks, the second cut short
     spec = DeckSpec(3, 4)
     trials, seed = 5000, 13
-    summary = estimate_value(spec, FeedbackModel.PARTIAL, StrategySpec(sid), trials, seed)
+    summary = estimate_value(spec, StrategySpec(sid), trials, seed)
     word = np.array(spec.canonical_word(), dtype=np.int16)
     hist = Counter(
         play(ReferencePartialMle(spec, maximize), FeedbackModel.PARTIAL, deck)

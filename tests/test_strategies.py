@@ -351,7 +351,7 @@ def test_mle_runs_leave_the_count_cache_empty():
     for sid, maximize in ((StrategyId.PARTIAL_MLE, True), (StrategyId.PARTIAL_MIN_MLE, False)):
         for spec in (DeckSpec(2, 3), DeckSpec(3, 4)):
             _forget_mle_memos(spec, maximize)
-        mc.estimate_value(DeckSpec(3, 4), None, StrategySpec(sid), 500, 3)
+        mc.estimate_value(DeckSpec(3, 4), StrategySpec(sid), 500, 3)
         exact_value(DeckSpec(2, 3), StrategySpec(sid))
         assert _BEST_MEMO[3, 4, maximize] and _BEST_MEMO[2, 3, maximize]
     assert _DIST_CACHE == {}
