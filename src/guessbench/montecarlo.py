@@ -13,6 +13,9 @@ positions of those km cards and holds 0 in every other cell, 800 of 20,000
 cards per deck at (400, 50).  Every other strategy, and every other sampler,
 shuffles the whole deck.  The reduced layout changed two-phase's stream,
 which is why ``RNG_FAMILY`` moved from ``philox4x64`` to ``philox4x64-r2``.
+Whole-deck shuffles run on pointer-sized copies of the cards, numpy's
+fastest shuffle loop; numpy makes the same draws for every dtype, so the
+decks, and the stream, are those of shuffling the cards in their own dtype.
 
 Each chunk of decks is scored by the strategy's kernel through
 ``strategies.make_strategy``, the same path exact enumeration takes.  The
@@ -49,6 +52,9 @@ RNG_FAMILY = "philox4x64-r2"
 BLOCK_SIZE = 4096
 _CHUNK = 512
 _CHUNK_CELLS = 2**20
+# Cards per staged shuffle (see deck_chunks): stages of 2^12 to 2^17 cards
+# shuffle at the same speed, and each staged card takes 8 bytes.
+_STAGE_CELLS = 2**13
 _DECK_TAG = 0
 _STRATEGY_TAG = 1
 
@@ -142,19 +148,32 @@ def deck_chunks(
     those cards lie where a uniform shuffle would put them; these chunks
     also hold at most ``_CHUNK_CELLS`` cards (one row at least), which
     bounds their kernel's whole-array temporaries.  Full shuffles keep
-    ``_CHUNK`` rows, since the kernels that read every card loop over
+    ``_CHUNK`` rows, since most kernels that read every card loop over
     columns and pay per chunk.
+
+    Full shuffles are staged as ``np.intp`` rows, at most ``_STAGE_CELLS``
+    cards (one row at least) at a time, and copied into the chunk in
+    ``word``'s dtype.  ``Generator.permuted`` has a specialized swap loop
+    only for pointer-sized items, and it makes the same bounded-integer
+    draws for every dtype, so the rows equal a plain ``rng.permuted`` of
+    the tiled word.
     """
     import numpy as np
 
     rows = _CHUNK if reads is None else min(_CHUNK, max(1, _CHUNK_CELLS // len(word)))
+    if reads is None:
+        stage = np.empty((min(rows, max(1, _STAGE_CELLS // len(word))), len(word)), np.intp)
     for block_id, count in blocks:
         rng = rng_stream(seed, tag, block_id)
         for done in range(0, count, rows):
             step = min(rows, count - done)
             if reads is None:
-                decks = np.tile(word, (step, 1))
-                yield rng.permuted(decks, axis=1, out=decks)
+                decks = np.empty((step, len(word)), dtype=word.dtype)
+                for start in range(0, step, len(stage)):
+                    part = stage[: step - start]
+                    part[...] = word
+                    decks[start : start + len(part)] = rng.permuted(part, axis=1, out=part)
+                yield decks
                 continue
             decks = np.zeros((step, len(word)), dtype=word.dtype)
             for row in decks:

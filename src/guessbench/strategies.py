@@ -211,24 +211,66 @@ def _mle_guess_at(key: int, n: int, width: int, base: int, best: dict, maximize:
 # prefix of the decks: a strategy sees only the cards drawn so far, so
 # scoring a prefix equals stopping the game there.  Only no-feedback
 # strategies run under a model other than their own, and they ignore
-# feedback, so no kernel needs the model.
+# feedback, so no kernel needs the model.  Most kernels walk the columns,
+# a few numpy operations per card; greedy-max instead sorts each row once
+# and scores it from its cards' positions, a slice of rows at a time.
+
+# The most cells a slice of greedy-max's whole-row temporaries holds.  Over
+# a whole 512-row (400,50) chunk, each int64 temporary would take 82 MB.
+_SLICE_CELLS = 2**17
 
 
-def _kernel_greedy(maximize: bool):
-    def kernel(spec: DeckSpec, params: dict, decks: np.ndarray, strat_rng) -> np.ndarray:
-        import numpy as np
+def _kernel_greedy_max(spec, params, decks, strat_rng):
+    # Greedy-max guesses the first copy, in (level, type) order, not yet
+    # drawn: the least-drawn type, lowest index first.  So it scores at
+    # exactly the copies that lie after every copy before them in that
+    # order, where their position is the running maximum of positions.
+    # Each card's key card * mn + position is unique, so sorting a row's
+    # keys lists each type's copies by position.  A prefix of a deck first
+    # gets the cards it lacks appended in type order: they lie past the
+    # prefix, so they never score, and they stop every later rise.
+    import numpy as np
 
-        rows = np.arange(decks.shape[0])
-        counts = np.full((decks.shape[0], spec.num_types), spec.multiplicity, dtype=np.int64)
-        scores = np.zeros(decks.shape[0], dtype=np.int64)
-        for t in range(decks.shape[1]):
-            guess = counts.argmax(axis=1) if maximize else counts.argmin(axis=1)
-            revealed = decks[:, t] - 1
-            scores += guess == revealed
-            counts[rows, revealed] -= 1
-        return scores
+    m, n, mn = spec.multiplicity, spec.num_types, spec.total
+    rows, drawn = decks.shape
+    types = np.arange(1, n + 1)
+    offsets = np.repeat(types * mn, m)
+    scores = np.empty(rows, dtype=np.int64)
+    step = max(1, _SLICE_CELLS // mn)
+    for start in range(0, rows, step):
+        key = decks[start : start + step].astype(np.int64)
+        size = len(key)
+        if drawn < mn:
+            seen = np.bincount((key - 1 + n * np.arange(size)[:, None]).ravel(),
+                               minlength=size * n)
+            lacking = np.repeat(np.tile(types, size), m - seen).reshape(size, mn - drawn)
+            key = np.concatenate([key, lacking], axis=1)
+        key *= mn
+        key += np.arange(mn)
+        key.sort(axis=1)
+        key -= offsets
+        # one row per (level, type), one column per deck
+        positions = key.reshape(size, n, m).transpose(2, 1, 0).reshape(mn, size)
+        scored = positions == np.maximum.accumulate(positions, axis=0)
+        if drawn < mn:
+            scored &= positions < drawn
+        scores[start : start + size] = np.count_nonzero(scored, axis=0)
+    return scores
 
-    return kernel
+
+def _kernel_greedy_min(spec, params, decks, strat_rng):
+    # The guess moves on misses too, so this one walks the columns.
+    import numpy as np
+
+    rows = np.arange(decks.shape[0])
+    counts = np.full((decks.shape[0], spec.num_types), spec.multiplicity, dtype=np.int64)
+    scores = np.zeros(decks.shape[0], dtype=np.int64)
+    for t in range(decks.shape[1]):
+        guess = counts.argmin(axis=1)
+        revealed = decks[:, t] - 1
+        scores += guess == revealed
+        counts[rows, revealed] -= 1
+    return scores
 
 
 def _kernel_constant(spec, params, decks, strat_rng):
@@ -353,8 +395,8 @@ _STRATEGIES = {
 # The one dispatch table for scoring; make_strategy reads it at every call,
 # so a wrapper put in place of an entry sees every scored chunk.
 _KERNELS = {
-    StrategyId.COMPLETE_GREEDY_MAX: _kernel_greedy(True),
-    StrategyId.COMPLETE_GREEDY_MIN: _kernel_greedy(False),
+    StrategyId.COMPLETE_GREEDY_MAX: _kernel_greedy_max,
+    StrategyId.COMPLETE_GREEDY_MIN: _kernel_greedy_min,
     StrategyId.NOFB_CONSTANT: _kernel_constant,
     StrategyId.NOFB_CYCLIC: _kernel_cyclic,
     StrategyId.PARTIAL_MLE: _kernel_mle(True),

@@ -433,6 +433,31 @@ def test_exact_sweep_report_bytes_pinned(capsys, argv, fmt, digest):
     assert hashlib.sha256(strip_provenance(out, fmt).encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("argv,digest", [
+    (("simulate", "-m", "4", "-n", "13", "--strategy", "complete-greedy-max", "--trials", "20000"),
+     "acb224c7c8e785d69b9e6462326bfddcb0e3a6aeb5a325b475e622d5a7b31a5c"),
+    (("simulate", "-m", "400", "-n", "50", "--strategy", "complete-greedy-max", "--trials", "600"),
+     "d0c46e66508aa114190b983ee5710de7f11551e024081e0c4e1df160f21692d0"),
+    (("simulate", "-m", "4", "-n", "13", "--strategy", "complete-greedy-min", "--trials", "20000"),
+     "e8e7276e36403eb5ab2d06ab41473dd91bcebf348a63192f610e8bf4a985c96f"),
+    (("simulate", "-m", "4", "-n", "13", "--strategy", "partial-ladder", "--trials", "20000"),
+     "4cab8f250f0d1d12ba588d2145f56dc9dba400485b580bd41c9e40deb5ff6966"),
+    (("simulate", "-m", "4", "-n", "13", "--strategy", "nofb-cyclic", "--model", "partial",
+      "--trials", "20000"),
+     "5413d412ebf35d5d9e60212a6adc2cb40b333aca8ad3794c32c28ffa6ea7ca33"),
+    (("lstat", "-m", "4", "-n", "13", "--trials", "20000"),
+     "d17f19273fa2ca23b1888214c943f40905c5a1b6bca39f5f9298477ff1c6184d"),
+    (("tj", "-m", "2", "-n", "100", "-j", "2", "--trials", "5000"),
+     "9d86532e323cc7a4f5a32a91d38e6d048f51cb35a01f091c233eb65b53f6b609"),
+])
+def test_simulation_report_bytes_pinned(capsys, argv, digest):
+    # seeded simulation reports, several blocks or chunks each, taken from
+    # the column-loop greedy-max kernel and the in-dtype deck shuffles
+    code, out, err = run_cli(capsys, *argv, "--seed", "0")
+    assert code == 0, err
+    assert hashlib.sha256(strip_provenance(out, "csv").encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("sid", ["partial-mle", "partial-min-mle"])
 def test_simulate_refuses_partial_mle_past_its_card_limit(capsys, sid):
     started = time.perf_counter()

@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -86,6 +87,50 @@ def test_sample_shuffle_is_valid_and_uniform():
     chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
     # 5 degrees of freedom; 20.5 is the 0.999 quantile
     assert chi2 < 20.5
+
+
+def hyp_tail_deck(population, good):
+    """The int8 deck ``bounds.hyp_tail_report`` shuffles: ``good`` ones, then zeros."""
+    deck = np.zeros(population, dtype=np.int8)
+    deck[:good] = 1
+    return deck
+
+
+@pytest.mark.parametrize("word,rows", [
+    (hyp_tail_deck(60, 7), 1300),
+    (mc._deck_word(DeckSpec(4, 13)), 1300),
+    # 140,000 int32 cards, past _STAGE_CELLS: staged one row at a time
+    (mc._deck_word(DeckSpec(2, 70_000)), 3),
+])
+def test_full_shuffles_equal_a_plain_permuted_draw(word, rows):
+    # the shuffles are staged as pointer-sized ints; the chunks must hold
+    # the decks that permuting the word in its own dtype gives
+    for block_id in (0, 2):
+        parts = list(deck_chunks(word, [(block_id, rows)], 41))
+        assert all(decks.dtype == word.dtype for decks in parts)
+        assert np.array_equal(np.concatenate(parts), whole_block_draw(word, 41, block_id, rows))
+
+
+def test_greedy_max_chunk_memory_stays_near_the_chunk():
+    # a 512-row (400,50) chunk holds 20.5 MB of int16 cards; drawing it and
+    # scoring it with greedy-max may each need only a few MB more
+    spec = DeckSpec(400, 50)
+    word = mc._deck_word(spec)
+    chunk_bytes = mc._CHUNK * spec.total * word.itemsize
+    score = make_strategy(StrategySpec(StrategyId.COMPLETE_GREEDY_MAX), spec)
+    tracemalloc.start()
+    try:
+        decks = next(deck_chunks(word, [(0, mc._CHUNK)], 0))
+        draw_peak = tracemalloc.get_traced_memory()[1]
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        score(decks)
+        score_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert decks.nbytes == chunk_bytes
+    assert draw_peak < chunk_bytes + 4 * 2**20
+    assert score_peak < 4 * 2**20
 
 
 def test_reduced_layout_places_types_1_and_2_uniformly():

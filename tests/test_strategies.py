@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import guessbench.montecarlo as mc
+import guessbench.strategies as strategies
 from guessbench.combinatorics import _state_codes, _state_layout
 from guessbench.core import DeckSpec, FeedbackModel
 from guessbench.exact import enumerable_specs, exact_value, solve_partial
@@ -19,6 +20,7 @@ from guessbench.strategies import (
     StrategyId,
     StrategySpec,
     _mle_guess_at,
+    _kernel_greedy_max,
     _resolve_model,
     make_strategy,
     parse_strategy,
@@ -27,6 +29,7 @@ from guessbench.strategies import (
 from oracles import (
     ReferencePartialMle,
     all_shuffles,
+    iter_shuffles,
     make_oracle,
     observe,
     reference_posterior_by_pair,
@@ -186,6 +189,42 @@ def test_greedy_max_per_deck_scores():
     assert [play(deck, FeedbackModel.COMPLETE, greedy, w)[1] for w in all_shuffles(2, 2)] == scores
     assert scores == [3, 4, 3, 3, 2, 2]
     assert Fraction(sum(scores), 6) == Fraction(17, 6)
+
+
+def reference_prefix_scores(sspec, spec, deck):
+    """The reference strategy's score after each of the 0 to mn first cards
+    of ``deck``."""
+    strat = make_oracle(sspec, spec)
+    scores = [0]
+    for card in deck:
+        g = strat.next_guess()
+        scores.append(scores[-1] + (g == card))
+        strat.observe(observe(FeedbackModel.COMPLETE, g, card))
+    return scores
+
+
+def check_greedy_max_prefixes(spec):
+    greedy = StrategySpec(StrategyId.COMPLETE_GREEDY_MAX)
+    decks = list(iter_shuffles(spec))
+    expected = np.array([reference_prefix_scores(greedy, spec, deck) for deck in decks])
+    words = np.array(decks, dtype=np.int16)
+    for drawn in range(spec.total + 1):
+        got = _kernel_greedy_max(spec, {}, words[:, :drawn], None)
+        assert got.tolist() == expected[:, drawn].tolist(), (spec, drawn)
+
+
+def test_greedy_max_kernel_matches_reference_on_every_prefix():
+    # every shuffle of every enumerable deck, whole and cut after each card
+    for spec in enumerable_specs():
+        check_greedy_max_prefixes(spec)
+
+
+@pytest.mark.parametrize("cells", [5, 50])
+def test_greedy_max_kernel_across_slices(monkeypatch, cells):
+    # 5 cells: one deck per slice; 50: a handful of decks per slice
+    monkeypatch.setattr(strategies, "_SLICE_CELLS", cells)
+    for m, n in ((2, 4), (3, 3), (7, 2)):
+        check_greedy_max_prefixes(DeckSpec(m, n))
 
 
 def test_greedy_min_dodges_exhausted_types():
