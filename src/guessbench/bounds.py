@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Iterator, Mapping, NamedTuple
 
 from .core import DeckSpec
 from .exact import DEFAULT_STATE_LIMIT, enumerable_specs, first_third_distribution
-from .montecarlo import _CHUNK, _blocks, deck_chunks, rng_stream
+from .montecarlo import _blocks, deck_chunks, rng_stream
 from .strategies import StrategyId, StrategySpec
 
 if TYPE_CHECKING:  # annotations only; see the package docstring
@@ -29,6 +29,8 @@ INCONCLUSIVE = "INCONCLUSIVE"
 CONFIDENCE_MULTIPLIER = 4.0
 _BOUNDS_TAG = 2
 _SIM_BLOCK = 2048
+# Rows per slice of walk draws: each draw is a float64 per step.
+_WALK_SLICE = 128
 
 
 class BoundReport(NamedTuple):
@@ -63,9 +65,12 @@ def _window_frequency(blocks, first: int, cutoff) -> tuple[float, float]:
     exceeds the cutoff somewhere in the window: the sum of a row's first
     ``first + j`` elements is compared with ``cutoff[j]``.  Returns the
     share and its 4-standard-error radius."""
+    import numpy as np
+
     hits = trials = 0
     for rows in blocks:
-        sums = rows.cumsum(axis=1)[:, first - 1 : first - 1 + len(cutoff)]
+        # int32 sums: a row holds far fewer than 2^31 elements
+        sums = rows.cumsum(axis=1, dtype=np.int32)[:, first - 1 : first - 1 + len(cutoff)]
         hits += int((sums > cutoff).any(axis=1).sum())
         trials += len(rows)
     freq = hits / trials
@@ -95,12 +100,13 @@ def union_bound_rhs(
 def _walks(p: float, steps: int, trials: int, seed: int) -> Iterator[np.ndarray]:
     """``trials`` rows of ``steps`` Bernoulli(p) draws as bool arrays.
     Block b of ``_SIM_BLOCK`` rows draws its rows in order from
-    ``rng_stream(seed, _BOUNDS_TAG, b)``, in slices of at most ``_CHUNK``
-    rows; ``random`` fills rows in order, so the slices join into the rows
-    of one whole-block draw, and no block's floats are held at once."""
+    ``rng_stream(seed, _BOUNDS_TAG, b)``, in slices of at most
+    ``_WALK_SLICE`` rows; ``random`` fills rows in order, so the slices join
+    into the rows of one whole-block draw, and no block's floats are held
+    at once."""
     for block, rows in _blocks(trials, _SIM_BLOCK):
         rng = rng_stream(seed, _BOUNDS_TAG, block)
-        for _, size in _blocks(rows, _CHUNK):
+        for _, size in _blocks(rows, _WALK_SLICE):
             yield rng.random((size, steps)) < p
 
 

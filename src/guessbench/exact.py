@@ -44,7 +44,13 @@ from .combinatorics import (  # noqa: F401
     shuffle_count,
 )
 from .core import DeckSpec
-from .strategies import StrategyId, StrategySpec, make_strategy
+from .strategies import (
+    _STRATEGIES,
+    StrategyId,
+    StrategySpec,
+    _card_positions,
+    make_strategy,
+)
 
 if TYPE_CHECKING:  # annotations only; see the package docstring
     import numpy as np
@@ -113,7 +119,8 @@ def _score_pmf(
 ) -> dict[int, Fraction]:
     """Exact pmf of a deterministic strategy's score over the first
     ``prefix`` cards, by scoring every ``_shuffle_blocks`` block with its
-    kernel.  The one enumeration behind every exact strategy statistic.
+    kernel, as card positions for a kernel that takes them.  The one
+    enumeration behind every exact strategy statistic.
 
     Randomized specs are rejected; estimate those by simulation.
     """
@@ -128,10 +135,15 @@ def _score_pmf(
     import numpy as np
 
     score = make_strategy(strategy, spec)
+    reads_types = _STRATEGIES[strategy.id].reads_types
     hist = np.zeros(prefix + 1, dtype=np.int64)
     scored = 0
     for block in _shuffle_blocks(spec):
-        hist += np.bincount(score(block[:, :prefix]), minlength=prefix + 1)
+        if reads_types is None:
+            cards = block[:, :prefix]
+        else:
+            cards = _card_positions(block, reads_types * spec.multiplicity, prefix)
+        hist += np.bincount(score(cards), minlength=prefix + 1)
         scored += len(block)
     if scored != size:
         raise AssertionError(f"enumerated {scored} of {size} shuffles of {spec}")

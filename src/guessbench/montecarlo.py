@@ -7,12 +7,13 @@ the counter-based stream (seed, 0, b) and any strategy randomness from
 estimates are bit-identical for a given (seed, trials) no matter how many
 workers run the blocks.
 
-A strategy whose kernel compares cards only against types 1..k
-(partial-two-phase, k = 2) is dealt reduced decks: each row draws only the
-positions of those km cards and holds 0 in every other cell, 800 of 20,000
-cards per deck at (400, 50).  Every other strategy, and every other sampler,
-shuffles the whole deck.  The reduced layout changed two-phase's stream,
-which is why ``RNG_FAMILY`` moved from ``philox4x64`` to ``philox4x64-r2``.
+A strategy whose kernel reads only the cards of types 1..k
+(partial-two-phase, k = 2) is dealt their positions, not decks: each row
+draws the positions of those km cards, in order, and holds just them, 800
+positions per game at (400, 50) where a deck holds 20,000 cards.  Every other
+strategy, and every other sampler, shuffles the whole deck.  Drawing only
+those positions changed two-phase's stream, which is why ``RNG_FAMILY``
+moved from ``philox4x64`` to ``philox4x64-r2``.
 Whole-deck shuffles run on pointer-sized copies of the cards, numpy's
 fastest shuffle loop; numpy makes the same draws for every dtype, so the
 decks, and the stream, are those of shuffling the cards in their own dtype.
@@ -51,9 +52,10 @@ if TYPE_CHECKING:  # annotations only; see the package docstring
 RNG_FAMILY = "philox4x64-r2"
 BLOCK_SIZE = 4096
 _CHUNK = 512
-_CHUNK_CELLS = 2**20
-# Cards per staged shuffle (see deck_chunks): stages of 2^12 to 2^17 cards
-# shuffle at the same speed, and each staged card takes 8 bytes.
+# Cards per staged shuffle, and positions per chunk of dealt positions (see
+# deck_chunks), 8 bytes each: stages of 2^12 to 2^17 cards shuffle at the
+# same speed, and 5,000 two-phase games at (400,50) take 0.25 s in chunks of
+# 10 games and 0.24 s in chunks of 40, which peak 0.7 MB higher.
 _STAGE_CELLS = 2**13
 _DECK_TAG = 0
 _STRATEGY_TAG = 1
@@ -142,14 +144,14 @@ def deck_chunks(
 
     Block b draws its shuffles row by row, in order, from
     ``rng_stream(seed, tag, b)``; they come out stacked in arrays of at most
-    ``_CHUNK`` rows, so how the rows are split never changes them.  With
-    ``reads``, each row instead draws ``reads`` distinct positions, in
-    order, and holds ``word[:reads]`` there and 0 in every other cell, so
-    those cards lie where a uniform shuffle would put them; these chunks
-    also hold at most ``_CHUNK_CELLS`` cards (one row at least), which
-    bounds their kernel's whole-array temporaries.  Full shuffles keep
-    ``_CHUNK`` rows, since most kernels that read every card loop over
-    columns and pay per chunk.
+    ``_CHUNK`` rows, so how the rows are split never changes them.
+
+    With ``reads``, each row instead draws ``reads`` distinct positions of
+    the deck, in order, one ``rng.choice`` per row, and the chunk holds
+    those positions, one row per game: column j is where ``word[j]`` lies,
+    so with ``word`` sorted, type t's m copies fill columns (t-1)m..tm-1.
+    Those cards lie where a uniform shuffle would put them.  These chunks
+    hold at most ``_STAGE_CELLS`` positions (one row at least).
 
     Full shuffles are staged as ``np.intp`` rows, at most ``_STAGE_CELLS``
     cards (one row at least) at a time, and copied into the chunk in
@@ -160,24 +162,26 @@ def deck_chunks(
     """
     import numpy as np
 
-    rows = _CHUNK if reads is None else min(_CHUNK, max(1, _CHUNK_CELLS // len(word)))
-    if reads is None:
-        stage = np.empty((min(rows, max(1, _STAGE_CELLS // len(word))), len(word)), np.intp)
+    if reads is not None:
+        rows = min(_CHUNK, max(1, _STAGE_CELLS // reads))
+        for block_id, count in blocks:
+            rng = rng_stream(seed, tag, block_id)
+            for done in range(0, count, rows):
+                yield np.stack([
+                    rng.choice(len(word), size=reads, replace=False)
+                    for _ in range(min(rows, count - done))
+                ])
+        return
+    stage = np.empty((min(_CHUNK, max(1, _STAGE_CELLS // len(word))), len(word)), np.intp)
     for block_id, count in blocks:
         rng = rng_stream(seed, tag, block_id)
-        for done in range(0, count, rows):
-            step = min(rows, count - done)
-            if reads is None:
-                decks = np.empty((step, len(word)), dtype=word.dtype)
-                for start in range(0, step, len(stage)):
-                    part = stage[: step - start]
-                    part[...] = word
-                    decks[start : start + len(part)] = rng.permuted(part, axis=1, out=part)
-                yield decks
-                continue
-            decks = np.zeros((step, len(word)), dtype=word.dtype)
-            for row in decks:
-                row[rng.choice(len(word), size=reads, replace=False)] = word[:reads]
+        for done in range(0, count, _CHUNK):
+            step = min(_CHUNK, count - done)
+            decks = np.empty((step, len(word)), dtype=word.dtype)
+            for start in range(0, step, len(stage)):
+                part = stage[: step - start]
+                part[...] = word
+                decks[start : start + len(part)] = rng.permuted(part, axis=1, out=part)
             yield decks
 
 

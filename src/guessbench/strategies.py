@@ -209,15 +209,51 @@ def _mle_guess_at(key: int, n: int, width: int, base: int, best: dict, maximize:
 # (StrategySpec.resolve), an array of deck words, one per row, and the
 # strategy's stream, and returns each row's score.  Rows may be a common
 # prefix of the decks: a strategy sees only the cards drawn so far, so
-# scoring a prefix equals stopping the game there.  Only no-feedback
+# scoring a prefix equals stopping the game there.  A kernel that reads
+# only types 1..k (``_Kind.reads_types``) takes each row's card positions
+# instead, as ``_card_positions`` lays them out.  Only no-feedback
 # strategies run under a model other than their own, and they ignore
 # feedback, so no kernel needs the model.  Most kernels walk the columns,
 # a few numpy operations per card; greedy-max instead sorts each row once
 # and scores it from its cards' positions, a slice of rows at a time.
 
+
+def _card_positions(words: np.ndarray, reads: int, drawn: int) -> np.ndarray:
+    """Where each row of ``words``, whole shuffles, holds the first ``reads``
+    cards of the sorted word: a row lists type 1's positions, then type
+    2's, and so on.  A position at or past ``drawn`` becomes -1, not drawn
+    yet, so the positions score the first ``drawn`` cards."""
+    import numpy as np
+
+    positions = np.argsort(words, axis=1, kind="stable")[:, :reads]
+    positions[positions >= drawn] = -1
+    return positions
+
+
 # The most cells a slice of greedy-max's whole-row temporaries holds.  Over
 # a whole 512-row (400,50) chunk, each int64 temporary would take 82 MB.
 _SLICE_CELLS = 2**17
+
+
+def _padded_positions(key: np.ndarray, spec: DeckSpec) -> np.ndarray:
+    """From each row's sorted keys card * mn + position of a prefix's drawn
+    cards, every type's positions padded to m copies with the prefix
+    length, the position of a copy not drawn yet."""
+    import numpy as np
+
+    m, n, mn = spec.multiplicity, spec.num_types, spec.total
+    size, drawn = key.shape
+    cards = key // mn
+    key %= mn
+    cards += n * np.arange(size)[:, None] - 1  # each card's (row, type) index
+    lacking = m - np.bincount(cards.ravel(), minlength=size * n).reshape(size, n)
+    # sorted column j goes to column j plus the copies the earlier types lack
+    before = np.cumsum(lacking, axis=1) - lacking + mn * np.arange(size)[:, None]
+    target = before.ravel()[cards]
+    target += np.arange(drawn)
+    padded = np.full((size, mn), drawn, dtype=np.int64)
+    padded.ravel()[target] = key
+    return padded
 
 
 def _kernel_greedy_max(spec, params, decks, strat_rng):
@@ -226,34 +262,33 @@ def _kernel_greedy_max(spec, params, decks, strat_rng):
     # exactly the copies that lie after every copy before them in that
     # order, where their position is the running maximum of positions.
     # Each card's key card * mn + position is unique, so sorting a row's
-    # keys lists each type's copies by position.  A prefix of a deck first
-    # gets the cards it lacks appended in type order: they lie past the
-    # prefix, so they never score, and they stop every later rise.
+    # keys lists each type's copies by position.  In a prefix of a deck,
+    # only the drawn cards are sorted, and each type's copies not drawn get
+    # the position past the prefix: they never score, and they stop every
+    # later rise.
     import numpy as np
 
     m, n, mn = spec.multiplicity, spec.num_types, spec.total
     rows, drawn = decks.shape
-    types = np.arange(1, n + 1)
-    offsets = np.repeat(types * mn, m)
+    offsets = np.repeat(np.arange(1, n + 1) * mn, m)
     scores = np.empty(rows, dtype=np.int64)
     step = max(1, _SLICE_CELLS // mn)
     for start in range(0, rows, step):
         key = decks[start : start + step].astype(np.int64)
         size = len(key)
-        if drawn < mn:
-            seen = np.bincount((key - 1 + n * np.arange(size)[:, None]).ravel(),
-                               minlength=size * n)
-            lacking = np.repeat(np.tile(types, size), m - seen).reshape(size, mn - drawn)
-            key = np.concatenate([key, lacking], axis=1)
         key *= mn
-        key += np.arange(mn)
+        key += np.arange(drawn)
         key.sort(axis=1)
-        key -= offsets
-        # one row per (level, type), one column per deck
-        positions = key.reshape(size, n, m).transpose(2, 1, 0).reshape(mn, size)
-        scored = positions == np.maximum.accumulate(positions, axis=0)
         if drawn < mn:
-            scored &= positions < drawn
+            key = _padded_positions(key, spec)
+        else:
+            key -= offsets
+        # one row per (level, type), one column per deck; rebinding key
+        # frees the row-major keys before the running maximum
+        key = key.reshape(size, n, m).transpose(2, 1, 0).reshape(mn, size)
+        scored = key == np.maximum.accumulate(key, axis=0)
+        if drawn < mn:
+            scored &= key < drawn
         scores[start : start + size] = np.count_nonzero(scored, axis=0)
     return scores
 
@@ -319,16 +354,19 @@ def _kernel_uniform(spec, params, decks, strat_rng):
     return (guesses == decks).sum(axis=1)
 
 
-def _kernel_two_phase(spec, params, decks, strat_rng):
+def _kernel_two_phase(spec, params, positions, strat_rng):
     # Guess 1 for ``phase`` turns; then guess 2 for the rest iff the hits so
-    # far reach ``threshold``, else keep guessing 1.
+    # far reach ``threshold``, else keep guessing 1.  Each row holds the
+    # positions of its m 1s, then of its m 2s (see _card_positions).
     import numpy as np
 
+    m = spec.multiplicity
     phase, threshold = params["phase"], params["threshold"]
-    early_hits = (decks[:, :phase] == 1).sum(axis=1)
+    ones, twos = positions[:, :m], positions[:, m:]
+    late_ones = (ones >= phase).sum(axis=1)
+    early_hits = (ones >= 0).sum(axis=1) - late_ones
     switched = early_hits >= threshold
-    late = decks[:, phase:]
-    return early_hits + np.where(switched, (late == 2).sum(axis=1), (late == 1).sum(axis=1))
+    return early_hits + np.where(switched, (twos >= phase).sum(axis=1), late_ones)
 
 
 def _kernel_ladder(spec, params, decks, strat_rng):
@@ -350,9 +388,10 @@ class _Kind(NamedTuple):
     and a least number of types or a most number of cards.  Its kernel is
     its entry in ``_KERNELS``.
 
-    ``reads_types`` = k says the kernel compares cards only against types
-    1..k, so simulation may deal it decks holding only those km cards, with
-    0 in every other cell; None means it reads every card."""
+    ``reads_types`` = k says the kernel reads only the km cards of types
+    1..k, so it takes their positions, not deck words: simulation deals it
+    just those positions and enumeration finds them with ``_card_positions``.
+    None means it reads every card."""
 
     model: FeedbackModel
     defaults: dict[str, Callable[[DeckSpec], int | float]] = {}

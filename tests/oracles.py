@@ -2,8 +2,8 @@
 
 Most of this file enumerates and filters and shares no code with the
 package; size guards keep those inputs tiny on purpose.  ``replayed_decks``
-draws seeded shuffles one at a time from ``rng_stream``, in the full or the
-reduced layout, which the chunked deck sampler must reproduce.  The recursive
+draws seeded shuffles one at a time from ``rng_stream``, whole or from dealt
+card positions, which the chunked deck sampler must reproduce.  The recursive
 value DPs are the package's earlier Fraction-valued solvers,
 kept as references for the integer-weighted ones.  They import only the
 arrangement counter ``_count``, ``DeckSpec`` and one result record, and the
@@ -207,10 +207,10 @@ def replayed_decks(
     block b draws its rows in order, one permutation each, from
     rng_stream(seed, tag, b).
 
-    With ``reads``, each row instead draws ``reads`` distinct positions in
-    order and puts the first ``reads`` cards of ``word`` there; the rest of
-    ``word`` fills the other positions in order, so every deck is a full
-    shuffle that agrees with the reduced row on those cards.
+    With ``reads``, each row instead deals ``reads`` distinct positions, in
+    order, to the first ``reads`` cards of ``word``; the rest of ``word``
+    fills the other positions in order, so every deck is a full shuffle
+    that puts those cards at the dealt positions.
     """
     decks = []
     for block in range(-(-trials // block_size)):

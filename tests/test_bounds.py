@@ -93,10 +93,10 @@ def test_empirical_maximal_deterministic_and_bounded():
 
 
 def test_walks_join_into_whole_block_draws():
-    # a full 2048-row block, then 1300 rows: two 512-row slices and a 276
+    # a full 2048-row block, then 1300 rows: 128-row slices and a 20
     p, steps, seed = 0.3, 40, 5
     sliced = list(_walks(p, steps, 2048 + 1300, seed))
-    assert [len(rows) for rows in sliced] == [512] * 6 + [276]
+    assert [len(rows) for rows in sliced] == [128] * 26 + [20]
     whole = [rng_stream(seed, 2, b).random((rows, steps)) < p for b, rows in ((0, 2048), (1, 1300))]
     assert np.array_equal(np.concatenate(sliced), np.concatenate(whole))
 

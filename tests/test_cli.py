@@ -449,13 +449,53 @@ def test_exact_sweep_report_bytes_pinned(capsys, argv, fmt, digest):
      "d17f19273fa2ca23b1888214c943f40905c5a1b6bca39f5f9298477ff1c6184d"),
     (("tj", "-m", "2", "-n", "100", "-j", "2", "--trials", "5000"),
      "9d86532e323cc7a4f5a32a91d38e6d048f51cb35a01f091c233eb65b53f6b609"),
+    (("simulate", "-m", "400", "-n", "50", "--strategy", "partial-two-phase", "--trials", "600"),
+     "4ce7acc740707758d4b263d4b6ac50578a3b1a5be3534efc96ea0c7d8688595c"),
+    (("simulate", "-m", "3", "-n", "4", "--strategy", "partial-two-phase:phase=5,threshold=2"),
+     "3484ebad80595dc3d306eaf2782ec3d5e3f6eef1c711fc8147c0d091cd9d19d7"),
+    (("simulate", "-m", "3", "-n", "2", "--strategy", "partial-two-phase:phase=3,threshold=1"),
+     "ffaa53d6ea97240012903d68dab2d013edcddc7baf80f66856a12021ac838f85"),
 ])
 def test_simulation_report_bytes_pinned(capsys, argv, digest):
     # seeded simulation reports, several blocks or chunks each, taken from
-    # the column-loop greedy-max kernel and the in-dtype deck shuffles
+    # the column-loop greedy-max kernel, the in-dtype deck shuffles and the
+    # two-phase kernel that compared whole zero-filled decks
     code, out, err = run_cli(capsys, *argv, "--seed", "0")
     assert code == 0, err
     assert hashlib.sha256(strip_provenance(out, "csv").encode()).hexdigest() == digest
+
+
+# exact-value's two-phase rows, taken when the kernel compared whole words
+TWO_PHASE_EXACT_ROWS = [
+    "1,2,partial,partial-two-phase,1,1.000000",
+    "1,3,partial,partial-two-phase,1,1.000000",
+    "1,4,partial,partial-two-phase,1,1.000000",
+    "1,5,partial,partial-two-phase,1,1.000000",
+    "1,6,partial,partial-two-phase,1,1.000000",
+    "1,7,partial,partial-two-phase,1,1.000000",
+    "2,2,partial,partial-two-phase,2,2.000000",
+    "2,3,partial,partial-two-phase,2,2.000000",
+    "2,4,partial,partial-two-phase,2,2.000000",
+    "3,2,partial,partial-two-phase,3,3.000000",
+    "3,3,partial,partial-two-phase,3,3.000000",
+    "4,2,partial,partial-two-phase,142/35,4.057143",
+    "5,2,partial,partial-two-phase,1265/252,5.019841",
+    "6,2,partial,partial-two-phase,925/154,6.006494",
+    "7,2,partial,partial-two-phase,24031/3432,7.002040",
+]
+
+
+def test_two_phase_exact_values_pinned(capsys):
+    # every enumerable deck two-phase plays (n >= 2)
+    rows = []
+    for spec in exact.enumerable_specs():
+        if spec.num_types < 2:
+            continue
+        code, out, err = run_cli(capsys, "exact-value", "-m", str(spec.multiplicity),
+                                 "-n", str(spec.num_types), "--strategy", "partial-two-phase")
+        assert code == 0, err
+        rows.append(strip_provenance(out, "csv").splitlines()[-1])
+    assert rows == TWO_PHASE_EXACT_ROWS
 
 
 @pytest.mark.parametrize("sid", ["partial-mle", "partial-min-mle"])

@@ -51,14 +51,12 @@ def test_rng_stream_reproducible_and_tag_separated():
 
 
 def whole_block_draw(word, seed, block_id, rows, reads=None):
-    """Block ``block_id``'s decks drawn in one array from its deck stream."""
+    """Block ``block_id``'s decks drawn in one array from its deck stream;
+    with ``reads``, each row's ``reads`` dealt positions instead."""
     rng = rng_stream(seed, 0, block_id)
     if reads is None:
         return rng.permuted(np.tile(word, (rows, 1)), axis=1)
-    decks = np.zeros((rows, len(word)), dtype=word.dtype)
-    for row in decks:
-        row[rng.choice(len(word), size=reads, replace=False)] = word[:reads]
-    return decks
+    return np.array([rng.choice(len(word), size=reads, replace=False) for _ in range(rows)])
 
 
 def test_sample_shuffle_is_valid_and_uniform():
@@ -67,11 +65,12 @@ def test_sample_shuffle_is_valid_and_uniform():
     trials = 60_000
     chunks = list(deck_chunks(word, mc._blocks(trials), 123))
     assert all(1 <= len(decks) <= mc._CHUNK for decks in chunks)
-    # past 2,048 cards a chunk of the reads layout holds fewer rows, while
-    # full shuffles keep 512; splitting a block's rows into chunks never
-    # changes them, in either layout
+    # a chunk of dealt positions holds at most _STAGE_CELLS of them, so 40
+    # positions a row make 204-row chunks, while full shuffles keep 512;
+    # splitting a block's rows into chunks never changes them, in either
+    # layout
     big = mc._deck_word(DeckSpec(3, 1000))
-    for reads, cap in ((None, mc._CHUNK), (6, 2**20 // len(big))):
+    for reads, cap in ((None, mc._CHUNK), (40, mc._STAGE_CELLS // 40)):
         for block_id, rows in ((0, 1000), (1, 700)):
             parts = list(deck_chunks(big, [(block_id, rows)], 123, reads=reads))
             assert len(parts) > 1
@@ -80,6 +79,11 @@ def test_sample_shuffle_is_valid_and_uniform():
             assert np.array_equal(
                 np.concatenate(parts), whole_block_draw(big, 123, block_id, rows, reads)
             )
+    # each row deals distinct positions of the deck
+    dealt = np.sort(np.concatenate(parts), axis=1)
+    assert dealt.shape == (700, 40)
+    assert dealt[:, 0].min() >= 0 and dealt[:, -1].max() < len(big)
+    assert (np.diff(dealt, axis=1) > 0).all()
     counts = Counter(tuple(deck) for decks in chunks for deck in decks.tolist())
     assert sum(counts.values()) == trials
     assert sorted(counts) == all_shuffles(2, 2)
@@ -133,15 +137,42 @@ def test_greedy_max_chunk_memory_stays_near_the_chunk():
     assert score_peak < 4 * 2**20
 
 
+def test_two_phase_chunk_memory_stays_near_the_chunk():
+    # a (400,50) chunk of two-phase positions holds 10 games' 800 int64s,
+    # 64 KB; drawing it and scoring it may each need only a little more
+    spec = DeckSpec(400, 50)
+    word = mc._deck_word(spec)
+    reads = 2 * spec.multiplicity
+    score = make_strategy(TWO_PHASE, spec)
+    next(deck_chunks(word, [(0, 1)], 0, reads=reads))  # the stream's first use imports
+    tracemalloc.start()
+    try:
+        positions = next(deck_chunks(word, [(0, mc._CHUNK)], 0, reads=reads))
+        draw_peak = tracemalloc.get_traced_memory()[1]
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        score(positions)
+        score_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert positions.shape == (mc._STAGE_CELLS // reads, reads)
+    assert draw_peak < positions.nbytes + 2**18
+    assert score_peak < 2**16
+
+
 def test_reduced_layout_places_types_1_and_2_uniformly():
     # at (2,3) the two 1s and two 2s fill 4 of 6 cells: 15 * 6 = 90 patterns
     word = mc._deck_word(DeckSpec(2, 3))
     trials = 45_000
     chunks = list(deck_chunks(word, mc._blocks(trials), 5, reads=4))
-    counts = Counter(tuple(deck) for decks in chunks for deck in decks.tolist())
+    # columns 0-1 hold the 1s' positions, columns 2-3 the 2s'
+    counts = Counter(
+        (frozenset(row[:2]), frozenset(row[2:])) for decks in chunks for row in decks.tolist()
+    )
     assert sum(counts.values()) == trials
     expected_patterns = {
-        tuple(0 if c == 3 else c for c in deck) for deck in all_shuffles(2, 3)
+        tuple(frozenset(i for i, c in enumerate(deck) if c == t) for t in (1, 2))
+        for deck in all_shuffles(2, 3)
     }
     assert len(expected_patterns) == 90
     assert set(counts) == expected_patterns
@@ -152,12 +183,15 @@ def test_reduced_layout_places_types_1_and_2_uniformly():
 
 
 def test_reduced_layout_over_the_whole_deck_is_a_shuffle():
-    # at n = 2 two-phase reads both types, so each row is a full shuffle
+    # at n = 2 two-phase reads both types, so each row deals every position
     spec = DeckSpec(3, 2)
     word = mc._deck_word(spec)
     trials = 20_000
-    decks = np.concatenate(list(deck_chunks(word, mc._blocks(trials), 9, reads=spec.total)))
-    assert (np.sort(decks, axis=1) == word).all()
+    positions = np.concatenate(list(deck_chunks(word, mc._blocks(trials), 9, reads=spec.total)))
+    assert (np.sort(positions, axis=1) == np.arange(spec.total)).all()
+    # card j of the word lies at each row's position j
+    decks = np.empty(positions.shape, dtype=word.dtype)
+    np.put_along_axis(decks, positions, word, axis=1)
     counts = Counter(map(tuple, decks.tolist()))
     assert sorted(counts) == all_shuffles(3, 2)
     expected = trials / 20
@@ -223,7 +257,7 @@ def test_kernel_matches_generic_path(sspec, deck):
     fast = np.concatenate(
         [mc._block_scores(deck, sspec, count, seed, b) for b, count in mc._blocks(trials)]
     )
-    # strategies that read only types 1..k replay the reduced layout
+    # strategies that read only types 1..k replay their dealt positions
     reads_types = _STRATEGIES[sspec.id].reads_types
     reads = None if reads_types is None else reads_types * deck.multiplicity
     decks = replayed_decks(
@@ -277,7 +311,7 @@ def test_workers_do_not_change_results():
     two = estimate_value(spec, CONSTANT, 5000, 11, workers=2)
     assert one.histogram == two.histogram
     assert one.trials == 5000
-    # two-phase deals reduced decks; each block still draws from its own stream
+    # two-phase is dealt positions; each block still draws from its own stream
     spec = DeckSpec(3, 5)
     one = estimate_value(spec, TWO_PHASE, 9000, 11, workers=1)
     two = estimate_value(spec, TWO_PHASE, 9000, 11, workers=2)

@@ -19,6 +19,7 @@ from guessbench.strategies import (
     _STRATEGIES,
     StrategyId,
     StrategySpec,
+    _card_positions,
     _mle_guess_at,
     _kernel_greedy_max,
     _resolve_model,
@@ -53,7 +54,13 @@ def play(spec, model, sspec, deck):
 
 
 def kernel_scores(sspec, spec, decks):
-    return make_strategy(sspec, spec)(np.array(decks, dtype=np.int16)).tolist()
+    """The package kernel's scores of whole ``decks``, dealt as card
+    positions to a kernel that takes them."""
+    words = np.array(decks, dtype=np.int16)
+    reads_types = _STRATEGIES[sspec.id].reads_types
+    if reads_types is not None:
+        words = _card_positions(words, reads_types * spec.multiplicity, spec.total)
+    return make_strategy(sspec, spec)(words).tolist()
 
 
 def layout_key(spec, pairs):
@@ -460,6 +467,35 @@ def test_two_phase_explicit_switch():
     guesses, score = play(deck, FeedbackModel.PARTIAL, spec, (2, 1))
     assert guesses == [1, 1]
     assert score == 1
+
+
+def test_two_phase_positions_match_reference_play_on_every_prefix():
+    # every shuffle of every enumerable deck two-phase plays, cut at every
+    # length, scored from its card positions, with not-drawn ones at -1
+    for spec in enumerable_specs():
+        if spec.num_types < 2:
+            continue
+        words = np.array(list(iter_shuffles(spec)), dtype=np.int16)
+        for sspec in (
+            StrategySpec(StrategyId.PARTIAL_TWO_PHASE),
+            StrategySpec(StrategyId.PARTIAL_TWO_PHASE, phase=spec.total // 3, threshold=1),
+            StrategySpec(StrategyId.PARTIAL_TWO_PHASE, phase=spec.total - 1, threshold=0),
+        ):
+            # a game's reference scores after each card drawn, in one play
+            running = []
+            for word in words.tolist():
+                strat, score, scores = make_oracle(sspec, spec), 0, [0]
+                for card in word:
+                    guess = strat.next_guess()
+                    score += guess == card
+                    strat.observe(observe(FeedbackModel.PARTIAL, guess, card))
+                    scores.append(score)
+                running.append(scores)
+            running = np.array(running)
+            kernel = make_strategy(sspec, spec)
+            for drawn in range(spec.total + 1):
+                positions = _card_positions(words, 2 * spec.multiplicity, drawn)
+                assert np.array_equal(kernel(positions), running[:, drawn]), (spec, sspec, drawn)
 
 
 def test_ladder_traces():
