@@ -119,7 +119,8 @@ def _score_pmf(
 ) -> dict[int, Fraction]:
     """Exact pmf of a deterministic strategy's score over the first
     ``prefix`` cards, by scoring every ``_shuffle_blocks`` block with its
-    kernel, as card positions for a kernel that takes them.  The one
+    kernel: the block's first ``prefix`` columns, or for a positional kind
+    its ``_card_positions`` with the first ``prefix`` cards drawn.  The one
     enumeration behind every exact strategy statistic.
 
     Randomized specs are rejected; estimate those by simulation.
@@ -135,14 +136,11 @@ def _score_pmf(
     import numpy as np
 
     score = make_strategy(strategy, spec)
-    reads_types = _STRATEGIES[strategy.id].reads_types
+    positional = _STRATEGIES[strategy.id].positions
     hist = np.zeros(prefix + 1, dtype=np.int64)
     scored = 0
     for block in _shuffle_blocks(spec):
-        if reads_types is None:
-            cards = block[:, :prefix]
-        else:
-            cards = _card_positions(block, reads_types * spec.multiplicity, prefix)
+        cards = _card_positions(block, prefix) if positional else block[:, :prefix]
         hist += np.bincount(score(cards), minlength=prefix + 1)
         scored += len(block)
     if scored != size:

@@ -10,10 +10,13 @@ workers run the blocks.
 A strategy whose kernel reads only the cards of types 1..k
 (partial-two-phase, k = 2) is dealt their positions, not decks: each row
 draws the positions of those km cards, in order, and holds just them, 800
-positions per game at (400, 50) where a deck holds 20,000 cards.  Every other
-strategy, and every other sampler, shuffles the whole deck.  Drawing only
-those positions changed two-phase's stream, which is why ``RNG_FAMILY``
-moved from ``philox4x64`` to ``philox4x64-r2``.
+positions per game at (400, 50) where a deck holds 20,000 cards.  Drawing
+only those positions changed two-phase's stream, which is why
+``RNG_FAMILY`` moved from ``philox4x64`` to ``philox4x64-r2``.  Every other
+strategy, and every other sampler, shuffles the whole deck.  The other
+positional kernel, complete-greedy-max's, gets each chunk's shuffles sorted
+into card positions (``strategies._card_positions``) a slice of rows at a
+time, so the chunk's positions never sit in memory at once.
 Whole-deck shuffles run on pointer-sized copies of the cards, numpy's
 fastest shuffle loop; numpy makes the same draws for every dtype, so the
 decks, and the stream, are those of shuffling the cards in their own dtype.
@@ -43,6 +46,7 @@ from .strategies import (  # noqa: F401
     _STRATEGIES,
     StrategyId,
     StrategySpec,
+    _card_positions,
     make_strategy,
 )
 
@@ -52,8 +56,9 @@ if TYPE_CHECKING:  # annotations only; see the package docstring
 RNG_FAMILY = "philox4x64-r2"
 BLOCK_SIZE = 4096
 _CHUNK = 512
-# Cards per staged shuffle, and positions per chunk of dealt positions (see
-# deck_chunks), 8 bytes each: stages of 2^12 to 2^17 cards shuffle at the
+# Cards per staged shuffle, positions per chunk of dealt positions (see
+# deck_chunks) and cards per slice sorted into positions (see _block_scores),
+# 8 bytes each: stages of 2^12 to 2^17 cards shuffle at the
 # same speed, and 5,000 two-phase games at (400,50) take 0.25 s in chunks of
 # 10 games and 0.24 s in chunks of 40, which peak 0.7 MB higher.
 _STAGE_CELLS = 2**13
@@ -194,10 +199,22 @@ def _block_scores(
     if not sspec.deterministic:
         strat_rng = rng_stream(sspec.resolve(spec)["seed"], _STRATEGY_TAG, block_id)
     score = make_strategy(sspec, spec, strat_rng)
-    reads_types = _STRATEGIES[sspec.id].reads_types
-    reads = None if reads_types is None else reads_types * spec.multiplicity
+    kind = _STRATEGIES[sspec.id]
+    reads = None if kind.reads_types is None else kind.reads_types * spec.multiplicity
     chunks = deck_chunks(_deck_word(spec), [(block_id, count)], seed, reads=reads)
-    return np.concatenate([score(decks) for decks in chunks])
+    if not kind.positions or reads is not None:
+        return np.concatenate([score(decks) for decks in chunks])
+    # whole shuffles become positions _STAGE_CELLS cards at a time: a
+    # 512-row (400,50) chunk's int64 positions would take 82 MB at once.
+    # Joining each chunk's scores frees its slices' arrays with the chunk.
+    step = max(1, _STAGE_CELLS // spec.total)
+    return np.concatenate([
+        np.concatenate([
+            score(_card_positions(decks[start : start + step], spec.total))
+            for start in range(0, len(decks), step)
+        ])
+        for decks in chunks
+    ])
 
 
 def _score_block_job(job: tuple[DeckSpec, StrategySpec, int, int, int]) -> Counter[int]:

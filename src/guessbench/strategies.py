@@ -209,88 +209,51 @@ def _mle_guess_at(key: int, n: int, width: int, base: int, best: dict, maximize:
 # (StrategySpec.resolve), an array of deck words, one per row, and the
 # strategy's stream, and returns each row's score.  Rows may be a common
 # prefix of the decks: a strategy sees only the cards drawn so far, so
-# scoring a prefix equals stopping the game there.  A kernel that reads
-# only types 1..k (``_Kind.reads_types``) takes each row's card positions
-# instead, as ``_card_positions`` lays them out.  Only no-feedback
-# strategies run under a model other than their own, and they ignore
-# feedback, so no kernel needs the model.  Most kernels walk the columns,
-# a few numpy operations per card; greedy-max instead sorts each row once
-# and scores it from its cards' positions, a slice of rows at a time.
+# scoring a prefix equals stopping the game there.  A positional kernel
+# (``_Kind.positions``) takes each row's card positions instead, as
+# ``_card_positions`` lays them out, and a prefix is the copies it marks
+# drawn.  Only no-feedback strategies run under a model other than their
+# own, and they ignore feedback, so no kernel needs the model.  Most
+# kernels walk the columns, a few numpy operations per card; the
+# positional ones read each type's copies by position instead.
 
 
-def _card_positions(words: np.ndarray, reads: int, drawn: int) -> np.ndarray:
-    """Where each row of ``words``, whole shuffles, holds the first ``reads``
-    cards of the sorted word: a row lists type 1's positions, then type
-    2's, and so on.  A position at or past ``drawn`` becomes -1, not drawn
-    yet, so the positions score the first ``drawn`` cards."""
+def _card_positions(words: np.ndarray, drawn: int) -> np.ndarray:
+    """Where each row of ``words``, whole shuffles, holds each card of the
+    sorted word: a row lists type 1's positions in order, then type 2's,
+    and so on.  A copy at or past ``drawn`` is not drawn yet and sits at
+    mn, past every drawn copy, so the positions score the first ``drawn``
+    cards."""
     import numpy as np
 
-    positions = np.argsort(words, axis=1, kind="stable")[:, :reads]
-    positions[positions >= drawn] = -1
-    return positions
-
-
-# The most cells a slice of greedy-max's whole-row temporaries holds.  Over
-# a whole 512-row (400,50) chunk, each int64 temporary would take 82 MB.
-_SLICE_CELLS = 2**17
-
-
-def _padded_positions(key: np.ndarray, spec: DeckSpec) -> np.ndarray:
-    """From each row's sorted keys card * mn + position of a prefix's drawn
-    cards, every type's positions padded to m copies with the prefix
-    length, the position of a copy not drawn yet."""
-    import numpy as np
-
-    m, n, mn = spec.multiplicity, spec.num_types, spec.total
-    size, drawn = key.shape
-    cards = key // mn
+    mn = words.shape[1]
+    # each card's key card * mn + position is unique, so sorting a row's
+    # keys lists each type's copies by position
+    key = words.astype(np.int64)
+    key *= mn
+    key += np.arange(mn)
+    key.sort(axis=1)
     key %= mn
-    cards += n * np.arange(size)[:, None] - 1  # each card's (row, type) index
-    lacking = m - np.bincount(cards.ravel(), minlength=size * n).reshape(size, n)
-    # sorted column j goes to column j plus the copies the earlier types lack
-    before = np.cumsum(lacking, axis=1) - lacking + mn * np.arange(size)[:, None]
-    target = before.ravel()[cards]
-    target += np.arange(drawn)
-    padded = np.full((size, mn), drawn, dtype=np.int64)
-    padded.ravel()[target] = key
-    return padded
+    key[key >= drawn] = mn
+    return key
 
 
-def _kernel_greedy_max(spec, params, decks, strat_rng):
+def _kernel_greedy_max(spec, params, positions, strat_rng):
     # Greedy-max guesses the first copy, in (level, type) order, not yet
     # drawn: the least-drawn type, lowest index first.  So it scores at
     # exactly the copies that lie after every copy before them in that
-    # order, where their position is the running maximum of positions.
-    # Each card's key card * mn + position is unique, so sorting a row's
-    # keys lists each type's copies by position.  In a prefix of a deck,
-    # only the drawn cards are sorted, and each type's copies not drawn get
-    # the position past the prefix: they never score, and they stop every
-    # later rise.
+    # order, where their position is the running maximum of positions.  A
+    # copy not drawn sits at mn: it never scores, and it stops every later
+    # rise.
     import numpy as np
 
     m, n, mn = spec.multiplicity, spec.num_types, spec.total
-    rows, drawn = decks.shape
-    offsets = np.repeat(np.arange(1, n + 1) * mn, m)
-    scores = np.empty(rows, dtype=np.int64)
-    step = max(1, _SLICE_CELLS // mn)
-    for start in range(0, rows, step):
-        key = decks[start : start + step].astype(np.int64)
-        size = len(key)
-        key *= mn
-        key += np.arange(drawn)
-        key.sort(axis=1)
-        if drawn < mn:
-            key = _padded_positions(key, spec)
-        else:
-            key -= offsets
-        # one row per (level, type), one column per deck; rebinding key
-        # frees the row-major keys before the running maximum
-        key = key.reshape(size, n, m).transpose(2, 1, 0).reshape(mn, size)
-        scored = key == np.maximum.accumulate(key, axis=0)
-        if drawn < mn:
-            scored &= key < drawn
-        scores[start : start + size] = np.count_nonzero(scored, axis=0)
-    return scores
+    rows = len(positions)
+    # one row per (level, type), one column per deck
+    key = positions.reshape(rows, n, m).transpose(2, 1, 0).reshape(mn, rows)
+    scored = key == np.maximum.accumulate(key, axis=0)
+    scored &= key < mn
+    return np.count_nonzero(scored, axis=0)
 
 
 def _kernel_greedy_min(spec, params, decks, strat_rng):
@@ -357,16 +320,17 @@ def _kernel_uniform(spec, params, decks, strat_rng):
 def _kernel_two_phase(spec, params, positions, strat_rng):
     # Guess 1 for ``phase`` turns; then guess 2 for the rest iff the hits so
     # far reach ``threshold``, else keep guessing 1.  Each row holds the
-    # positions of its m 1s, then of its m 2s (see _card_positions).
+    # positions of its m 1s, then of its m 2s (see _card_positions); a copy
+    # not drawn sits at mn.
     import numpy as np
 
-    m = spec.multiplicity
+    m, mn = spec.multiplicity, spec.total
     phase, threshold = params["phase"], params["threshold"]
-    ones, twos = positions[:, :m], positions[:, m:]
-    late_ones = (ones >= phase).sum(axis=1)
-    early_hits = (ones >= 0).sum(axis=1) - late_ones
-    switched = early_hits >= threshold
-    return early_hits + np.where(switched, (twos >= phase).sum(axis=1), late_ones)
+    ones, twos = positions[:, :m], positions[:, m : 2 * m]
+    early_hits = (ones < phase).sum(axis=1)
+    late_ones = ((ones >= phase) & (ones < mn)).sum(axis=1)
+    late_twos = ((twos >= phase) & (twos < mn)).sum(axis=1)
+    return early_hits + np.where(early_hits >= threshold, late_twos, late_ones)
 
 
 def _kernel_ladder(spec, params, decks, strat_rng):
@@ -388,16 +352,18 @@ class _Kind(NamedTuple):
     and a least number of types or a most number of cards.  Its kernel is
     its entry in ``_KERNELS``.
 
-    ``reads_types`` = k says the kernel reads only the km cards of types
-    1..k, so it takes their positions, not deck words: simulation deals it
-    just those positions and enumeration finds them with ``_card_positions``.
-    None means it reads every card."""
+    ``positions`` says the kernel takes card positions, as
+    ``_card_positions`` lays them out, not deck words.  ``reads_types`` = k
+    says a positional kernel reads only the km cards of types 1..k, so
+    simulation deals it just those positions instead of shuffling the
+    whole deck; None means it reads every card."""
 
     model: FeedbackModel
     defaults: dict[str, Callable[[DeckSpec], int | float]] = {}
     bounds: dict[str, Callable[[DeckSpec], tuple[int, int]]] = {}
     min_types: int = 1
     max_cards: int | None = None
+    positions: bool = False
     reads_types: int | None = None
 
 
@@ -407,7 +373,7 @@ class _Kind(NamedTuple):
 _MLE_MAX_CARDS = 200
 
 _STRATEGIES = {
-    StrategyId.COMPLETE_GREEDY_MAX: _Kind(FeedbackModel.COMPLETE),
+    StrategyId.COMPLETE_GREEDY_MAX: _Kind(FeedbackModel.COMPLETE, positions=True),
     StrategyId.COMPLETE_GREEDY_MIN: _Kind(FeedbackModel.COMPLETE),
     StrategyId.NOFB_CONSTANT: _Kind(
         FeedbackModel.NONE,
@@ -426,6 +392,7 @@ _STRATEGIES = {
         },
         bounds={"phase": lambda deck: (0, deck.total)},
         min_types=2,
+        positions=True,
         reads_types=2,
     ),
     StrategyId.PARTIAL_LADDER: _Kind(FeedbackModel.PARTIAL),
@@ -450,7 +417,8 @@ def make_strategy(
     spec: StrategySpec, deck: DeckSpec, rng: np.random.Generator | None = None
 ) -> Callable[[np.ndarray], np.ndarray]:
     """The strategy's kernel bound to its parameters resolved on ``deck``:
-    a function from an array of deck words, one per row, to each row's score.
+    a function from an array of deck words, or of card positions for a
+    positional kind (``_Kind.positions``), one per row, to each row's score.
 
     Raises ValueError naming a parameter that does not fit the deck.
     Randomized strategies draw from ``rng``, which they need; each call

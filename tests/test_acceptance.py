@@ -31,7 +31,7 @@ from guessbench.montecarlo import (
     exact_distinct_prefix_probability,
 )
 from guessbench.cli import main
-from guessbench.strategies import StrategyId, StrategySpec, make_strategy
+from guessbench.strategies import StrategyId, StrategySpec, _card_positions, make_strategy
 from oracles import (
     brute_chain,
     expectimax_value,
@@ -80,7 +80,8 @@ def test_criterion_03_complete_dp_equals_greedy_enumeration():
         assert optimal_complete(spec, "min") == exact_value(spec, GREEDY_MIN)
 
     deck = DeckSpec(2, 2)
-    scores = make_strategy(GREEDY_MAX, deck)(np.array(list(iter_shuffles(deck)), dtype=np.int16))
+    words = np.array(list(iter_shuffles(deck)), dtype=np.int16)
+    scores = make_strategy(GREEDY_MAX, deck)(_card_positions(words, deck.total))
     assert scores.tolist() == [3, 4, 3, 3, 2, 2]
     assert optimal_complete(deck, "max") == Fraction(17, 6)
     _report(

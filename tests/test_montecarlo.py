@@ -21,6 +21,7 @@ from guessbench.strategies import (
     _STRATEGIES,
     StrategyId,
     StrategySpec,
+    _card_positions,
     _resolve_model,
     make_strategy,
 )
@@ -116,25 +117,21 @@ def test_full_shuffles_equal_a_plain_permuted_draw(word, rows):
 
 
 def test_greedy_max_chunk_memory_stays_near_the_chunk():
-    # a 512-row (400,50) chunk holds 20.5 MB of int16 cards; drawing it and
-    # scoring it with greedy-max may each need only a few MB more
+    # a 512-row (400,50) chunk holds 20.5 MB of int16 cards; drawing it,
+    # sorting it into positions and scoring it, as simulation does, may
+    # need only a few MB more
     spec = DeckSpec(400, 50)
-    word = mc._deck_word(spec)
-    chunk_bytes = mc._CHUNK * spec.total * word.itemsize
-    score = make_strategy(StrategySpec(StrategyId.COMPLETE_GREEDY_MAX), spec)
+    chunk_bytes = mc._CHUNK * spec.total * mc._deck_word(spec).itemsize
     tracemalloc.start()
     try:
-        decks = next(deck_chunks(word, [(0, mc._CHUNK)], 0))
-        draw_peak = tracemalloc.get_traced_memory()[1]
-        held = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        score(decks)
-        score_peak = tracemalloc.get_traced_memory()[1] - held
+        scores = mc._block_scores(
+            spec, StrategySpec(StrategyId.COMPLETE_GREEDY_MAX), mc._CHUNK, 0, 0
+        )
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert decks.nbytes == chunk_bytes
-    assert draw_peak < chunk_bytes + 4 * 2**20
-    assert score_peak < 4 * 2**20
+    assert len(scores) == mc._CHUNK
+    assert peak < chunk_bytes + 4 * 2**20
 
 
 def test_two_phase_chunk_memory_stays_near_the_chunk():
@@ -227,8 +224,8 @@ def test_play_game_record():
     assert play(make_oracle(greedy, spec), FeedbackModel.COMPLETE, (1, 2, 2, 1)) == 3
     assert play(make_oracle(greedy, spec), FeedbackModel.COMPLETE, (1, 2, 2, 1)[:2]) == 2
     decks = np.array([(1, 2, 2, 1)], dtype=np.int16)
-    assert make_strategy(greedy, spec)(decks).tolist() == [3]
-    assert make_strategy(greedy, spec)(decks[:, :2]).tolist() == [2]
+    assert make_strategy(greedy, spec)(_card_positions(decks, 4)).tolist() == [3]
+    assert make_strategy(greedy, spec)(_card_positions(decks, 2)).tolist() == [2]
 
 
 KERNEL_CASES = [

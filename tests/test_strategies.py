@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 import guessbench.montecarlo as mc
-import guessbench.strategies as strategies
 from guessbench.combinatorics import _state_codes, _state_layout
 from guessbench.core import DeckSpec, FeedbackModel
 from guessbench.exact import enumerable_specs, exact_value, solve_partial
@@ -57,9 +56,8 @@ def kernel_scores(sspec, spec, decks):
     """The package kernel's scores of whole ``decks``, dealt as card
     positions to a kernel that takes them."""
     words = np.array(decks, dtype=np.int16)
-    reads_types = _STRATEGIES[sspec.id].reads_types
-    if reads_types is not None:
-        words = _card_positions(words, reads_types * spec.multiplicity, spec.total)
+    if _STRATEGIES[sspec.id].positions:
+        words = _card_positions(words, spec.total)
     return make_strategy(sspec, spec)(words).tolist()
 
 
@@ -216,7 +214,7 @@ def check_greedy_max_prefixes(spec):
     expected = np.array([reference_prefix_scores(greedy, spec, deck) for deck in decks])
     words = np.array(decks, dtype=np.int16)
     for drawn in range(spec.total + 1):
-        got = _kernel_greedy_max(spec, {}, words[:, :drawn], None)
+        got = _kernel_greedy_max(spec, {}, _card_positions(words, drawn), None)
         assert got.tolist() == expected[:, drawn].tolist(), (spec, drawn)
 
 
@@ -228,10 +226,21 @@ def test_greedy_max_kernel_matches_reference_on_every_prefix():
 
 @pytest.mark.parametrize("cells", [5, 50])
 def test_greedy_max_kernel_across_slices(monkeypatch, cells):
-    # 5 cells: one deck per slice; 50: a handful of decks per slice
-    monkeypatch.setattr(strategies, "_SLICE_CELLS", cells)
+    # simulation sorts whole shuffles into positions _STAGE_CELLS cards at
+    # a time; 5 cells: one deck per slice; 50: a handful of decks per slice.
+    # 600 games span a chunk edge too.
+    monkeypatch.setattr(mc, "_STAGE_CELLS", cells)
+    greedy = StrategySpec(StrategyId.COMPLETE_GREEDY_MAX)
+    games, seed = 600, 9
     for m, n in ((2, 4), (3, 3), (7, 2)):
-        check_greedy_max_prefixes(DeckSpec(m, n))
+        spec = DeckSpec(m, n)
+        scores = mc._block_scores(spec, greedy, games, seed, 0)
+        decks = replayed_decks(mc._deck_word(spec), games, seed, mc._DECK_TAG, games)
+        expected = [
+            reference_play(make_oracle(greedy, spec), FeedbackModel.COMPLETE, deck)
+            for deck in decks
+        ]
+        assert scores.tolist() == expected, spec
 
 
 def test_greedy_min_dodges_exhausted_types():
@@ -471,7 +480,7 @@ def test_two_phase_explicit_switch():
 
 def test_two_phase_positions_match_reference_play_on_every_prefix():
     # every shuffle of every enumerable deck two-phase plays, cut at every
-    # length, scored from its card positions, with not-drawn ones at -1
+    # length, scored from its card positions, with not-drawn ones at mn
     for spec in enumerable_specs():
         if spec.num_types < 2:
             continue
@@ -494,7 +503,7 @@ def test_two_phase_positions_match_reference_play_on_every_prefix():
             running = np.array(running)
             kernel = make_strategy(sspec, spec)
             for drawn in range(spec.total + 1):
-                positions = _card_positions(words, 2 * spec.multiplicity, drawn)
+                positions = _card_positions(words, drawn)
                 assert np.array_equal(kernel(positions), running[:, drawn]), (spec, sspec, drawn)
 
 
@@ -546,6 +555,13 @@ def test_compatibility_rules():
     ]:
         with pytest.raises(ValueError, match=f"cannot play under {model.value} feedback"):
             _resolve_model(sspec, model)
+
+
+def test_dealt_positions_reach_only_positional_kernels():
+    # simulation deals a reads-k kind positions, not decks, so its kernel
+    # must be one that takes positions
+    dealt = [sid for sid, kind in _STRATEGIES.items() if kind.reads_types is not None]
+    assert dealt and all(_STRATEGIES[sid].positions for sid in dealt)
 
 
 def test_one_kernel_table_serves_every_strategy():
