@@ -67,12 +67,12 @@ def _window_frequency(blocks, first: int, cutoff) -> tuple[float, float]:
     share and its 4-standard-error radius."""
     import numpy as np
 
-    hits = trials = 0
-    for rows in blocks:
+    def window_hits(rows: np.ndarray) -> tuple[int, int]:
         # int32 sums: a row holds far fewer than 2^31 elements
         sums = rows.cumsum(axis=1, dtype=np.int32)[:, first - 1 : first - 1 + len(cutoff)]
-        hits += int((sums > cutoff).any(axis=1).sum())
-        trials += len(rows)
+        return int((sums > cutoff).any(axis=1).sum()), len(rows)
+
+    hits, trials = map(sum, zip(*map(window_hits, blocks)))
     freq = hits / trials
     return freq, CONFIDENCE_MULTIPLIER * math.sqrt(freq * (1.0 - freq) / trials)
 
@@ -116,8 +116,6 @@ def empirical_maximal(
     """Simulated P[exists k in [k0, k1]: Z_k > lam*p*k] for the centered
     walk Z_k = (successes among the first k Bernoulli(p) trials) - p*k,
     against the union bound with c = 1/2, c' = 1."""
-    if trials < 1:
-        raise ValueError("trials must be positive")
     import numpy as np
 
     rhs = union_bound_rhs(0.5, 1.0, lam, p, k0, k1)
@@ -218,8 +216,6 @@ def hyp_tail_report(
     b0, b1 = window
     if not b0 <= b1 <= population:
         raise ValueError("need b0 <= b1 <= population")
-    if trials < 1:
-        raise ValueError("trials must be positive")
     import numpy as np
 
     hypothesis_ok, notes = _hypothesis(population, good)

@@ -3,23 +3,24 @@
 Trials are partitioned into fixed-size blocks; block b draws its decks from
 the counter-based stream (seed, 0, b) and any strategy randomness from
 (strategy seed, 1, b).  Every deck draw in the package goes through
-``deck_chunks``.  Results are merged as integer score histograms, so
-estimates are bit-identical for a given (seed, trials) no matter how many
-workers run the blocks.
+``deck_chunks``, which alone turns a block's stream into what a kernel
+reads.  Results are merged as integer score histograms, so estimates are
+bit-identical for a given (seed, trials) no matter how many workers run the
+blocks.
 
 A strategy whose kernel reads only the cards of types 1..k
 (partial-two-phase, k = 2) is dealt their positions, not decks: each row
-draws the positions of those km cards, in order, and holds just them, 800
-positions per game at (400, 50) where a deck holds 20,000 cards.  Drawing
-only those positions changed two-phase's stream, which is why
-``RNG_FAMILY`` moved from ``philox4x64`` to ``philox4x64-r2``.  Every other
-strategy, and every other sampler, shuffles the whole deck.  The other
-positional kernel, complete-greedy-max's, gets each chunk's shuffles sorted
-into card positions (``strategies._card_positions``) a slice of rows at a
-time, so the chunk's positions never sit in memory at once.
-Whole-deck shuffles run on pointer-sized copies of the cards, numpy's
-fastest shuffle loop; numpy makes the same draws for every dtype, so the
-decks, and the stream, are those of shuffling the cards in their own dtype.
+draws the positions of those km cards, in draw order, 800 per game at
+(400, 50) where a deck holds 20,000 cards.  Drawing only those positions
+changed two-phase's stream, which is why ``RNG_FAMILY`` moved from
+``philox4x64`` to ``philox4x64-r2``.  Every other strategy, and every other
+sampler, shuffles the whole deck.  The other positional kernel,
+complete-greedy-max's, gets each staged slice of shuffles as its card
+positions (``strategies._card_positions``), so no chunk of its decks is
+built.  Whole-deck shuffles run on pointer-sized copies of the cards,
+numpy's fastest shuffle loop; numpy makes the same draws for every dtype,
+so the decks, and the stream, are those of shuffling the cards in their
+own dtype.
 
 Each chunk of decks is scored by the strategy's kernel through
 ``strategies.make_strategy``, the same path exact enumeration takes.  The
@@ -56,9 +57,8 @@ if TYPE_CHECKING:  # annotations only; see the package docstring
 RNG_FAMILY = "philox4x64-r2"
 BLOCK_SIZE = 4096
 _CHUNK = 512
-# Cards per staged shuffle, positions per chunk of dealt positions (see
-# deck_chunks) and cards per slice sorted into positions (see _block_scores),
-# 8 bytes each: stages of 2^12 to 2^17 cards shuffle at the
+# Cards per staged shuffle and per chunk of dealt or sorted positions (see
+# deck_chunks), 8 bytes each: stages of 2^12 to 2^17 cards shuffle at the
 # same speed, and 5,000 two-phase games at (400,50) take 0.25 s in chunks of
 # 10 games and 0.24 s in chunks of 40, which peak 0.7 MB higher.
 _STAGE_CELLS = 2**13
@@ -125,7 +125,10 @@ class StatSummary:
 
 
 def _blocks(trials: int, size: int = BLOCK_SIZE) -> list[tuple[int, int]]:
-    """(block id, rows) pairs that split ``trials`` into blocks of ``size``."""
+    """(block id, rows) pairs that split ``trials`` into blocks of ``size``;
+    the one check that ``trials`` is positive."""
+    if trials < 1:
+        raise ValueError("trials must be positive")
     return [(b, min(size, trials - b * size)) for b in range((trials + size - 1) // size)]
 
 
@@ -144,50 +147,57 @@ def deck_chunks(
     seed: int,
     tag: int = _DECK_TAG,
     reads: int | None = None,
+    positions: bool = False,
 ) -> Iterator[np.ndarray]:
-    """Shuffles of ``word`` for each (block id, rows) pair of ``blocks``.
+    """Shuffles of ``word`` for each (block id, rows) pair of ``blocks``, in
+    the layout a kernel reads, one row per game.
 
-    Block b draws its shuffles row by row, in order, from
-    ``rng_stream(seed, tag, b)``; they come out stacked in arrays of at most
-    ``_CHUNK`` rows, so how the rows are split never changes them.
+    Block b draws its rows in order from ``rng_stream(seed, tag, b)``, so
+    how they are split into chunks never changes them.  Whole shuffles
+    come in chunks of at most ``_CHUNK`` rows, in ``word``'s dtype; with
+    ``reads`` or ``positions``, a chunk holds at most ``_STAGE_CELLS``
+    cells (one row at least).  With ``reads``, each row instead draws ``reads`` distinct
+    positions of the deck, one ``rng.choice`` per row: column j is where
+    ``word[j]`` lies, so with ``word`` sorted, type t's m copies fill
+    columns (t-1)m..tm-1, in draw order, not by position.  Those cards lie
+    where a uniform shuffle would put them.  With ``positions`` alone, a
+    chunk is the ``_card_positions`` of its whole shuffles.
 
-    With ``reads``, each row instead draws ``reads`` distinct positions of
-    the deck, in order, one ``rng.choice`` per row, and the chunk holds
-    those positions, one row per game: column j is where ``word[j]`` lies,
-    so with ``word`` sorted, type t's m copies fill columns (t-1)m..tm-1.
-    Those cards lie where a uniform shuffle would put them.  These chunks
-    hold at most ``_STAGE_CELLS`` positions (one row at least).
-
-    Full shuffles are staged as ``np.intp`` rows, at most ``_STAGE_CELLS``
-    cards (one row at least) at a time, and copied into the chunk in
-    ``word``'s dtype.  ``Generator.permuted`` has a specialized swap loop
-    only for pointer-sized items, and it makes the same bounded-integer
-    draws for every dtype, so the rows equal a plain ``rng.permuted`` of
-    the tiled word.
+    Whole shuffles are staged as ``np.intp`` rows, at most ``_STAGE_CELLS``
+    cards (one row at least) at a time.  ``Generator.permuted`` has a
+    specialized swap loop only for pointer-sized items, and it makes the
+    same bounded-integer draws for every dtype, so the rows equal a plain
+    ``rng.permuted`` of the tiled word.  The generator keeps no chunk once
+    it has yielded it.
     """
     import numpy as np
 
-    if reads is not None:
-        rows = min(_CHUNK, max(1, _STAGE_CELLS // reads))
-        for block_id, count in blocks:
-            rng = rng_stream(seed, tag, block_id)
-            for done in range(0, count, rows):
-                yield np.stack([
-                    rng.choice(len(word), size=reads, replace=False)
-                    for _ in range(min(rows, count - done))
-                ])
-        return
-    stage = np.empty((min(_CHUNK, max(1, _STAGE_CELLS // len(word))), len(word)), np.intp)
+    staged = min(_CHUNK, max(1, _STAGE_CELLS // (reads or len(word))))
+    rows = _CHUNK if reads is None and not positions else staged
+    if reads is None:
+        stage = np.empty((staged, len(word)), np.intp)
     for block_id, count in blocks:
         rng = rng_stream(seed, tag, block_id)
-        for done in range(0, count, _CHUNK):
-            step = min(_CHUNK, count - done)
-            decks = np.empty((step, len(word)), dtype=word.dtype)
-            for start in range(0, step, len(stage)):
-                part = stage[: step - start]
-                part[...] = word
-                decks[start : start + len(part)] = rng.permuted(part, axis=1, out=part)
-            yield decks
+        for done in range(0, count, rows):
+            step = min(rows, count - done)
+            if reads is not None:
+                chunk = np.stack([
+                    rng.choice(len(word), size=reads, replace=False) for _ in range(step)
+                ])
+            elif positions:
+                chunk = _card_positions(_shuffles(word, rng, stage[:step]), len(word))
+            else:
+                chunk = np.empty((step, len(word)), dtype=word.dtype)
+                for start in range(0, step, staged):
+                    chunk[start : start + staged] = _shuffles(word, rng, stage[: step - start])
+            yield chunk
+            del chunk
+
+
+def _shuffles(word: np.ndarray, rng: np.random.Generator, stage: np.ndarray) -> np.ndarray:
+    """``stage`` filled with ``len(stage)`` shuffles of ``word`` from ``rng``."""
+    stage[...] = word
+    return rng.permuted(stage, axis=1, out=stage)
 
 
 def _block_scores(
@@ -201,20 +211,10 @@ def _block_scores(
     score = make_strategy(sspec, spec, strat_rng)
     kind = _STRATEGIES[sspec.id]
     reads = None if kind.reads_types is None else kind.reads_types * spec.multiplicity
-    chunks = deck_chunks(_deck_word(spec), [(block_id, count)], seed, reads=reads)
-    if not kind.positions or reads is not None:
-        return np.concatenate([score(decks) for decks in chunks])
-    # whole shuffles become positions _STAGE_CELLS cards at a time: a
-    # 512-row (400,50) chunk's int64 positions would take 82 MB at once.
-    # Joining each chunk's scores frees its slices' arrays with the chunk.
-    step = max(1, _STAGE_CELLS // spec.total)
-    return np.concatenate([
-        np.concatenate([
-            score(_card_positions(decks[start : start + step], spec.total))
-            for start in range(0, len(decks), step)
-        ])
-        for decks in chunks
-    ])
+    chunks = deck_chunks(
+        _deck_word(spec), [(block_id, count)], seed, reads=reads, positions=kind.positions
+    )
+    return np.concatenate(list(map(score, chunks)))
 
 
 def _score_block_job(job: tuple[DeckSpec, StrategySpec, int, int, int]) -> Counter[int]:
@@ -250,8 +250,6 @@ def estimate_value(
     Deterministic in (seed, trials) regardless of ``workers``: blocks own
     disjoint stream indices and histograms merge associatively.
     """
-    if trials < 1:
-        raise ValueError("trials must be positive")
     strategy.resolve(spec)  # so a spec that does not fit fails before any block
     return StatSummary.from_counter(_score_histogram(spec, strategy, trials, seed, workers))
 
@@ -264,12 +262,9 @@ def estimate_repeat_time(spec: DeckSpec, j: int, trials: int, seed: int) -> Stat
     hits j occurrences."""
     if not 1 <= j <= spec.multiplicity:
         raise ValueError(f"j must lie in 1..{spec.multiplicity}")
-    if trials < 1:
-        raise ValueError("trials must be positive")
     import numpy as np
 
-    hist: Counter[int] = Counter()
-    for decks in deck_chunks(_deck_word(spec), _blocks(trials), seed):
+    def first_repeats(decks: np.ndarray) -> list[int]:
         rows = np.arange(decks.shape[0])
         seen = np.zeros((decks.shape[0], spec.num_types + 1), dtype=np.int32)
         first = np.zeros(decks.shape[0], dtype=np.int64)
@@ -280,7 +275,11 @@ def estimate_repeat_time(spec: DeckSpec, j: int, trials: int, seed: int) -> Stat
             first[(first == 0) & (seen[rows, cards] == j)] = t + 1
             if first.all():
                 break
-        hist.update(first.tolist())
+        return first.tolist()
+
+    hist: Counter[int] = Counter()
+    for first in map(first_repeats, deck_chunks(_deck_word(spec), _blocks(trials), seed)):
+        hist.update(first)
     return StatSummary.from_counter(hist)
 
 
@@ -307,8 +306,6 @@ def estimate_chain(spec: DeckSpec, trials: int, seed: int) -> StatSummary:
     guessing n: its score is the chain length plus the n's after the chain
     completes, so the chain length is the ladder's score capped at n.
     """
-    if trials < 1:
-        raise ValueError("trials must be positive")
     scores = _score_histogram(spec, StrategySpec(StrategyId.PARTIAL_LADDER), trials, seed)
     hist: Counter[int] = Counter()
     for score, count in scores.items():

@@ -212,10 +212,13 @@ def _mle_guess_at(key: int, n: int, width: int, base: int, best: dict, maximize:
 # scoring a prefix equals stopping the game there.  A positional kernel
 # (``_Kind.positions``) takes each row's card positions instead, as
 # ``_card_positions`` lays them out, and a prefix is the copies it marks
-# drawn.  Only no-feedback strategies run under a model other than their
-# own, and they ignore feedback, so no kernel needs the model.  Most
-# kernels walk the columns, a few numpy operations per card; the
-# positional ones read each type's copies by position instead.
+# drawn.  Simulation deals a ``_Kind.reads_types`` kernel its positions in
+# draw order within each type instead (see montecarlo.deck_chunks), so only
+# a kernel that reads each type's copies as a set may declare it.  Only
+# no-feedback strategies run under a model other than their own, and they
+# ignore feedback, so no kernel needs the model.  Most kernels walk the
+# columns, a few numpy operations per card; the positional ones read each
+# type's copies by position instead.
 
 
 def _card_positions(words: np.ndarray, drawn: int) -> np.ndarray:
@@ -320,8 +323,9 @@ def _kernel_uniform(spec, params, decks, strat_rng):
 def _kernel_two_phase(spec, params, positions, strat_rng):
     # Guess 1 for ``phase`` turns; then guess 2 for the rest iff the hits so
     # far reach ``threshold``, else keep guessing 1.  Each row holds the
-    # positions of its m 1s, then of its m 2s (see _card_positions); a copy
-    # not drawn sits at mn.
+    # positions of its m 1s, then of its m 2s, each type's as a set: sorted
+    # by _card_positions (a copy not drawn sits at mn), or dealt in draw
+    # order by simulation.
     import numpy as np
 
     m, mn = spec.multiplicity, spec.total
@@ -356,7 +360,9 @@ class _Kind(NamedTuple):
     ``_card_positions`` lays them out, not deck words.  ``reads_types`` = k
     says a positional kernel reads only the km cards of types 1..k, so
     simulation deals it just those positions instead of shuffling the
-    whole deck; None means it reads every card."""
+    whole deck; None means it reads every card.  Dealt positions come in
+    draw order within a type, not as ``_card_positions`` sorts them, so
+    only a kernel that reads each type's copies as a set may declare it."""
 
     model: FeedbackModel
     defaults: dict[str, Callable[[DeckSpec], int | float]] = {}

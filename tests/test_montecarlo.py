@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import guessbench.montecarlo as mc
+from guessbench.bounds import empirical_maximal, hyp_tail_report
 from guessbench.core import DeckSpec, FeedbackModel
 from guessbench.exact import exact_chain_mean, exact_value
 from guessbench.montecarlo import (
@@ -132,6 +133,33 @@ def test_greedy_max_chunk_memory_stays_near_the_chunk():
         tracemalloc.stop()
     assert len(scores) == mc._CHUNK
     assert peak < chunk_bytes + 4 * 2**20
+
+
+def test_simulation_holds_one_chunk_at_a_time():
+    # 1,024 games at (400,50) are two 512-row chunks of 19.53 MB of int16
+    # cards each; neither deck_chunks nor its consumers may keep the first
+    # chunk while the second is drawn, and greedy-max, which is given each
+    # stage's positions, never holds a chunk of decks at all
+    spec = DeckSpec(400, 50)
+    games = 2 * mc._CHUNK
+    chunk_bytes = mc._CHUNK * spec.total * mc._deck_word(spec).itemsize
+    ladder = StrategySpec(StrategyId.PARTIAL_LADDER)
+    greedy = StrategySpec(StrategyId.COMPLETE_GREEDY_MAX)
+    # the stream's first use imports
+    mc._block_scores(DeckSpec(2, 2), ladder, 1, 0, 0)
+    calls = {
+        "ladder": (lambda: mc._block_scores(spec, ladder, games, 0, 0), 1.25 * chunk_bytes),
+        "greedy-max": (lambda: mc._block_scores(spec, greedy, games, 0, 0), 2 * 2**20),
+        "tj": (lambda: estimate_repeat_time(spec, 20, games, 0), 1.25 * chunk_bytes),
+    }
+    for name, (call, bound) in calls.items():
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, (name, peak)
 
 
 def test_two_phase_chunk_memory_stays_near_the_chunk():
@@ -404,6 +432,20 @@ def test_repeat_time_exact_point():
     estimate = estimate_repeat_time(spec, 2, 20_000, 3)
     freq = dict(estimate.histogram).get(2, 0) / estimate.trials
     assert abs(freq - 1 / 3) <= 4 * np.sqrt(1 / 3 * 2 / 3 / 20_000)
+
+
+def test_every_sampler_rejects_zero_trials():
+    # one check, in montecarlo._blocks, serves every sampler alike
+    spec = DeckSpec(2, 3)
+    for call in (
+        lambda: estimate_value(spec, CONSTANT, 0, 0),
+        lambda: estimate_repeat_time(spec, 2, 0, 0),
+        lambda: estimate_chain(spec, 0, 0),
+        lambda: empirical_maximal(0.5, 1.0, 16, 32, 0, 0),
+        lambda: hyp_tail_report(10, 3, 1.0, (4, 10), 0, 0),
+    ):
+        with pytest.raises(ValueError, match="trials must be positive"):
+            call()
 
 
 def test_exact_distinct_prefix_edges():

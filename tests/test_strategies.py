@@ -564,6 +564,36 @@ def test_dealt_positions_reach_only_positional_kernels():
     assert dealt and all(_STRATEGIES[sid].positions for sid in dealt)
 
 
+def test_dealt_kernels_read_each_types_positions_as_a_set():
+    # simulation deals a reads-k kind each type's positions in draw order,
+    # not sorted as _card_positions lays them out, so its kernel must score
+    # the same under any order within a type: every shuffle of every
+    # enumerable deck, under every value of each bounded parameter
+    rng = np.random.default_rng(3)
+    for sid, kind in _STRATEGIES.items():
+        if kind.reads_types is None:
+            continue
+        for spec in enumerable_specs():
+            if spec.num_types < max(2, kind.min_types):
+                continue
+            m, reads = spec.multiplicity, kind.reads_types * spec.multiplicity
+            words = np.array(list(iter_shuffles(spec)), dtype=np.int16)
+            sorted_ = _card_positions(words, spec.total)[:, :reads]
+            by_type = sorted_.reshape(len(words), kind.reads_types, m)
+            orders = (by_type[:, :, ::-1], rng.permuted(by_type, axis=2))
+            sspecs = [StrategySpec(sid)] + [
+                StrategySpec(sid, **{name: value})
+                for name, bound in kind.bounds.items()
+                for value in range(bound(spec)[0], bound(spec)[1] + 1)
+            ]
+            for sspec in sspecs:
+                score = make_strategy(sspec, spec)
+                expected = score(sorted_).tolist()
+                for dealt in orders:
+                    assert score(dealt.reshape(len(words), reads)).tolist() == expected, (
+                        spec, sspec)
+
+
 def test_one_kernel_table_serves_every_strategy():
     # every strategy has exactly one implementation, and simulation reads
     # the same table that make_strategy does
